@@ -1,7 +1,7 @@
 """Command-line front end for the verification suites.
 
 Exit status: 0 when every check passes, 1 when any check fails, 2 on usage
-errors (bad suite, bad range, unwritable destination).
+errors (bad suite, bad range, sample count below 1, unwritable destination).
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         ns = parse_n_range(args.n)
     except ValueError as exc:
         parser.error(str(exc))  # exits with status 2
+    if args.samples < 1:
+        parser.error(f"--samples must be >= 1, got {args.samples}")
     names = SUITE_ORDER if args.suite == "all" else (args.suite,)
     for name in names:
         min_n = SUITES[name][1]

@@ -1,10 +1,11 @@
 """Complex spinor representation of the Clifford algebra of R^n.
 
 Generators are built by the standard tensor-doubling recursion from the
-2-dimensional base case, then scaled by i so that every generator squares to
-``CLIFFORD_SIGN * Id`` with the fixed convention ``CLIFFORD_SIGN = -1``
-(vectors act with ``v.v.psi = -|v|^2 psi``).  All entries stay in
-``{0, +-1, +-i}``, so every product taken downstream is exact.
+2-dimensional base case, then scaled by i so that every generator is
+anti-hermitian and squares to ``CLIFFORD_SIGN * Id`` with the fixed
+convention ``CLIFFORD_SIGN = -1`` (vectors act with
+``v.v.psi = -|v|^2 psi``).  All entries stay in ``{0, +-1, +-i}``, so every
+product taken downstream is exact.
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ def _validate(rep: GammaRep) -> None:
         for e in (x for row in ga.rows for x in row):
             if e not in _UNIT_ENTRIES:
                 raise AssertionError(f"gamma_{a + 1} entry {e} outside 0, +-1, +-i")
+        # spin inverses are taken as adjoints, which needs gamma^dagger = -gamma
+        if ga.adjoint() != -ga:
+            raise AssertionError(f"gamma_{a + 1} is not anti-hermitian")
         for b in range(a, rep.n):
             gb = rep.gammas[b]
             anti = ga @ gb + gb @ ga

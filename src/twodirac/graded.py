@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
-from .linalg import (Matrix, block, det, identity_q, inverse, qmat, rank,
-                     submatrix, zeros_q)
+from .linalg import (Matrix, block, det, identity_q, qmat, rank, submatrix,
+                     zeros_q)
 
 GRADES = (-2, -1, 0, 1, 2)
 
@@ -217,43 +217,41 @@ def grade_basis(n: int, i: int) -> List[GradedElement]:
     return out
 
 
-def _check_h_orthogonal(g: Matrix, n: int) -> None:
+def _check_h_orthogonal(g: Matrix, n: int) -> Matrix:
+    """Check g^T H g = H and det g = 1; return g^-1, which is H g^T H as H^2 = I."""
     if g.shape != (n + 4, n + 4):
         raise ValueError(f"matrix has shape {g.shape}, expected {(n + 4, n + 4)}")
     h = h_gram(n)
-    if g.transpose() @ h @ g != h:
+    gt_h = g.transpose() @ h
+    if gt_h @ g != h:
         raise ValueError("matrix does not preserve the bilinear form")
     if det(g) != 1:
         raise ValueError("matrix has determinant != 1")
+    return h @ gt_h
 
 
-def _ad_components(g: Matrix, g_inv: Matrix, e: GradedElement) -> dict:
-    image = disassemble(g @ assemble(e) @ g_inv, e.n)
-    return {i: grade_project(image, i) for i in GRADES}
+def _conjugation_keeps_grades(g: Matrix, n: int,
+                              must_vanish: Callable[[int, int], bool]) -> bool:
+    """Does conjugation by g map each grade-i element to one whose grade-j
+    component is zero wherever ``must_vanish(i, j)``?"""
+    g_inv = _check_h_orthogonal(g, n)
+    for i in GRADES:
+        for e in grade_basis(n, i):
+            image = disassemble(g @ assemble(e) @ g_inv, n)
+            if any(not grade_project(image, j).is_zero()
+                   for j in GRADES if must_vanish(i, j)):
+                return False
+    return True
 
 
 def is_parabolic_member(g: Matrix, n: int) -> bool:
     """Does conjugation by g preserve the filtration by grades >= i?"""
-    _check_h_orthogonal(g, n)
-    g_inv = inverse(g)
-    for i in GRADES:
-        for e in grade_basis(n, i):
-            comps = _ad_components(g, g_inv, e)
-            if any(not comps[j].is_zero() for j in GRADES if j < i):
-                return False
-    return True
+    return _conjugation_keeps_grades(g, n, lambda i, j: j < i)
 
 
 def is_levi_member(g: Matrix, n: int) -> bool:
     """Does conjugation by g preserve each grade summand on the nose?"""
-    _check_h_orthogonal(g, n)
-    g_inv = inverse(g)
-    for i in GRADES:
-        for e in grade_basis(n, i):
-            comps = _ad_components(g, g_inv, e)
-            if any(not comps[j].is_zero() for j in GRADES if j != i):
-                return False
-    return True
+    return _conjugation_keeps_grades(g, n, lambda i, j: j != i)
 
 
 def trace_form(e: GradedElement, f: GradedElement):

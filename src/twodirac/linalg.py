@@ -2,13 +2,13 @@
 
 ``Matrix`` is an immutable dense matrix whose entries live in any exact field
 implementing the usual arithmetic operators: here either rationals
-(``int``/``fractions.Fraction``) or ``GaussianRational``.  Division only
-happens inside ``rank``/``det``/``inverse``, which promote plain ints to
-``Fraction`` first, so integer-entried matrices are safe everywhere.
+(``int``/``fractions.Fraction``) or ``GaussianRational``.  Arithmetic on
+matrices never divides, so integer-entried matrices are safe everywhere.
 
-For the rank computations in the ellipticity scans there is a dedicated
-fraction-free (Bareiss-style) elimination over Gaussian integers,
-``rank_bareiss``, which avoids per-step rational normalization entirely.
+``rank``, ``rank_bareiss`` and ``det`` share one fraction-free (Bareiss)
+elimination over Gaussian integers: each row is first scaled to integer
+entries, so no rational normalization happens inside the loop.  ``inverse``
+is the adjugate over the determinant.
 """
 
 from __future__ import annotations
@@ -84,6 +84,10 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self.rows))
+
+    def adjoint(self) -> "Matrix":
+        """Conjugate transpose."""
+        return Matrix(tuple(a.conjugate() for a in col) for col in zip(*self.rows))
 
     def map(self, fn: Callable) -> "Matrix":
         return Matrix(tuple(fn(a) for a in r) for r in self.rows)
@@ -187,123 +191,41 @@ def is_zero_vec(u: Sequence) -> bool:
     return all(not a for a in u)
 
 
-# -- exact elimination --------------------------------------------------------
+# -- exact elimination: one fraction-free kernel ------------------------------
 
-def _promote(x):
-    # ints must become Fractions before any division
-    return Fraction(x) if isinstance(x, int) else x
+def _gauss_int_rows(m: Matrix) -> Tuple[list, int]:
+    """Scale each row to Gaussian-integer pairs ``(re, im)``.
 
-
-def rank(m: Matrix) -> int:
-    """Rank by straightforward field elimination (exact, any field entries)."""
-    rows = [[_promote(x) for x in r] for r in m.rows]
-    nr, nc = m.shape
-    rk = 0
-    for col in range(nc):
-        piv = next((r for r in range(rk, nr) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        prow = rows[rk]
-        inv = 1 / prow[col]
-        for r in range(rk + 1, nr):
-            f = rows[r][col]
-            if f:
-                f = f * inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
-        rk += 1
-        if rk == nr:
-            break
-    return rk
-
-
-def det(m: Matrix):
-    """Determinant by exact elimination with division."""
-    if m.nrows != m.ncols:
-        raise ValueError("det of non-square matrix")
-    n = m.nrows
-    rows = [[_promote(x) for x in r] for r in m.rows]
-    one = GR_ONE if isinstance(rows[0][0], GaussianRational) else Fraction(1)
-    result = one
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
-        if piv is None:
-            return one - one
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            result = -result
-        p = rows[col][col]
-        result = result * p
-        inv = one / p
-        prow = rows[col]
-        for r in range(col + 1, n):
-            f = rows[r][col]
-            if f:
-                f = f * inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
-    return result
-
-
-def inverse(m: Matrix) -> Matrix:
-    """Inverse by exact Gauss-Jordan elimination."""
-    if m.nrows != m.ncols:
-        raise ValueError("inverse of non-square matrix")
-    n = m.nrows
-    gaussian = isinstance(m.rows[0][0], GaussianRational)
-    one = GR_ONE if gaussian else Fraction(1)
-    zero = GR_ZERO if gaussian else Fraction(0)
-    rows = [[_promote(x) for x in r] + [one if i == j else zero for j in range(n)]
-            for i, r in enumerate(m.rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = one / rows[col][col]
-        rows[col] = [inv * a for a in rows[col]]
-        prow = rows[col]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
-    return Matrix(tuple(r[n:]) for r in rows)
-
-
-# -- fraction-free rank over Gaussian integers --------------------------------
-
-def _den(x: Rational) -> int:
-    return x.denominator if isinstance(x, Fraction) else 1
-
-
-def _gauss_int_rows(m: Matrix) -> list:
-    """Scale each row to Gaussian-integer pairs (row scaling preserves rank)."""
-    out = []
+    Returns the rows and the product of the row multipliers.  Scaling a row
+    by a positive integer keeps the rank and multiplies the determinant by
+    that integer.
+    """
+    rows = []
+    scale = 1
     for r in m.rows:
-        mult = 1
-        for e in r:
-            mult = lcm(mult, _den(e.re), _den(e.im))
-        row = []
-        for e in r:
-            a = e.re * mult
-            b = e.im * mult
-            row.append((a if isinstance(a, int) else a.numerator,
-                        b if isinstance(b, int) else b.numerator))
-        out.append(row)
-    return out
+        pairs = [(e.re, e.im) if isinstance(e, GaussianRational) else (e, 0)
+                 for e in r]
+        mult = lcm(*(x.denominator for pair in pairs for x in pair))
+        rows.append([((a * mult).numerator, (b * mult).numerator)
+                     for a, b in pairs])
+        scale *= mult
+    return rows, scale
 
 
-def _bareiss_rank(rows: list) -> int:
-    """Fraction-free elimination on mutable rows of (int, int) pairs.
+def _bareiss(rows: list) -> Tuple[int, Tuple[int, int], int]:
+    """Fraction-free elimination (Bareiss 1968) on mutable rows of int pairs.
 
-    After each pivot step every entry is a minor of the original matrix, so
-    the division by the previous pivot is exact (Sylvester identity); column
-    skipping for rank-deficient columns does not disturb this.
+    Returns the rank, the last pivot and the sign of the row permutation.
+    After each pivot step every entry is a minor of the row-permuted matrix,
+    so the division by the previous pivot is exact (Sylvester identity);
+    column skipping for rank-deficient columns does not disturb this.  For a
+    square matrix of full rank the last pivot is therefore the determinant
+    of the row-permuted matrix.
     """
     nr = len(rows)
-    if nr == 0:
-        return 0
     nc = len(rows[0])
     rk = 0
+    sign = 1
     pre, pim, pnrm = 1, 0, 1
     for col in range(nc):
         if rk == nr:
@@ -318,6 +240,7 @@ def _bareiss_rank(rows: list) -> int:
             continue
         if piv != rk:
             rows[rk], rows[piv] = rows[piv], rows[rk]
+            sign = -sign
         prow = rows[rk]
         pa, pb = prow[col]
         for r in range(rk + 1, nr):
@@ -334,9 +257,48 @@ def _bareiss_rank(rows: list) -> int:
         pre, pim = pa, pb
         pnrm = pa * pa + pb * pb
         rk += 1
-    return rk
+    return rk, (pre, pim), sign
+
+
+def rank(m: Matrix) -> int:
+    """Exact rank of a matrix with int, Fraction or GaussianRational entries."""
+    return _bareiss(_gauss_int_rows(m)[0])[0]
 
 
 def rank_bareiss(m: Matrix) -> int:
-    """Exact rank of a GaussianRational matrix, fraction-free."""
-    return _bareiss_rank(_gauss_int_rows(m))
+    """Exact rank of a GaussianRational matrix (the symbol-layer entry point)."""
+    return _bareiss(_gauss_int_rows(m)[0])[0]
+
+
+def det(m: Matrix):
+    """Exact determinant: a ``GaussianRational`` if any entry is one, else a
+    ``Fraction``."""
+    if m.nrows != m.ncols:
+        raise ValueError("det of non-square matrix")
+    rows, scale = _gauss_int_rows(m)
+    rk, (re, im), sign = _bareiss(rows)
+    if rk < m.nrows:
+        re = im = 0
+    re, im = Fraction(sign * re, scale), Fraction(sign * im, scale)
+    if any(isinstance(e, GaussianRational) for r in m.rows for e in r):
+        return GaussianRational(re, im)
+    return re
+
+
+def inverse(m: Matrix) -> Matrix:
+    """Inverse as the adjugate over the determinant.
+
+    Costs n^2 determinants of order n - 1; callers invert only 2 x 2 blocks.
+    """
+    d = det(m)
+    if not d:
+        raise ValueError("matrix is singular")
+    n = m.nrows
+    if n == 1:
+        return Matrix([[1 / d]])
+
+    def minor(i: int, j: int) -> Matrix:
+        return Matrix(r[:j] + r[j + 1:] for k, r in enumerate(m.rows) if k != i)
+
+    return Matrix(tuple((-1) ** (i + j) * det(minor(j, i)) / d for j in range(n))
+                  for i in range(n))

@@ -496,6 +496,8 @@ def run_check(name: str, n: int, samples: int, seed: int, mode: str) -> CheckRep
     fn, min_n = SUITES[name]
     if n < min_n:
         raise ValueError(f"suite {name} needs n >= {min_n}, got {n}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     start = time.perf_counter()
     failures = tuple(fn(n, samples, seed, mode))
     elapsed = max(0, int(round((time.perf_counter() - start) * 1000)))

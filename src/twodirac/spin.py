@@ -2,9 +2,12 @@
 
 Group elements are stored as exact spinor matrices together with the
 generating word of rational unit vectors; the induced rotation is recovered
-by conjugating the Clifford generators.  With the package convention
-``v.v = -|v|^2``, the word ``(e1, e1)`` realizes the nontrivial central
-element (acting as ``-Id`` on spinors) and ``(e1, -e1)`` is the identity.
+by conjugating the Clifford generators.  The gammas are anti-hermitian (the
+gamma build certifies it), so the spinor matrix S of a word of unit vectors
+is unitary and its inverse is the adjoint S^dagger; no inverse is computed
+or stored.  With the package convention ``v.v = -|v|^2``, the word
+``(e1, e1)`` realizes the nontrivial central element (acting as ``-Id`` on
+spinors) and ``(e1, -e1)`` is the identity.
 
 Spin^c classes are pairs ``(phase, spin)`` modulo the simultaneous sign flip;
 phases are exact rational circle points, and the half-angle data required by
@@ -21,7 +24,7 @@ from typing import Optional, Sequence, Tuple
 from .clifford import CLIFFORD_SIGN, GammaRep, clifford_mat
 from .linalg import Matrix, det, identity_g, identity_q, vdot, zeros_g
 from .scalars import CIRCLE_ONE, CirclePoint, GaussianRational
-from .sampling import circle_point, circle_point_with_half, unit_vector
+from .sampling import circle_point, circle_point_with_half, givens, unit_vector
 
 
 @dataclass(frozen=True)
@@ -50,24 +53,17 @@ class RationalRotation:
 class SpinElement:
     """An even product of unit vectors, acting exactly on spinors."""
 
-    __slots__ = ("rep", "spinor_mat", "spinor_mat_inv", "word")
+    __slots__ = ("rep", "spinor_mat", "word")
 
     def __init__(self, rep: GammaRep, word: Sequence[tuple],
-                 spinor_mat: Optional[Matrix] = None,
-                 spinor_mat_inv: Optional[Matrix] = None):
+                 spinor_mat: Optional[Matrix] = None):
         self.rep = rep
         self.word = tuple(tuple(v) for v in word)
         if spinor_mat is None:
             spinor_mat = identity_g(rep.s)
             for v in self.word:
                 spinor_mat = spinor_mat @ clifford_mat(rep, v)
-        if spinor_mat_inv is None:
-            spinor_mat_inv = identity_g(rep.s)
-            # (v1..vk)^-1 = vk^-1..v1^-1 and v^-1 = -v for unit v
-            for v in reversed(self.word):
-                spinor_mat_inv = spinor_mat_inv @ clifford_mat(rep, tuple(-x for x in v))
         self.spinor_mat = spinor_mat
-        self.spinor_mat_inv = spinor_mat_inv
 
     @classmethod
     def identity(cls, rep: GammaRep) -> "SpinElement":
@@ -82,15 +78,16 @@ class SpinElement:
         if self.rep.n != other.rep.n:
             raise ValueError("spin elements live over different dimensions")
         return SpinElement(self.rep, self.word + other.word,
-                           self.spinor_mat @ other.spinor_mat,
-                           other.spinor_mat_inv @ self.spinor_mat_inv)
+                           self.spinor_mat @ other.spinor_mat)
 
     def __neg__(self) -> "SpinElement":
         return self * SpinElement.minus_one(self.rep)
 
     def inverse(self) -> "SpinElement":
+        # (v1..vk)^-1 = (-vk)..(-v1) for unit v, and the spinor matrix of -v
+        # is the adjoint of that of v because every gamma is anti-hermitian
         word = tuple(tuple(-x for x in v) for v in reversed(self.word))
-        return SpinElement(self.rep, word, self.spinor_mat_inv, self.spinor_mat)
+        return SpinElement(self.rep, word, self.spinor_mat.adjoint())
 
     def is_central(self) -> bool:
         """True when the element is +-1, i.e. acts as a sign on spinors."""
@@ -127,9 +124,11 @@ def rho_n(a: SpinElement) -> RationalRotation:
     """The rotation induced by conjugation on vectors (the 2:1 covering)."""
     rep = a.rep
     scale = Fraction(1, CLIFFORD_SIGN * rep.s)
+    # the spinor matrix of a word of unit vectors is unitary: S^-1 = S^dagger
+    s_inv = a.spinor_mat.adjoint()
     cols = []
     for alpha in range(rep.n):
-        conj = a.spinor_mat @ rep.gammas[alpha] @ a.spinor_mat_inv
+        conj = a.spinor_mat @ rep.gammas[alpha] @ s_inv
         col = []
         for beta in range(rep.n):
             t = (rep.gammas[beta] @ conj).trace()
@@ -162,13 +161,7 @@ def spin_rotation_generator(rep: GammaRep, p: CirclePoint) -> SpinElement:
 
 def so2_block(p: CirclePoint, n_rest: int) -> Matrix:
     """Rotation by p in the first coordinate plane, identity on the rest."""
-    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n_rest + 2)]
-            for i in range(n_rest + 2)]
-    rows[0][0] = p.c
-    rows[0][1] = -p.d
-    rows[1][0] = p.d
-    rows[1][1] = p.c
-    return Matrix(rows)
+    return givens(n_rest + 2, 0, 1, p)
 
 
 class SpinCElement:

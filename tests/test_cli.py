@@ -125,6 +125,17 @@ def test_cli_exit_two_on_usage_errors(capsys, tmp_path):
     assert rc == 2
 
 
+def test_sample_counts_below_one_are_rejected():
+    for argv in (["symbols", "--samples", "-5"], ["spin", "--samples", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    with pytest.raises(ValueError):
+        run_suite("index", [3], 0, 0)
+    with pytest.raises(ValueError):
+        run_check("spin", 3, -5, 0, "exact")
+
+
 def test_cli_writes_file(tmp_path):
     out = tmp_path / "report.json"
     rc = main(["index", "--n", "3..8", "--format", "json", "--out", str(out)])

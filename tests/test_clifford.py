@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twodirac.clifford import (CLIFFORD_SIGN, basis_spinor, build_gamma_rep,
+from twodirac.clifford import (CLIFFORD_SIGN, GammaRep, _validate,
+                               basis_spinor, build_gamma_rep,
                                clifford_act, clifford_mat)
-from twodirac.linalg import identity_g, is_zero_vec, zeros_g
+from twodirac.linalg import Matrix, identity_g, is_zero_vec, zeros_g
 from twodirac.sampling import unit_vector
 from twodirac.scalars import GR_I, GR_ONE, GR_ZERO, gr
 
@@ -44,6 +45,17 @@ def test_all_pairs_anticommute_n6():
         assert ga @ gb + gb @ ga == zeros_g(8, 8)
     for g in rep.gammas:
         assert g @ g == identity_g(8).scaled(CLIFFORD_SIGN)
+
+
+def test_validate_rejects_gamma_that_is_not_anti_hermitian():
+    # squares to -1 and has unit entries, but its adjoint is not -gamma, so
+    # spin inverses taken as adjoints would be wrong
+    bad = Matrix([[GR_I, GR_ONE], [GR_ZERO, -GR_I]])
+    assert bad @ bad == identity_g(2).scaled(CLIFFORD_SIGN)
+    good = build_gamma_rep(2)
+    _validate(good)
+    with pytest.raises(AssertionError, match="anti-hermitian"):
+        _validate(GammaRep(n=2, s=2, gammas=(bad, good.gammas[1])))
 
 
 def test_entries_are_units():

@@ -235,6 +235,20 @@ def test_membership_rejects_non_orthogonal():
                               for j in range(7)] for i in range(7)]), 3)
 
 
+def test_membership_checks_the_form_before_using_h_gt_h():
+    # the membership tests conjugate by H g^T H, which is g^-1 only for
+    # g^T H g = H; each matrix here must be refused, not conjugated
+    n = 3
+    shear = [[1 if i == j else 0 for j in range(n + 4)] for i in range(n + 4)]
+    shear[0][1] = 1  # det 1, but g^T H g != H
+    reflection = [[1 if i == j else 0 for j in range(n + 4)] for i in range(n + 4)]
+    reflection[2][2] = -1  # g^T H g = H, but det -1
+    for g in (qmat(shear), qmat(reflection)):
+        for member in (is_parabolic_member, is_levi_member):
+            with pytest.raises(ValueError):
+                member(g, n)
+
+
 def test_trace_form_dual_pairing():
     n = 3
     y = grade_basis(n, -2)[0]

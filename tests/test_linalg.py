@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from twodirac.linalg import (Matrix, block, det, gmat, hstack, identity_g,
                              identity_q, inverse, qmat, rank, rank_bareiss,
                              vstack, zeros_q)
-from twodirac.scalars import gr
+from twodirac.scalars import GaussianRational, gr
+
+import reference_elimination as field
 
 
 def test_matrix_basics():
@@ -43,6 +45,15 @@ def test_det_and_inverse():
         inverse(qmat([[1, 2], [2, 4]]))
     g = gmat([[gr(0, 1), gr(1)], [gr(0), gr(2)]])
     assert g @ inverse(g) == identity_g(2)
+    h = qmat([[1, 2, 0], [0, 1, 3], [4, 0, Fraction(1, 2)]])
+    assert inverse(h) @ h == identity_q(3)
+    assert inverse(qmat([[Fraction(2, 3)]])) == qmat([[Fraction(3, 2)]])
+    # a row swap flips the sign; rational input gives a Fraction, Gaussian
+    # input a GaussianRational
+    assert type(det(qmat([[0, 1], [1, 0]]))) is Fraction
+    assert det(qmat([[0, 1], [1, 0]])) == -1
+    d = det(gmat([[0, gr(0, 1)], [gr(2), gr(1, 1)]]))
+    assert isinstance(d, GaussianRational) and d == gr(0, -2)
 
 
 def test_rank_on_rationals():
@@ -67,13 +78,13 @@ def gauss_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(gauss_matrices())
 def test_bareiss_agrees_with_field_elimination(m):
-    assert rank_bareiss(m) == rank(m)
+    assert rank_bareiss(m) == field.rank(m)
 
 
 def test_bareiss_handles_fractional_entries():
     m = gmat([[gr(Fraction(1, 2), Fraction(1, 3)), gr(1)],
               [gr(Fraction(3, 2), 1), gr(3, Fraction(2, 5))]])
-    assert rank_bareiss(m) == rank(m)
+    assert rank_bareiss(m) == field.rank(m)
 
 
 def test_bareiss_rank_deficient_columns():
@@ -88,4 +99,38 @@ def test_bareiss_rank_deficient_columns():
         if c >= 3:
             cols[2] = cols[1]
         m = Matrix(tuple(zip(*cols)))
-        assert rank_bareiss(m) == rank(m)
+        assert rank_bareiss(m) == field.rank(m)
+
+
+fractions_ = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+@st.composite
+def square_matrices(draw):
+    """Square rational or Gaussian matrices with int and fractional entries;
+    about half are made singular by replacing a row with a multiple of
+    another."""
+    k = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        entry = st.builds(gr, fractions_, fractions_)
+    else:
+        entry = st.one_of(st.integers(-9, 9), fractions_)
+    rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                         min_size=k, max_size=k))
+    if k > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2,
+                             unique=True))
+        c = draw(entry)
+        rows[i] = [c * x for x in rows[j]]
+    return Matrix(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_kernel_det_and_rank_agree_with_field_elimination(m):
+    want = field.det(m)
+    got = det(m)
+    assert got == want
+    assert type(got) is type(want)
+    assert rank(m) == field.rank(m)
+    assert (got == 0) == (rank(m) < m.nrows)

@@ -96,10 +96,8 @@ def test_rational_rotation_validation():
 def test_rho_rejects_corrupted_element():
     # a hand-corrupted spinor matrix whose conjugation leaves the gamma span
     bad = qmat([[1, 0], [0, 2]])
-    inv = qmat([[1, 0], [0, Fraction(1, 2)]])
     from twodirac.linalg import gmat
-    elt = SpinElement(REP3, (), spinor_mat=gmat(bad.rows),
-                      spinor_mat_inv=gmat(inv.rows))
+    elt = SpinElement(REP3, (), spinor_mat=gmat(bad.rows))
     with pytest.raises(ValueError):
         rho_n(elt)
 

@@ -14,6 +14,8 @@ from twodirac.symbols import (Covector, ScanReport,
                               spinor_dim, symbol_index, symbol_triple,
                               weight_table)
 
+import reference_elimination as field
+
 REP3 = build_gamma_rep(3)
 REP4 = build_gamma_rep(4)
 
@@ -93,8 +95,8 @@ def test_exact_and_float_modes_agree():
 
 def test_three_rank_routes_agree_on_symbol_matrices():
     # the ellipticity certificates lean on the fraction-free rank, so pin it
-    # against plain field elimination and the SVD route on the matrices that
-    # actually occur, at the largest spinor dimensions in scope
+    # against the field-elimination oracle and the SVD route on the matrices
+    # that actually occur, at the largest spinor dimensions in scope
     from twodirac.symbols import _rank_float
     rng = Random(7)
     for n in (5, 6):
@@ -104,7 +106,7 @@ def test_three_rank_routes_agree_on_symbol_matrices():
             t = symbol_triple(rep, x)
             for m in (t.s1, t.s2, t.s3):
                 exact = rank_bareiss(m)
-                assert exact == rank(m)
+                assert exact == field.rank(m)
                 assert exact == _rank_float(m)
 
 
