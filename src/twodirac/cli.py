@@ -1,7 +1,8 @@
 """Command-line front end for the verification suites.
 
-Exit status: 0 when every check passes, 1 when any check fails, 2 on usage
-errors (bad suite, bad range, sample count below 1, unwritable destination).
+Exit status: 0 when every check passes, 1 when any check fails (a suite that
+raises counts as failed), 2 on usage errors (bad suite, bad range, sample
+count below 1, unwritable destination).
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Verification suites and machine-readable run reports.
 
-Each suite re-checks one module's invariants on seeded data and returns a
-CheckReport; a RunManifest aggregates them.  Reports are pure functions of
+Each suite re-checks one module's invariants on seeded data; ``run_check``
+turns its failures, or the exception it raised, into a CheckReport, and a
+RunManifest aggregates them.  Reports are pure functions of
 (check_name, n, samples, seed, mode): all randomness flows through
 ``random.Random`` seeded with strings derived from those inputs, so repeated
 runs are byte-identical apart from elapsed_ms.
@@ -22,7 +23,8 @@ from .graded import (GRADES, assemble, bracket, grade_basis, grade_project,
                      heisenberg_gram, is_levi_member, is_parabolic_member,
                      levi_bracket, random_element, standard_neg1_basis,
                      zero_element)
-from .linalg import block, det, identity_g, identity_q, inverse, qmat, rank, zeros_q
+from .linalg import (block, det, identity_g, identity_q, inverse, qmat, rank,
+                     submatrix, zeros_q)
 from .sampling import circle_point, deterministic_circle_points, rotation
 from .scalars import CIRCLE_MINUS_ONE, CIRCLE_ONE, CirclePoint
 from .spin import (SpinCElement, SpinElement, gamma_c_act, gamma_c_mat,
@@ -153,8 +155,7 @@ def _check_heisenberg(n: int, samples: int, seed: int, mode: str) -> List[Failur
     gram = heisenberg_gram(n)
     if gram.transpose() != -gram:
         fails.append(_fail(f"gram n={n}", "skew-symmetric", "not skew"))
-    d = det(gram)
-    if d == 0:
+    if det(gram) == 0:
         fails.append(_fail(f"gram n={n}", "nonzero determinant", "0"))
     if rank(gram) != 2 * n:
         fails.append(_fail(f"gram n={n}", f"rank {2 * n}", rank(gram)))
@@ -162,9 +163,8 @@ def _check_heisenberg(n: int, samples: int, seed: int, mode: str) -> List[Failur
     if all(levi_bracket(bi, bj).is_zero() for bi in basis for bj in basis):
         fails.append(_fail("span of levi brackets", "all of grade -2", "zero"))
     for idx in range(samples):
-        x1 = qmat([[rng.randint(-9, 9) for _ in range(2)] for _ in range(n)])
-        x2 = qmat([[rng.randint(-9, 9) for _ in range(2)] for _ in range(n)])
-        x3 = qmat([[rng.randint(-9, 9) for _ in range(2)] for _ in range(n)])
+        x1, x2, x3 = (qmat([[rng.randint(-9, 9) for _ in range(2)] for _ in range(n)])
+                      for _ in range(3))
         if levi_bracket(x1, x2) != -levi_bracket(x2, x1):
             fails.append(_fail(f"sample {idx}", "skew bracket", "not skew"))
         if levi_bracket(x1 + x3, x2) != levi_bracket(x1, x2) + levi_bracket(x3, x2):
@@ -277,11 +277,8 @@ def _check_embedding(n: int, samples: int, seed: int, mode: str) -> List[Failure
         x = random_spinc(rep, rng)
         emb = iota_embed(x, big)
         r = rho_n(emb).mat
-        ok = True
-        for i in range(2):
-            for j in range(2, n + 2):
-                ok = ok and not r[i, j] and not r[j, i]
-        if not ok:
+        if not (submatrix(r, 0, 2, 2, n + 2).is_zero()
+                and submatrix(r, 2, n + 2, 0, 2).is_zero()):
             fails.append(_fail(f"sample {idx}", "block diagonal rotation",
                                "off-diagonal blocks"))
             continue
@@ -289,8 +286,7 @@ def _check_embedding(n: int, samples: int, seed: int, mode: str) -> List[Failure
         if (r[0, 0], r[1, 0], r[0, 1], r[1, 1]) != (ph2.c, ph2.d, -ph2.d, ph2.c):
             fails.append(_fail(f"sample {idx}", "upper block = doubled phase",
                                "differs"))
-        lower = qmat([[r[i, j] for j in range(2, n + 2)] for i in range(2, n + 2)])
-        if lower != rho_n_c(x).mat:
+        if submatrix(r, 2, n + 2, 2, n + 2) != rho_n_c(x).mat:
             fails.append(_fail(f"sample {idx}", "lower block = rho^c", "differs"))
         if iota_embed(x.negated_representative(), big) != emb:
             fails.append(_fail(f"sample {idx}", "iota well defined", "differs"))
@@ -388,9 +384,13 @@ def _check_symbols(n: int, samples: int, seed: int, mode: str) -> List[Failure]:
         stacked = block([[gc, gc.scaled(0)], [gc.scaled(0), gc]])
         if sigma1(rep, moved) @ gc != stacked @ sigma1(rep, x):
             fails.append(_fail(f"sample {idx}", "sigma1 equivariance", "differs"))
+    zero = Covector((0,) * n, (0,) * n)
     try:
-        exactness_report(rep, Covector((0,) * n, (0,) * n), mode)
+        symbol_triple(rep, zero)  # asserts the complex property
+        exactness_report(rep, zero, mode)
         fails.append(_fail("zero covector", "rejected", "accepted"))
+    except AssertionError as exc:
+        fails.append(_fail("zero covector", "complex property", exc))
     except ValueError:
         pass
     return fails
@@ -499,7 +499,11 @@ def run_check(name: str, n: int, samples: int, seed: int, mode: str) -> CheckRep
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     start = time.perf_counter()
-    failures = tuple(fn(n, samples, seed, mode))
+    try:
+        failures = tuple(fn(n, samples, seed, mode))
+    except Exception as exc:  # a crash is a failed check, not a traceback
+        failures = (_fail(f"{name} n={n}", "no exception",
+                          f"{type(exc).__name__}: {exc}"),)
     elapsed = max(0, int(round((time.perf_counter() - start) * 1000)))
     return CheckReport(check_name=name, n=n, samples=samples, seed=seed,
                        mode=mode, passed=not failures, failures=failures,

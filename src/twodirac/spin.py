@@ -1,8 +1,9 @@
 """Spin(n), Spin^c(n), their projections to rotations, and the stabilizer maps.
 
 Group elements are stored as exact spinor matrices together with the
-generating word of rational unit vectors; the induced rotation is recovered
-by conjugating the Clifford generators.  The gammas are anti-hermitian (the
+generating word of rational unit vectors; the induced rotation is composed
+from the word's line reflections and certified by conjugating the Clifford
+generators with the spinor matrix.  The gammas are anti-hermitian (the
 gamma build certifies it), so the spinor matrix S of a word of unit vectors
 is unitary and its inverse is the adjoint S^dagger; no inverse is computed
 or stored.  With the package convention ``v.v = -|v|^2``, the word
@@ -17,13 +18,12 @@ the inverse stabilizer maps is carried as a witness on the point itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 from typing import Optional, Sequence, Tuple
 
-from .clifford import CLIFFORD_SIGN, GammaRep, clifford_mat
-from .linalg import Matrix, det, identity_g, identity_q, vdot, zeros_g
-from .scalars import CIRCLE_ONE, CirclePoint, GaussianRational
+from .clifford import GammaRep, clifford_mat
+from .linalg import Matrix, det, identity_g, identity_q, vdot
+from .scalars import CIRCLE_ONE, CirclePoint
 from .sampling import circle_point, circle_point_with_half, givens, unit_vector
 
 
@@ -44,10 +44,6 @@ class RationalRotation:
 
     def __matmul__(self, other: "RationalRotation") -> "RationalRotation":
         return RationalRotation(self.mat @ other.mat)
-
-    @property
-    def k(self) -> int:
-        return self.mat.nrows
 
 
 class SpinElement:
@@ -121,28 +117,25 @@ def spin_from_unit_vectors(rep: GammaRep, vs: Sequence[Sequence]) -> SpinElement
 
 
 def rho_n(a: SpinElement) -> RationalRotation:
-    """The rotation induced by conjugation on vectors (the 2:1 covering)."""
+    """The rotation induced by conjugation on vectors (the 2:1 covering).
+
+    Conjugation by a unit vector v is w -> 2<v, w> v - w, so the rotation of
+    the word v1..vk is the product of the matrices 2 v v^T - I in word order.
+    It is certified against the spinor matrix S: S gamma_alpha S^dagger must
+    be the Clifford action of column alpha for every alpha.  The gammas are
+    linearly independent, so this is the equation that determines the
+    rotation from S alone.
+    """
     rep = a.rep
-    scale = Fraction(1, CLIFFORD_SIGN * rep.s)
-    # the spinor matrix of a word of unit vectors is unitary: S^-1 = S^dagger
-    s_inv = a.spinor_mat.adjoint()
-    cols = []
-    for alpha in range(rep.n):
-        conj = a.spinor_mat @ rep.gammas[alpha] @ s_inv
-        col = []
-        for beta in range(rep.n):
-            t = (rep.gammas[beta] @ conj).trace()
-            if not t.is_real():
-                raise ValueError("conjugation left the span of the gamma matrices")
-            col.append(t.re * scale)
-        cols.append(col)
-        recon = zeros_g(rep.s, rep.s)
-        for beta, coeff in enumerate(col):
-            if coeff:
-                recon = recon + rep.gammas[beta].scaled(GaussianRational(coeff))
-        if recon != conj:
-            raise ValueError("conjugation left the span of the gamma matrices")
-    return RationalRotation(Matrix(cols).transpose())
+    eye = mat = identity_q(rep.n)
+    for v in a.word:
+        mat = mat @ (Matrix(tuple(2 * x * y for y in v) for x in v) - eye)
+    s_adj = a.spinor_mat.adjoint()
+    for alpha, gamma in enumerate(rep.gammas):
+        if a.spinor_mat @ gamma @ s_adj != clifford_mat(rep, mat.col(alpha)):
+            raise ValueError("spinor matrix does not conjugate the gammas by "
+                             "the rotation of its word")
+    return RationalRotation(mat)
 
 
 def spin_rotation_generator(rep: GammaRep, p: CirclePoint) -> SpinElement:

@@ -15,12 +15,11 @@ components are orthogonal to the frame's plane.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 from typing import List, Sequence, Tuple
 
-from .linalg import (Matrix, identity_q, is_zero_vec, qmat, vadd, vdot, vneg,
-                     vscale, vsub)
+from .linalg import (Matrix, det, identity_q, inverse, is_zero_vec, qmat, rank,
+                     vadd, vdot, vneg, vscale, vsub)
 from .sampling import rational_fraction, rotation
 from .scalars import CirclePoint
 
@@ -86,7 +85,6 @@ class OrientedPlane:
     orientation: Matrix
 
     def __post_init__(self):
-        from .linalg import rank
         p, o = self.projector, self.orientation
         if p.transpose() != p or p @ p != p or p.trace() != 2:
             raise ValueError("projector is not a symmetric rank-2 idempotent")
@@ -117,18 +115,17 @@ def isotropic_to_frame(b1: Sequence, b2: Sequence) -> Frame2:
     the positive-summand parts then form an orthonormal frame.
     """
     top = qmat([[b1[0], b2[0]], [b1[1], b2[1]]])
-    d = Fraction(top[0, 0]) * top[1, 1] - Fraction(top[0, 1]) * top[1, 0]
-    if not d:
-        raise ValueError("plane is not transverse to the positive summand")
-    # columns of top^{-1} give the two renormalizing combinations
-    inv = qmat([[top[1, 1] / d, -top[0, 1] / d], [-top[1, 0] / d, top[0, 0] / d]])
+    try:
+        # columns of top^{-1} give the two renormalizing combinations
+        inv = inverse(top)
+    except ValueError:
+        raise ValueError("plane is not transverse to the positive summand") from None
     c1 = vadd(vscale(inv[0, 0], tuple(b1)), vscale(inv[1, 0], tuple(b2)))
     c2 = vadd(vscale(inv[0, 1], tuple(b1)), vscale(inv[1, 1], tuple(b2)))
     return Frame2(c1[2:], c2[2:])
 
 
 def _check_special_orthogonal(m: Matrix, what: str) -> None:
-    from .linalg import det
     if m.transpose() @ m != identity_q(m.nrows) or det(m) != 1:
         raise ValueError(f"{what} is not special orthogonal")
 
@@ -243,10 +240,6 @@ def random_frame_with_complement(n: int, rng: Random) -> Tuple[Frame2, List[tupl
     rot = rotation(rng, n + 2)
     frame = Frame2(rot.col(0), rot.col(1))
     return frame, [rot.col(j) for j in range(2, n + 2)]
-
-
-def random_frame(n: int, rng: Random) -> Frame2:
-    return random_frame_with_complement(n, rng)[0]
 
 
 def random_tangent(f: Frame2, rng: Random) -> StiefelTangent:

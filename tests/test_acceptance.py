@@ -1,36 +1,29 @@
 """Acceptance suite: one test per headline criterion, exact arithmetic.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see one printed
-pass/fail line per criterion (pytest captures stdout otherwise).
+Criteria 1-8 assert that the CLI's suites (``twodirac.report``) pass at each
+criterion's n range, sample count and seed, so each check is written once.
+Run ``pytest tests/test_acceptance.py -v -s`` for one line per criterion.
 """
 
-from itertools import product
-from random import Random
-
-from twodirac.clifford import build_gamma_rep
-from twodirac.graded import (GRADES, bracket, grade_basis, grade_project,
-                             heisenberg_gram, levi_bracket,
-                             standard_neg1_basis)
-from twodirac.linalg import det, identity_g, qmat, submatrix
-from twodirac.report import manifest_to_json, run_suite
-from twodirac.sampling import deterministic_circle_points
-from twodirac.spin import (SpinElement, gamma_c_act, hc_forward,
-                           hc_inverse, hsharp_forward, hsharp_inverse,
-                           iota_embed, random_phase_triple, random_spin,
-                           random_spinc, rho_n, rho_n_c, so2_block,
-                           spin_rotation_generator, spinc_equal, varsigma_n)
-from twodirac.stiefel import (center_rotate, contact_alpha,
-                              in_contact_distribution, levi_form_H,
-                              levi_witness, quotient_q, random_contact_tangent,
-                              random_frame_with_complement, random_tangent,
-                              reeb_field, tangent_coordinates)
-from twodirac.symbols import (Covector, degenerate_family, ellipticity_scan,
-                              index_certificate, random_covector, spinor_dim,
-                              symbol_index, symbol_triple)
-from twodirac.flat import symbol_cross_check
+import pytest
 
 import twodirac.cli as cli
 import twodirac.report as report_mod
+from twodirac.report import manifest_to_json, run_check, run_suite
+
+
+def _run(suites, ns, samples, seed) -> bool:
+    """Run each suite at each n (``seed`` may be a function of n); all pass?"""
+    ok = True
+    for name in suites:
+        for n in ns:
+            want = seed(n) if callable(seed) else seed
+            rpt = run_check(name, n, samples, want, "exact")
+            assert (rpt.n, rpt.samples, rpt.seed) == (n, samples, want)
+            for f in rpt.failures[:3]:
+                print(f"  {name} n={n} seed={want}: {f}")
+            ok = ok and rpt.passed
+    return ok
 
 
 def _line(num: int, title: str, ok: bool) -> None:
@@ -38,153 +31,50 @@ def _line(num: int, title: str, ok: bool) -> None:
     assert ok
 
 
-def test_criterion_1_ellipticity():
-    # 1000 seeded samples plus the degenerate family, exact mode, no tolerance
-    ok = True
-    for n in (3, 4, 5, 6):
-        rpt = ellipticity_scan(n, samples=1000, seed=42, mode="exact")
-        ok = ok and rpt.passed and not rpt.failures and rpt.checked >= 1000
-    _line(1, "ellipticity: exact ranks (s, s, s) at every nonzero covector", ok)
+@pytest.fixture(scope="module")
+def symbols_pass():
+    # degenerate family + 1000 covectors; each triple asserts s2 s1 = s3 s2 = 0
+    return {n: _run(("symbols",), (n,), 1000, 42) for n in range(3, 7)}
 
 
-def test_criterion_2_complex_property():
-    # sigma2 sigma1 = 0 and sigma3 sigma2 = 0 exactly on every sampled
-    # covector, including the zero covector and the degenerate families
-    ok = True
-    for n in (3, 4):
-        rep = build_gamma_rep(n)
-        rng = Random(42)
-        covectors = [Covector((0,) * n, (0,) * n)]
-        covectors += degenerate_family(n, rng)
-        covectors += [random_covector(n, rng) for _ in range(1000)]
-        for x in covectors:
-            t = symbol_triple(rep, x)  # constructor asserts both products
-            ok = ok and (t.s2 @ t.s1).is_zero() and (t.s3 @ t.s2).is_zero()
-    _line(2, "complex property: zero failures over all samples", ok)
+def test_criterion_1_ellipticity(symbols_pass):
+    _line(1, "ellipticity: exact ranks (s, s, s) at every nonzero covector",
+          all(symbols_pass.values()))
+
+
+def test_criterion_2_complex_property(symbols_pass):
+    _line(2, "complex property: zero failures over all samples",
+          symbols_pass[3] and symbols_pass[4])
 
 
 def test_criterion_3_index_zero():
-    ok = True
-    for n in range(3, 13):
-        cert = index_certificate(n)
-        s = spinor_dim(n)
-        ok = ok and symbol_index(n) == 0 and cert.index == 0
-        ok = ok and cert.end_modules_match and cert.middle_modules_match
-        ok = ok and cert.fiber_dims == (s, 2 * s, 2 * s, s)
-    _line(3, "index zero with dual dimension pairings, n = 3..12", ok)
+    _line(3, "index zero with dual dimension pairings, n = 3..12",
+          _run(("index", "dims"), range(3, 13), 1, 0))
 
 
 def test_criterion_4_contact_grading():
-    ok = True
-    for n in range(3, 9):
-        bases = {i: grade_basis(n, i) for i in GRADES}
-        for i, j in product(GRADES, repeat=2):
-            for ei in bases[i]:
-                for ej in bases[j]:
-                    br = bracket(ei, ej)
-                    for k in GRADES:
-                        if k != i + j and not grade_project(br, k).is_zero():
-                            ok = False
-        spans = any(levi_bracket(b1, b2)[0, 1]
-                    for b1 in standard_neg1_basis(n)
-                    for b2 in standard_neg1_basis(n))
-        ok = ok and spans and det(heisenberg_gram(n)) != 0
-    _line(4, "contact grading closure + Heisenberg nondegeneracy, n = 3..8", ok)
+    _line(4, "contact grading closure + Heisenberg nondegeneracy, n = 3..8",
+          _run(("grading", "heisenberg"), range(3, 9), 1, 0))
 
 
 def test_criterion_5_covering_identities():
-    ok = True
-    for n in (3, 4):
-        rep = build_gamma_rep(n)
-        big = build_gamma_rep(n + 2)
-        rng = Random(1000 + n)
-        minus = SpinElement.minus_one(rep)
-        ok = ok and minus.spinor_mat == identity_g(rep.s).scaled(-1)
-        psi = tuple(identity_g(rep.s).col(0))
-        for _ in range(100):
-            a, b = random_spin(rep, rng), random_spin(rep, rng)
-            ok = ok and rho_n(a * b).mat == (rho_n(a) @ rho_n(b)).mat
-            ok = ok and rho_n(-a).mat == rho_n(a).mat and a != -a
-            x, y = random_spinc(rep, rng), random_spinc(rep, rng)
-            neg = x.negated_representative()
-            ok = ok and rho_n_c(x).mat == rho_n_c(neg).mat
-            ok = ok and varsigma_n(x) == varsigma_n(neg)
-            ok = ok and gamma_c_act(x, psi) == gamma_c_act(neg, psi)
-            ok = ok and varsigma_n(x * y) == varsigma_n(x) * varsigma_n(y)
-            emb = rho_n(iota_embed(x, big)).mat
-            ok = ok and submatrix(emb, 0, 2, 2, n + 2).is_zero()
-            ok = ok and submatrix(emb, 2, n + 2, 0, 2).is_zero()
-            ph2 = x.phase.square()
-            ok = ok and submatrix(emb, 0, 2, 0, 2) == qmat(
-                [[ph2.c, -ph2.d], [ph2.d, ph2.c]])
-            ok = ok and submatrix(emb, 2, n + 2, 2, n + 2) == rho_n_c(x).mat
-        for p in deterministic_circle_points(20):
-            gen = spin_rotation_generator(rep, p)
-            ok = ok and rho_n(gen).mat == so2_block(p.square(), n - 2)
-    _line(5, "covering identities: 2:1, double angle, spin^c maps, embedding", ok)
+    _line(5, "covering identities: 2:1, double angle, spin^c maps, embedding",
+          _run(("spin", "spinc", "embedding"), (3, 4), 100, lambda n: 1000 + n))
 
 
 def test_criterion_6_stabilizer_isomorphisms():
-    rep = build_gamma_rep(3)
-    rng = Random(2024)
-    ok = True
-    for _ in range(50):
-        tr = random_phase_triple(rep, rng, constrained=True)
-        so2, a = hsharp_forward(tr)
-        ok = ok and hsharp_inverse(so2, a) == tr
-        tr2 = random_phase_triple(rep, rng, constrained=True)
-        p12, a12 = hsharp_forward(tr * tr2)
-        p1, a1 = hsharp_forward(tr)
-        p2, a2 = hsharp_forward(tr2)
-        ok = ok and p12 == p1 * p2 and a12 == a1 * a2
-    for _ in range(50):
-        tu = random_phase_triple(rep, rng, constrained=False)
-        so2, x = hc_forward(tu)
-        ok = ok and hc_inverse(so2, x) == tu
-        tu2 = random_phase_triple(rep, rng, constrained=False)
-        q12, x12 = hc_forward(tu * tu2)
-        q1, x1 = hc_forward(tu)
-        q2, x2 = hc_forward(tu2)
-        ok = ok and q12 == q1 * q2 and spinc_equal(x12, x1 * x2)
-    _line(6, "stabilizer isomorphisms: round trips + homomorphism, 50 each", ok)
+    _line(6, "stabilizer isomorphisms: round trips + homomorphism, 50 each",
+          _run(("spinc",), (3,), 50, 2024))
 
 
 def test_criterion_7_contact_geometry():
-    ok = True
-    n = 3
-    rng = Random(777)
-    from twodirac.sampling import circle_point
-    for _ in range(100):
-        f, comp = random_frame_with_complement(n, rng)
-        reeb = reeb_field(f)
-        ok = ok and contact_alpha(reeb) == 1
-        t = random_tangent(f, rng)
-        ok = ok and (contact_alpha(t) == 0) == in_contact_distribution(t)
-        t1 = random_contact_tangent(f, comp, rng)
-        t2 = random_contact_tangent(f, comp, rng)
-        ok = ok and contact_alpha(t1) == 0
-        ok = ok and levi_form_H(f, t1, levi_witness(t1)) > 0
-        x1 = tangent_coordinates(t1, comp)
-        x2 = tangent_coordinates(t2, comp)
-        # global sign fixed to +1 across the entire run
-        ok = ok and levi_form_H(f, t1, t2) == levi_bracket(x1, x2)[0, 1]
-        plane = quotient_q(f)
-        ok = ok and quotient_q(center_rotate(f, circle_point(rng))) == plane
-    _line(7, "contact geometry at 100 seeded frames, one global sign", ok)
+    _line(7, "contact geometry at 100 seeded frames, one global sign",
+          _run(("contact",), (3,), 100, 777))
 
 
 def test_criterion_8_flat_operator_symbol_consistency():
-    rep = build_gamma_rep(3)
-    rng = Random(4242)
-    ok = True
-    for _ in range(200):
-        xi = random_covector(3, rng)
-        k = rng.randint(1, 5)
-        psi = tuple(rng.randint(-4, 4) for _ in range(rep.s))
-        if not any(psi):
-            psi = (1,) + (0,) * (rep.s - 1)
-        ok = ok and symbol_cross_check(rep, xi, k, psi)
-    _line(8, "flat operator matches first symbol on 200 seeded triples", ok)
+    _line(8, "flat operator matches first symbol on 200 seeded triples",
+          _run(("flat-dirac",), (3,), 200, 4242))
 
 
 def test_criterion_9_determinism_and_exit_codes(monkeypatch, capsys, tmp_path):

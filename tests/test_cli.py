@@ -111,6 +111,27 @@ def test_cli_exit_one_on_failure(monkeypatch, capsys):
     assert parsed["checks"][0]["failures"][0]["input"] == "forced"
 
 
+def test_cli_reports_a_crashing_suite_as_a_failure(monkeypatch, tmp_path):
+    def crashing(n, samples, seed, mode):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(report_mod.SUITES, "index", (crashing, 3))
+    out = tmp_path / "report.json"
+    rc = main(["index", "--n", "3..4", "--format", "json", "--out", str(out)])
+    assert rc == 1
+    parsed = json.loads(out.read_text())
+    assert parsed["overall_pass"] is False
+    assert [c["failures"] for c in parsed["checks"]] == [
+        [{"input": f"index n={n}", "expected": "no exception",
+          "got": "ZeroDivisionError: boom"}] for n in (3, 4)]
+    # validation still happens before the body runs, and still exits 2
+    with pytest.raises(SystemExit) as exc:
+        main(["index", "--n", "2"])
+    assert exc.value.code == 2
+    with pytest.raises(ValueError):
+        run_check("index", 3, 0, 0, "exact")
+
+
 def test_cli_exit_two_on_usage_errors(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["nosuch"])

@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twodirac.clifford import build_gamma_rep
 from twodirac.linalg import Matrix, identity_g, identity_q, qmat, submatrix, vdot
@@ -14,6 +16,8 @@ from twodirac.spin import (PhaseTriple, RationalRotation, SpinCElement,
                            random_phase_triple, random_spin, random_spinc,
                            rho_n, rho_n_c, so2_block, spin_from_unit_vectors,
                            spin_rotation_generator, spinc_equal, varsigma_n)
+
+import reference_rho as trace
 
 REP3 = build_gamma_rep(3)
 
@@ -94,12 +98,23 @@ def test_rational_rotation_validation():
 
 
 def test_rho_rejects_corrupted_element():
-    # a hand-corrupted spinor matrix whose conjugation leaves the gamma span
+    # a hand-corrupted spinor matrix whose conjugation leaves the gamma span;
+    # the word route and the trace oracle must both refuse it
     bad = qmat([[1, 0], [0, 2]])
     from twodirac.linalg import gmat
     elt = SpinElement(REP3, (), spinor_mat=gmat(bad.rows))
-    with pytest.raises(ValueError):
-        rho_n(elt)
+    for route in (rho_n, trace.rho_n):
+        with pytest.raises(ValueError):
+            route(elt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1))
+def test_word_rho_agrees_with_trace_oracle(n, seed):
+    rep = build_gamma_rep(n)
+    a = random_spin(rep, Random(seed))
+    for elt in (a, a.inverse(), SpinElement.identity(rep), SpinElement.minus_one(rep)):
+        assert rho_n(elt).mat == trace.rho_n(elt).mat
 
 
 def test_spinc_equality_cases():
