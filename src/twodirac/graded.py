@@ -16,7 +16,6 @@ Heisenberg bracket; its nondegeneracy is the contact condition checked here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from random import Random
 from typing import Callable, List, Optional, Sequence
 
@@ -80,7 +79,6 @@ class GradedElement:
                                          self.Z, self.W))
 
 
-@lru_cache(maxsize=None)  # immutable, and every grade projection starts from it
 def zero_element(n: int) -> GradedElement:
     return GradedElement(n, zeros_q(2, 2), zeros_q(n, n), zeros_q(n, 2),
                          zeros_q(2, 2), zeros_q(n, 2), zeros_q(2, 2))

@@ -68,15 +68,9 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        # gammas and spinor matrices are sparse; skipping the zeros of a column
-        # of Gaussian entries keeps each sum's value and type (if one is nonzero)
-        bcols = []
-        for col in zip(*other.rows):
-            terms = list(enumerate(col))
-            if all(type(b) is GaussianRational for b in col):
-                terms = [(k, b) for k, b in terms if b] or terms
-            bcols.append(terms)
-        return Matrix(tuple(sum(row[k] * b for k, b in col) for col in bcols)
+        bcols = tuple(zip(*other.rows))
+        return Matrix(tuple(sum(a * b for a, b in zip(row, col))
+                            for col in bcols)
                       for row in self.rows)
 
     def apply(self, vec: Sequence) -> tuple:

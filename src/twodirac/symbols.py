@@ -147,7 +147,8 @@ def exactness_report(rep: GammaRep, x: Covector, mode: str = "exact") -> Exactne
 @dataclass(frozen=True)
 class ScanFailure:
     covector: Covector
-    report: ExactnessReport
+    report: Optional[ExactnessReport]  # None if the symbols are not a complex
+    error: str = ""
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,11 @@ def ellipticity_scan(n: int, samples: int, seed: int, mode: str = "exact") -> Sc
     covectors += [random_covector(n, rng) for _ in range(samples)]
     failures = []
     for x in covectors:
-        rpt = exactness_report(rep, x, mode)
+        try:
+            rpt = exactness_report(rep, x, mode)
+        except AssertionError as exc:  # raised by SymbolTriple
+            failures.append(ScanFailure(x, None, str(exc)))
+            continue
         if not rpt.all_exact:
             failures.append(ScanFailure(x, rpt))
     return ScanReport(n=n, samples=samples, seed=seed, mode=mode,

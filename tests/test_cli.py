@@ -130,6 +130,8 @@ def test_cli_reports_a_crashing_suite_as_a_failure(monkeypatch, tmp_path):
     assert exc.value.code == 2
     with pytest.raises(ValueError):
         run_check("index", 3, 0, 0, "exact")
+    with pytest.raises(ValueError):
+        run_check("index", 3, 1, 0, "nosuch")
 
 
 def test_cli_exit_two_on_usage_errors(capsys, tmp_path):

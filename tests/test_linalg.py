@@ -134,35 +134,3 @@ def test_kernel_det_and_rank_agree_with_field_elimination(m):
     assert type(got) is type(want)
     assert rank(m) == field.rank(m)
     assert (got == 0) == (rank(m) < m.nrows)
-
-
-gauss_sparse = st.one_of(st.just(gr(0)),
-                         st.builds(gr, st.integers(-3, 3), st.integers(-3, 3)))
-mixed_entries = st.one_of(st.sampled_from([0, Fraction(0), gr(0)]), st.integers(-3, 3),
-                          fractions_, gauss_sparse)
-
-
-@st.composite
-def product_pairs(draw):
-    """Factors whose entries are all Gaussian with many zeros, or any mix of
-    int, Fraction and Gaussian entries, zeros of each type included."""
-    r, k, c = (draw(st.integers(1, 5)) for _ in range(3))
-
-    def factor(nr, nc):
-        entry = draw(st.sampled_from([gauss_sparse, mixed_entries]))
-        return Matrix(draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
-                                    min_size=nr, max_size=nr)))
-
-    return factor(r, k), factor(k, c)
-
-
-@settings(max_examples=200, deadline=None)
-@given(product_pairs())
-def test_product_equals_full_sums_in_value_and_type(pair):
-    # the product skips zero terms of all-Gaussian columns; every entry must
-    # still be the full sum, of the same type
-    a, b = pair
-    want = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b.rows)]
-            for row in a.rows]
-    assert [[(type(v), v) for v in r] for r in (a @ b).rows] == \
-        [[(type(v), v) for v in r] for r in want]

@@ -108,7 +108,7 @@ def test_rho_rejects_corrupted_element():
             route(elt)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1))
 def test_word_rho_agrees_with_trace_oracle(n, seed):
     rep = build_gamma_rep(n)

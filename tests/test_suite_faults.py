@@ -1,7 +1,8 @@
 """Every verification suite can fail: one injected fault per suite.
 
 Each case patches one fault into the namespace its suite looks the name up
-in and asserts that the suite, which passes unpatched, then reports FAIL.
+in and asserts that the suite, which passes unpatched, then reports FAIL
+through its own checks rather than through a crash record.
 ``build_gamma_rep`` is never patched: its cache would hide the patch.
 """
 
@@ -55,3 +56,13 @@ def test_suite_reports_fail_under_its_fault(suite, monkeypatch):
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
     rpt = run_check(suite, 3, 2, 0, "exact")
     assert rpt.passed is False and rpt.failures
+    assert all(f["expected"] != "no exception" for f in rpt.failures)
+
+
+def test_symbols_refuses_a_scan_that_checked_too_few(monkeypatch):
+    def vacuous(n, samples, seed, mode="exact"):
+        return symbols.ScanReport(n, samples, seed, mode, checked=0, passed=True)
+
+    monkeypatch.setattr(report, "ellipticity_scan", vacuous)
+    rpt = run_check("symbols", 3, 2, 0, "exact")
+    assert [f["expected"] for f in rpt.failures] == [">= 2 covectors"]
