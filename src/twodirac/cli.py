@@ -11,7 +11,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .report import SUITE_ORDER, SUITES, emit_report, run_suite
+from .report import SUITE_ORDER, emit_report, run_suite
+from .symbols import MODES
 
 
 def parse_n_range(text: str) -> List[int]:
@@ -41,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seeded sample count per check (default 500)")
     parser.add_argument("--seed", type=int, default=0,
                         help="random seed (default 0)")
-    parser.add_argument("--mode", choices=("exact", "float"), default="exact",
+    parser.add_argument("--mode", choices=MODES, default="exact",
                         help="rank arithmetic for symbol checks (default exact)")
     parser.add_argument("--format", choices=("json", "csv", "text"),
                         default="text", dest="fmt",
@@ -55,18 +56,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        ns = parse_n_range(args.n)
-    except ValueError as exc:
+        manifest = run_suite(args.suite, parse_n_range(args.n), args.samples,
+                             args.seed, args.mode)
+    except ValueError as exc:  # raised before any check runs
         parser.error(str(exc))  # exits with status 2
-    if args.samples < 1:
-        parser.error(f"--samples must be >= 1, got {args.samples}")
-    names = SUITE_ORDER if args.suite == "all" else (args.suite,)
-    for name in names:
-        min_n = SUITES[name][1]
-        low = min(ns)
-        if low < min_n:
-            parser.error(f"suite {name} needs n >= {min_n}, got {low}")
-    manifest = run_suite(args.suite, ns, args.samples, args.seed, args.mode)
     try:
         if args.out == "-":
             emit_report(manifest, args.fmt, sys.stdout)

@@ -1,162 +1,126 @@
-"""The contact-graded orthogonal Lie algebra in block form.
+"""The contact-graded orthogonal Lie algebra, graded by its grading element.
 
-Elements are stored as six blocks (A, B, X, Y, Z, W) of an (n+4) x (n+4)
-matrix preserving the split bilinear form with two hyperbolic directions:
-rows and columns split 2 | n | 2 as
+The split bilinear form h of signature (n+2, 2) has as Gram matrix H the
+permutation matrix of the involution sigma that swaps the indices 0, 1 with
+n+2, n+3 and fixes the rest.  An element of so(h) is kept as its
+(n+4) x (n+4) matrix M; M^T H + H M = 0 reads entrywise
+M[c][r] = -M[sigma(r)][sigma(c)].  Split 2 | n | 2, M has the blocks
 
     [ A    Z^T    W   ]
     [ X     B    -Z   ]
     [ Y   -X^T  -A^T  ]
 
-with B, Y, W skew.  Grades: Y <-> -2, X <-> -1, (A, B) <-> 0, Z <-> +1,
-W <-> +2.  The grade (-1, -1) -> -2 component of the commutator is the
-Heisenberg bracket; its nondegeneracy is the contact condition checked here.
+with B, Y, W skew.  The grading element E = diag(w), w = (1, 1, 0, ..., 0,
+-1, -1), splits so(h) into the eigenspaces of ad(E): entry (r, c) has grade
+w(r) - w(c), so Y <-> -2, X <-> -1, (A, B) <-> 0, Z <-> +1, W <-> +2.  The
+grade (-1, -1) -> -2 component of the commutator is the Heisenberg bracket;
+its nondegeneracy is the contact condition checked here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .linalg import (Matrix, block, det, identity_q, qmat, rank, submatrix,
-                     zeros_q)
+from .linalg import Matrix, block, det, qmat, rank, submatrix, zeros_q
 
 GRADES = (-2, -1, 0, 1, 2)
 
 
-def _check_skew(m: Matrix, name: str) -> None:
-    if m.transpose() != -m:
-        raise ValueError(f"block {name} must be skew-symmetric")
+def _weights(n: int) -> Tuple[int, ...]:
+    """The diagonal w of the grading element."""
+    return (1, 1) + (0,) * n + (-1, -1)
+
+
+def _mirror(n: int) -> Tuple[int, ...]:
+    """The involution sigma whose permutation matrix is H."""
+    return (n + 2, n + 3) + tuple(range(2, n + 2)) + (0, 1)
 
 
 @dataclass(frozen=True)
 class GradedElement:
-    """One element, kept as its six defining blocks."""
+    """One element of so(h), kept as its (n+4) x (n+4) matrix."""
 
     n: int
-    A: Matrix  # 2 x 2
-    B: Matrix  # n x n skew
-    X: Matrix  # n x 2
-    Y: Matrix  # 2 x 2 skew
-    Z: Matrix  # n x 2
-    W: Matrix  # 2 x 2 skew
+    mat: Matrix
 
     def __post_init__(self):
-        n = self.n
+        n, m, k = self.n, self.mat, self.n + 4
         if n < 3:
             raise ValueError(f"need n >= 3, got {n}")
-        for m, shape, name in ((self.A, (2, 2), "A"), (self.B, (n, n), "B"),
-                               (self.X, (n, 2), "X"), (self.Y, (2, 2), "Y"),
-                               (self.Z, (n, 2), "Z"), (self.W, (2, 2), "W")):
-            if m.shape != shape:
-                raise ValueError(f"block {name} has shape {m.shape}, expected {shape}")
-        _check_skew(self.B, "B")
-        _check_skew(self.Y, "Y")
-        _check_skew(self.W, "W")
+        if m.shape != (k, k):
+            raise ValueError(f"matrix has shape {m.shape}, expected {(k, k)}")
+        rows, s = m.rows, _mirror(n)
+        if any(rows[c][r] + rows[s[r]][s[c]] for r in range(k) for c in range(k)):
+            raise ValueError("matrix is not in the orthogonal algebra")
+
+    @property
+    def A(self) -> Matrix:
+        return submatrix(self.mat, 0, 2, 0, 2)
+
+    @property
+    def B(self) -> Matrix:
+        return submatrix(self.mat, 2, self.n + 2, 2, self.n + 2)
+
+    @property
+    def X(self) -> Matrix:
+        return submatrix(self.mat, 2, self.n + 2, 0, 2)
+
+    @property
+    def Y(self) -> Matrix:
+        return submatrix(self.mat, self.n + 2, self.n + 4, 0, 2)
 
     def __add__(self, other: "GradedElement") -> "GradedElement":
         if self.n != other.n:
             raise ValueError("elements live over different n")
-        return GradedElement(self.n, self.A + other.A, self.B + other.B,
-                             self.X + other.X, self.Y + other.Y,
-                             self.Z + other.Z, self.W + other.W)
-
-    def __sub__(self, other: "GradedElement") -> "GradedElement":
-        return self + (-other)
-
-    def __neg__(self) -> "GradedElement":
-        return GradedElement(self.n, -self.A, -self.B, -self.X, -self.Y,
-                             -self.Z, -self.W)
-
-    def scaled(self, s) -> "GradedElement":
-        return GradedElement(self.n, self.A.scaled(s), self.B.scaled(s),
-                             self.X.scaled(s), self.Y.scaled(s),
-                             self.Z.scaled(s), self.W.scaled(s))
+        return GradedElement(self.n, self.mat + other.mat)
 
     def is_zero(self) -> bool:
-        return all(m.is_zero() for m in (self.A, self.B, self.X, self.Y,
-                                         self.Z, self.W))
+        return self.mat.is_zero()
 
 
 def zero_element(n: int) -> GradedElement:
-    return GradedElement(n, zeros_q(2, 2), zeros_q(n, n), zeros_q(n, 2),
-                         zeros_q(2, 2), zeros_q(n, 2), zeros_q(2, 2))
+    return GradedElement(n, zeros_q(n + 4, n + 4))
 
 
 def element(n: int, A: Optional[Matrix] = None, B: Optional[Matrix] = None,
             X: Optional[Matrix] = None, Y: Optional[Matrix] = None,
             Z: Optional[Matrix] = None, W: Optional[Matrix] = None) -> GradedElement:
     """Element with the given blocks, all others zero."""
-    z = zero_element(n)
-    return GradedElement(n,
-                         z.A if A is None else A, z.B if B is None else B,
-                         z.X if X is None else X, z.Y if Y is None else Y,
-                         z.Z if Z is None else Z, z.W if W is None else W)
+    z2, zn = zeros_q(2, 2), zeros_q(n, 2)
+    A = z2 if A is None else A
+    X = zn if X is None else X
+    Z = zn if Z is None else Z
+    return GradedElement(n, block([
+        [A, Z.transpose(), z2 if W is None else W],
+        [X, zeros_q(n, n) if B is None else B, -Z],
+        [z2 if Y is None else Y, -X.transpose(), -A.transpose()]]))
 
 
 def h_gram(n: int) -> Matrix:
     """Gram matrix of the defining bilinear form in the split basis."""
-    eye2, eyen = identity_q(2), identity_q(n)
-    z22, z2n = zeros_q(2, 2), zeros_q(2, n)
-    return block([[z22, z2n, eye2],
-                  [z2n.transpose(), eyen, z2n.transpose()],
-                  [eye2, z2n, z22]])
-
-
-def assemble(e: GradedElement) -> Matrix:
-    """The full (n+4) x (n+4) matrix of an element."""
-    return block([[e.A, e.Z.transpose(), e.W],
-                  [e.X, e.B, -e.Z],
-                  [e.Y, -e.X.transpose(), -e.A.transpose()]])
-
-
-class DisassemblyError(ValueError):
-    """The given matrix does not have the required block structure."""
-
-
-def disassemble(m: Matrix, n: int) -> GradedElement:
-    """Split a matrix back into blocks, checking membership in the algebra."""
-    if m.shape != (n + 4, n + 4):
-        raise DisassemblyError(f"matrix has shape {m.shape}, expected {(n + 4, n + 4)}")
-    a = submatrix(m, 0, 2, 0, 2)
-    zt = submatrix(m, 0, 2, 2, n + 2)
-    w = submatrix(m, 0, 2, n + 2, n + 4)
-    x = submatrix(m, 2, n + 2, 0, 2)
-    b = submatrix(m, 2, n + 2, 2, n + 2)
-    mz = submatrix(m, 2, n + 2, n + 2, n + 4)
-    y = submatrix(m, n + 2, n + 4, 0, 2)
-    mxt = submatrix(m, n + 2, n + 4, 2, n + 2)
-    mat = submatrix(m, n + 2, n + 4, n + 2, n + 4)
-    if mz != -zt.transpose() or mxt != -x.transpose() or mat != -a.transpose():
-        raise DisassemblyError("matrix is not in the orthogonal algebra")
-    try:
-        return GradedElement(n, a, b, x, y, zt.transpose(), w)
-    except ValueError as exc:
-        raise DisassemblyError(str(exc)) from exc
+    s = _mirror(n)
+    return Matrix(tuple(1 if c == s[r] else 0 for c in range(n + 4))
+                  for r in range(n + 4))
 
 
 def grade_project(e: GradedElement, i: int) -> GradedElement:
-    """Keep only the blocks of grade i."""
+    """Keep only the entries of grade i."""
     if i not in GRADES:
         raise ValueError(f"grade {i} outside {GRADES}")
-    if i == -2:
-        return element(e.n, Y=e.Y)
-    if i == -1:
-        return element(e.n, X=e.X)
-    if i == 0:
-        return element(e.n, A=e.A, B=e.B)
-    if i == 1:
-        return element(e.n, Z=e.Z)
-    return element(e.n, W=e.W)
+    w = _weights(e.n)
+    return GradedElement(e.n, Matrix(
+        tuple(x if w[r] - w[c] == i else 0 for c, x in enumerate(row))
+        for r, row in enumerate(e.mat.rows)))
 
 
 def bracket(e: GradedElement, f: GradedElement) -> GradedElement:
-    """Commutator, computed on assembled matrices and split back into blocks."""
+    """The matrix commutator."""
     if e.n != f.n:
         raise ValueError("elements live over different n")
-    me, mf = assemble(e), assemble(f)
-    return disassemble(me @ mf - mf @ me, e.n)
+    me, mf = e.mat, f.mat
+    return GradedElement(e.n, me @ mf - mf @ me)
 
 
 def levi_bracket(x1: Matrix, x2: Matrix) -> Matrix:
@@ -192,28 +156,18 @@ def heisenberg_gram(n: int, basis: Optional[Sequence[Matrix]] = None) -> Matrix:
 # -- group membership tests ----------------------------------------------------
 
 def grade_basis(n: int, i: int) -> List[GradedElement]:
-    """Canonical spanning set of the grade-i subspace."""
-    out = []
-    if i == -2:
-        out.append(element(n, Y=qmat([[0, -1], [1, 0]])))
-    elif i == 2:
-        out.append(element(n, W=qmat([[0, -1], [1, 0]])))
-    elif i in (-1, 1):
-        for unit in standard_neg1_basis(n):
-            out.append(element(n, X=unit) if i == -1 else element(n, Z=unit))
-    elif i == 0:
-        for a in range(2):
-            for b in range(2):
-                out.append(element(n, A=Matrix(tuple(1 if (r == a and c == b) else 0
-                                                     for c in range(2)) for r in range(2))))
-        for a in range(n):
-            for b in range(a + 1, n):
-                rows = [[0] * n for _ in range(n)]
-                rows[a][b] = 1
-                rows[b][a] = -1
-                out.append(element(n, B=qmat(rows)))
-    else:
+    """Basis of the grade-i subspace: E_rc - E_sigma(c)sigma(r) for each pair
+    of mirrored positions of grade i, in row-major order of the first one."""
+    if i not in GRADES:
         raise ValueError(f"grade {i} outside {GRADES}")
+    w, s, k = _weights(n), _mirror(n), n + 4
+    out = []
+    for r in range(k):
+        for c in range(k):
+            if w[r] - w[c] == i and (r, c) < (s[c], s[r]):
+                out.append(GradedElement(n, Matrix(
+                    tuple(1 if (a, b) == (r, c) else -1 if (a, b) == (s[c], s[r])
+                          else 0 for b in range(k)) for a in range(k))))
     return out
 
 
@@ -237,7 +191,7 @@ def _conjugation_keeps_grades(g: Matrix, n: int,
     g_inv = _check_h_orthogonal(g, n)
     for i in GRADES:
         for e in grade_basis(n, i):
-            image = disassemble(g @ assemble(e) @ g_inv, n)
+            image = GradedElement(n, g @ e.mat @ g_inv)
             if any(not grade_project(image, j).is_zero()
                    for j in GRADES if must_vanish(i, j)):
                 return False
@@ -256,7 +210,7 @@ def is_levi_member(g: Matrix, n: int) -> bool:
 
 def trace_form(e: GradedElement, f: GradedElement):
     """Trace form pairing; puts grade -2 in duality with +2 and -1 with +1."""
-    return (assemble(e) @ assemble(f)).trace()
+    return (e.mat @ f.mat).trace()
 
 
 def random_element(n: int, rng: Random, lo: int = -5, hi: int = 5) -> GradedElement:
@@ -272,5 +226,5 @@ def random_element(n: int, rng: Random, lo: int = -5, hi: int = 5) -> GradedElem
                 rows[b][a] = -v
         return qmat(rows)
 
-    return GradedElement(n, rnd(2, 2), rnd_skew(n), rnd(n, 2), rnd_skew(2),
-                         rnd(n, 2), rnd_skew(2))
+    return element(n, A=rnd(2, 2), B=rnd_skew(n), X=rnd(n, 2), Y=rnd_skew(2),
+                   Z=rnd(n, 2), W=rnd_skew(2))

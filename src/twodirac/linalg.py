@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, Rational
 
@@ -88,9 +88,6 @@ class Matrix:
     def adjoint(self) -> "Matrix":
         """Conjugate transpose."""
         return Matrix(tuple(a.conjugate() for a in col) for col in zip(*self.rows))
-
-    def map(self, fn: Callable) -> "Matrix":
-        return Matrix(tuple(fn(a) for a in r) for r in self.rows)
 
     def is_zero(self) -> bool:
         return all(not a for r in self.rows for a in r)

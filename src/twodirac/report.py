@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 from . import __version__
 from .clifford import build_gamma_rep
 from .flat import PolySpinorField, apply_flat_2dirac, linear_power_field, symbol_cross_check
-from .graded import (GRADES, assemble, bracket, grade_basis, grade_project,
+from .graded import (GRADES, bracket, grade_basis, grade_project,
                      heisenberg_gram, is_levi_member, is_parabolic_member,
                      levi_bracket, random_element, standard_neg1_basis,
                      zero_element)
@@ -39,7 +39,7 @@ from .stiefel import (center_rotate, contact_alpha, frame_to_isotropic,
                       random_contact_tangent, random_frame_with_complement,
                       random_tangent, reeb_field, split_form,
                       tangent_coordinates)
-from .symbols import (Covector, ellipticity_scan, exactness_report,
+from .symbols import (MODES, Covector, ellipticity_scan, exactness_report,
                       index_certificate, random_covector, sigma1, sigma2,
                       sigma3, spinor_dim, symbol_triple, weight_table)
 
@@ -139,7 +139,7 @@ def _check_grading(n: int, samples: int, seed: int, mode: str) -> List[Failure]:
     if not (is_parabolic_member(blockdiag, n) and is_levi_member(blockdiag, n)):
         fails.append(_fail("block diagonal element", "parabolic and levi",
                            "rejected"))
-    nassembled = assemble(bases[1][0])
+    nassembled = bases[1][0].mat
     unipotent = (identity_q(n + 4) + nassembled
                  + (nassembled @ nassembled).scaled(Fraction(1, 2)))
     if not is_parabolic_member(unipotent, n):
@@ -495,14 +495,21 @@ SUITE_ORDER = ("grading", "heisenberg", "spin", "spinc", "embedding",
                "contact", "symbols", "flat-dirac", "index", "dims")
 
 
-def run_check(name: str, n: int, samples: int, seed: int, mode: str) -> CheckReport:
-    fn, min_n = SUITES[name]
+def _validate(name: str, n: int, samples: int, mode: str) -> None:
+    """Refuse a run that no suite body should see: n below the suite's
+    minimum, fewer than one sample, or an unknown mode."""
+    min_n = SUITES[name][1]
     if n < min_n:
         raise ValueError(f"suite {name} needs n >= {min_n}, got {n}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if mode not in ("exact", "float"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+
+
+def run_check(name: str, n: int, samples: int, seed: int, mode: str) -> CheckReport:
+    _validate(name, n, samples, mode)
+    fn = SUITES[name][0]
     start = time.perf_counter()
     try:
         failures = tuple(fn(n, samples, seed, mode))
@@ -517,16 +524,21 @@ def run_check(name: str, n: int, samples: int, seed: int, mode: str) -> CheckRep
 
 def run_suite(suite: str, ns: Sequence[int], samples: int, seed: int,
               mode: str = "exact") -> RunManifest:
-    """Run one named suite (or all of them) over a list of n values."""
+    """Run one named suite (or all of them) over a list of n values.
+
+    Every (suite, n) pair, the sample count and the mode are validated
+    before any check runs.
+    """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     if not ns:
         raise ValueError("empty n range")
     names = SUITE_ORDER if suite == "all" else (suite,)
-    checks = []
     for name in names:
         for n in ns:
-            checks.append(run_check(name, n, samples, seed, mode))
+            _validate(name, n, samples, mode)
+    checks = [run_check(name, n, samples, seed, mode)
+              for name in names for n in ns]
     return RunManifest(tool_version=__version__, checks=tuple(checks),
                        overall_pass=all(c.passed for c in checks))
 

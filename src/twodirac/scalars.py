@@ -114,7 +114,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its real component, so it must hash alike
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))

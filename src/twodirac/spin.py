@@ -1,14 +1,15 @@
 """Spin(n), Spin^c(n), their projections to rotations, and the stabilizer maps.
 
 Group elements are stored as exact spinor matrices together with the
-generating word of rational unit vectors; the induced rotation is composed
-from the word's line reflections and certified by conjugating the Clifford
-generators with the spinor matrix.  The gammas are anti-hermitian (the
-gamma build certifies it), so the spinor matrix S of a word of unit vectors
-is unitary and its inverse is the adjoint S^dagger; no inverse is computed
-or stored.  With the package convention ``v.v = -|v|^2``, the word
-``(e1, e1)`` realizes the nontrivial central element (acting as ``-Id`` on
-spinors) and ``(e1, -e1)`` is the identity.
+generating word of rational unit vectors; the spinor matrix is always the
+product of the word's Clifford matrices, never taken from a caller.  The
+induced rotation is composed from the word's line reflections and certified
+by conjugating the Clifford generators with the spinor matrix.  The gammas
+are anti-hermitian (the gamma build certifies it), so the spinor matrix S of
+a word of unit vectors is unitary and its inverse is the adjoint S^dagger;
+no inverse is computed or stored.  With the package convention
+``v.v = -|v|^2``, the word ``(e1, e1)`` realizes the nontrivial central
+element (acting as ``-Id`` on spinors) and ``(e1, -e1)`` is the identity.
 
 Spin^c classes are pairs ``(phase, spin)`` modulo the simultaneous sign flip;
 phases are exact rational circle points, and the half-angle data required by
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .clifford import GammaRep, clifford_mat
 from .linalg import Matrix, det, identity_g, identity_q, vdot
@@ -51,15 +52,22 @@ class SpinElement:
 
     __slots__ = ("rep", "spinor_mat", "word")
 
-    def __init__(self, rep: GammaRep, word: Sequence[tuple],
-                 spinor_mat: Optional[Matrix] = None):
+    def __init__(self, rep: GammaRep, word: Sequence[tuple]):
         self.rep = rep
         self.word = tuple(tuple(v) for v in word)
-        if spinor_mat is None:
-            spinor_mat = identity_g(rep.s)
-            for v in self.word:
-                spinor_mat = spinor_mat @ clifford_mat(rep, v)
-        self.spinor_mat = spinor_mat
+        mat = clifford_mat(rep, self.word[0]) if self.word else identity_g(rep.s)
+        for v in self.word[1:]:
+            mat = mat @ clifford_mat(rep, v)
+        self.spinor_mat = mat
+
+    @classmethod
+    def _derived(cls, rep: GammaRep, word: tuple, spinor_mat: Matrix) -> "SpinElement":
+        """The element of ``word`` with its spinor matrix already computed,
+        by ``__mul__`` or ``inverse``, from elements whose matrices are those
+        of their words."""
+        out = cls.__new__(cls)
+        out.rep, out.word, out.spinor_mat = rep, word, spinor_mat
+        return out
 
     @classmethod
     def identity(cls, rep: GammaRep) -> "SpinElement":
@@ -73,8 +81,8 @@ class SpinElement:
     def __mul__(self, other: "SpinElement") -> "SpinElement":
         if self.rep.n != other.rep.n:
             raise ValueError("spin elements live over different dimensions")
-        return SpinElement(self.rep, self.word + other.word,
-                           self.spinor_mat @ other.spinor_mat)
+        return SpinElement._derived(self.rep, self.word + other.word,
+                                    self.spinor_mat @ other.spinor_mat)
 
     def __neg__(self) -> "SpinElement":
         return self * SpinElement.minus_one(self.rep)
@@ -83,7 +91,7 @@ class SpinElement:
         # (v1..vk)^-1 = (-vk)..(-v1) for unit v, and the spinor matrix of -v
         # is the adjoint of that of v because every gamma is anti-hermitian
         word = tuple(tuple(-x for x in v) for v in reversed(self.word))
-        return SpinElement(self.rep, word, self.spinor_mat.adjoint())
+        return SpinElement._derived(self.rep, word, self.spinor_mat.adjoint())
 
     def is_central(self) -> bool:
         """True when the element is +-1, i.e. acts as a sign on spinors."""

@@ -79,19 +79,24 @@ class StiefelTangent:
 
 @dataclass(frozen=True)
 class OrientedPlane:
-    """Oriented 2-plane: rank-2 projector plus a wedge representative."""
+    """Oriented 2-plane, kept as its unit 2-vector o = v1 v2^T - v2 v1^T.
 
-    projector: Matrix
+    A real skew matrix is the unit 2-vector of an orthonormal pair exactly
+    when o^3 = -o and rank o = 2; the orthogonal projector onto the plane is
+    then -o^2.
+    """
+
     orientation: Matrix
 
     def __post_init__(self):
-        p, o = self.projector, self.orientation
-        if p.transpose() != p or p @ p != p or p.trace() != 2:
-            raise ValueError("projector is not a symmetric rank-2 idempotent")
-        if o.transpose() != -o:
-            raise ValueError("orientation representative must be skew")
-        if p @ o != o or o @ p != o or rank(o) != 2:
-            raise ValueError("orientation does not fill the plane")
+        o = self.orientation
+        if o.transpose() != -o or o @ o @ o != -o or rank(o) != 2:
+            raise ValueError("orientation is not the unit 2-vector of a plane")
+
+    @property
+    def projector(self) -> Matrix:
+        o = self.orientation
+        return -(o @ o)
 
 
 def frame_to_isotropic(f: Frame2) -> Tuple[tuple, tuple]:
@@ -184,18 +189,14 @@ def levi_witness(t: StiefelTangent) -> StiefelTangent:
 def quotient_q(f: Frame2) -> OrientedPlane:
     """Oriented span of the frame; constant along circle orbits."""
     k = f.ambient_dim
-    proj = qmat([[f.v1[i] * f.v1[j] + f.v2[i] * f.v2[j] for j in range(k)]
-                 for i in range(k)])
-    orient = qmat([[f.v1[i] * f.v2[j] - f.v2[i] * f.v1[j] for j in range(k)]
-                   for i in range(k)])
-    return OrientedPlane(proj, orient)
+    return OrientedPlane(qmat([[f.v1[i] * f.v2[j] - f.v2[i] * f.v1[j]
+                                for j in range(k)] for i in range(k)]))
 
 
 def plane_act(b: Matrix, plane: OrientedPlane) -> OrientedPlane:
     """Induced SO(n+2) action on oriented planes."""
     _check_special_orthogonal(b, "B")
-    bt = b.transpose()
-    return OrientedPlane(b @ plane.projector @ bt, b @ plane.orientation @ bt)
+    return OrientedPlane(b @ plane.orientation @ b.transpose())
 
 
 def tangent_from_skew(f: Frame2, psi: Matrix) -> StiefelTangent:

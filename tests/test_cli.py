@@ -40,6 +40,19 @@ def test_run_suite_validation():
         run_check("symbols", 2, 10, 0, "exact")
 
 
+def test_run_suite_validates_every_pair_before_any_check_runs(monkeypatch):
+    ran = []
+
+    def spy(n, samples, seed, mode):
+        ran.append(n)
+        return []
+
+    monkeypatch.setitem(report_mod.SUITES, "spin", (spy, 2))
+    with pytest.raises(ValueError, match="needs n >= 2, got 1"):
+        run_suite("spin", [3, 1], 5, 0)
+    assert ran == []
+
+
 def test_manifest_invariants_and_schema():
     m = run_suite("index", [3, 4], samples=10, seed=0)
     assert m.tool_version == __version__

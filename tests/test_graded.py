@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twodirac.graded import (GRADES, DisassemblyError, GradedElement, assemble,
-                             bracket, disassemble, element, grade_basis,
-                             grade_project, h_gram, heisenberg_gram,
+from twodirac.graded import (GRADES, GradedElement, bracket, element,
+                             grade_basis, grade_project, h_gram, heisenberg_gram,
                              is_levi_member, is_parabolic_member, levi_bracket,
                              random_element, standard_neg1_basis, trace_form,
                              zero_element)
@@ -16,14 +15,16 @@ from twodirac.linalg import (block, det, identity_q, inverse, qmat, rank,
                              zeros_q)
 from twodirac.sampling import rotation
 
+import reference_graded as layout
+
 
 def test_shape_and_skewness_validation():
     with pytest.raises(ValueError):
         element(2)  # n too small
     with pytest.raises(ValueError):
-        GradedElement(3, qmat([[1, 0], [0, 1]]), qmat([[0, 1, 0], [1, 0, 0],
-                      [0, 0, 0]]), zeros_q(3, 2), zeros_q(2, 2), zeros_q(3, 2),
-                      zeros_q(2, 2))  # B not skew
+        element(3, qmat([[1, 0], [0, 1]]), qmat([[0, 1, 0], [1, 0, 0],
+                [0, 0, 0]]), zeros_q(3, 2), zeros_q(2, 2), zeros_q(3, 2),
+                zeros_q(2, 2))  # B not skew
     with pytest.raises(ValueError):
         element(3, X=zeros_q(2, 3))  # wrong block shape
 
@@ -31,12 +32,12 @@ def test_shape_and_skewness_validation():
 def test_assemble_layout():
     n = 3
     e = element(n, A=identity_q(2))
-    m = assemble(e)
+    m = e.mat
     assert m[0, 0] == 1 and m[1, 1] == 1
     assert m[n + 2, n + 2] == -1 and m[n + 3, n + 3] == -1
-    assert assemble(zero_element(n)).is_zero()
+    assert zero_element(n).mat.is_zero()
     z = qmat([[1, 2], [3, 4], [5, 6]])
-    m = assemble(element(n, Z=z))
+    m = element(n, Z=z).mat
     assert m[0, 2] == 1 and m[1, 2] == 2  # Z^T in the top middle
     assert m[2, n + 2] == -1 and m[2, n + 3] == -2  # -Z in the middle right
 
@@ -46,18 +47,18 @@ def test_assembled_matrices_lie_in_orthogonal_algebra():
     for n in (3, 4, 6):
         h = h_gram(n)
         for _ in range(20):
-            m = assemble(random_element(n, rng))
+            m = random_element(n, rng).mat
             assert m.transpose() @ h + h @ m == zeros_q(n + 4, n + 4)
 
 
 def test_disassemble_round_trip_and_rejection():
     rng = Random(1)
     e = random_element(4, rng)
-    assert disassemble(assemble(e), 4) == e
-    with pytest.raises(DisassemblyError):
-        disassemble(identity_q(8), 4)  # -A^T block inconsistent
-    with pytest.raises(DisassemblyError):
-        disassemble(identity_q(7), 4)
+    assert GradedElement(4, e.mat) == e
+    with pytest.raises(ValueError):
+        GradedElement(4, identity_q(8))  # -A^T block inconsistent
+    with pytest.raises(ValueError):
+        GradedElement(4, identity_q(7))
 
 
 def test_grade_projections():
@@ -214,14 +215,14 @@ def test_membership_identity_and_levi_block():
 def test_membership_unipotent():
     # exact exponential of a nilpotent grade +1 element: I + N + N^2/2
     n = 3
-    nil = assemble(element(n, Z=qmat([[1, 2], [0, 1], [3, 0]])))
+    nil = element(n, Z=qmat([[1, 2], [0, 1], [3, 0]])).mat
     sq = nil @ nil
     assert (sq @ nil).is_zero()
     expn = identity_q(n + 4) + nil + sq.scaled(Fraction(1, 2))
     assert is_parabolic_member(expn, n)
     assert not is_levi_member(expn, n)
     # grade -1 unipotents do not even preserve the filtration
-    lower = assemble(element(n, X=qmat([[1, 0], [0, 1], [0, 0]])))
+    lower = element(n, X=qmat([[1, 0], [0, 1], [0, 0]])).mat
     sq = lower @ lower
     exl = identity_q(n + 4) + lower + sq.scaled(Fraction(1, 2))
     assert not is_parabolic_member(exl, n)
@@ -259,3 +260,31 @@ def test_trace_form_dual_pairing():
     z = grade_basis(n, 1)[0]
     assert trace_form(x, z) != 0
     assert trace_form(x, y) == 0
+
+
+def _span_rank(mats):
+    return rank(qmat([tuple(x for row in m.rows for x in row) for m in mats]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(3, 5), st.integers(0, 2 ** 32 - 1))
+def test_grading_agrees_with_block_layout_oracle(n, seed):
+    rng = Random(seed)
+    e, f = random_element(n, rng), random_element(n, rng)
+    for g in (e, f, bracket(e, f)):
+        for i in GRADES:
+            assert grade_project(g, i).mat == layout.project(g.mat, n, i)
+    dims = {-2: 1, -1: 2 * n, 0: 4 + n * (n - 1) // 2, 1: 2 * n, 2: 1}
+    for i in GRADES:
+        basis = [b.mat for b in grade_basis(n, i)]
+        oracle = layout.grade_space(n, i)
+        assert len(basis) == len(oracle) == dims[i]
+        assert _span_rank(basis) == _span_rank(oracle + basis) == dims[i]
+    # one perturbed entry breaks the mirror relation, wherever it sits
+    r, c = rng.randrange(n + 4), rng.randrange(n + 4)
+    bad = qmat([[x + (a == r and b == c) for b, x in enumerate(row)]
+                for a, row in enumerate(e.mat.rows)])
+    with pytest.raises(ValueError):
+        layout.split(bad, n)
+    with pytest.raises(ValueError):
+        GradedElement(n, bad)

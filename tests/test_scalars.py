@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from twodirac.linalg import identity_g, identity_q
 from twodirac.scalars import (CIRCLE_I, CIRCLE_MINUS_ONE, CIRCLE_ONE,
                               CirclePoint, gr)
 
@@ -35,6 +36,17 @@ def test_conjugation_and_norm(a, b):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     assert a.norm_sq() == (a * a.conjugate()).re
     assert not (a * a.conjugate()).im
+
+
+@given(st.one_of(st.integers(-10 ** 20, 10 ** 20), rationals))
+def test_hash_agrees_with_equality_on_real_values(x):
+    assert gr(x) == x and hash(gr(x)) == hash(x)
+    assert len({gr(x), x}) == 1
+
+
+def test_equal_matrices_over_both_scalar_types_hash_alike():
+    assert identity_q(2) == identity_g(2)
+    assert hash(identity_q(2)) == hash(identity_g(2))
 
 
 def test_mixed_scalar_arithmetic():

@@ -102,10 +102,17 @@ def test_rho_rejects_corrupted_element():
     # the word route and the trace oracle must both refuse it
     bad = qmat([[1, 0], [0, 2]])
     from twodirac.linalg import gmat
-    elt = SpinElement(REP3, (), spinor_mat=gmat(bad.rows))
+    elt = SpinElement(REP3, ())
+    elt.spinor_mat = gmat(bad.rows)
     for route in (rho_n, trace.rho_n):
         with pytest.raises(ValueError):
             route(elt)
+
+
+def test_spin_element_refuses_a_passed_spinor_matrix():
+    # the spinor matrix is always built from the word, never taken on trust
+    with pytest.raises(TypeError):
+        SpinElement(REP3, (), spinor_mat=identity_g(REP3.s))
 
 
 @settings(max_examples=20, deadline=None)

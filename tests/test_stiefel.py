@@ -3,6 +3,8 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twodirac.graded import levi_bracket
 from twodirac.linalg import identity_q, qmat, rank, vdot, vneg
@@ -330,8 +332,20 @@ def test_quotient_constant_on_center_orbits_and_equivariant():
 def test_oriented_plane_validation():
     f = standard_frame(N)
     pl = quotient_q(f)
-    OrientedPlane(pl.projector, pl.orientation)
+    OrientedPlane(pl.orientation)
     with pytest.raises(ValueError):
-        OrientedPlane(identity_q(N + 2), pl.orientation)
+        OrientedPlane(identity_q(N + 2))  # not skew
     with pytest.raises(ValueError):
-        OrientedPlane(pl.projector, identity_q(N + 2))
+        OrientedPlane(pl.orientation.scaled(0))  # o^3 = -o, but rank 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(3, 5), st.integers(0, 2 ** 32 - 1))
+def test_oriented_plane_is_its_unit_two_vector(n, seed):
+    f, _ = random_frame_with_complement(n, Random(seed))
+    pl = quotient_q(f)
+    k = n + 2
+    assert pl.projector == qmat([[f.v1[i] * f.v1[j] + f.v2[i] * f.v2[j]
+                                  for j in range(k)] for i in range(k)])
+    with pytest.raises(ValueError):
+        OrientedPlane(pl.orientation.scaled(2))
