@@ -1,20 +1,25 @@
 """Small exact linear-algebra kit.
 
-``Matrix`` is an immutable dense matrix whose entries live in any exact field
-implementing the usual arithmetic operators: here either rationals
-(``int``/``fractions.Fraction``) or ``GaussianRational``.  Arithmetic on
-matrices never divides, so integer-entried matrices are safe everywhere.
+``Matrix`` is an immutable dense matrix whose entries are rationals
+(``int``/``fractions.Fraction``) or ``GaussianRational``.  Sums, negations
+and scalings work entry by entry and never divide.
 
-``rank``, ``rank_bareiss`` and ``det`` share one fraction-free (Bareiss)
-elimination over Gaussian integers: each row is first scaled to integer
-entries, so no rational normalization happens inside the loop.  ``inverse``
-is the adjugate over the determinant.
+Every product (``@`` and ``apply``) goes through one kernel over Gaussian
+integers: each operand is lowered once to integer ``(re, im)`` pairs with a
+positive multiplier per row of the left operand and per column of the right
+one, only nonzero terms are summed, and each entry is divided once by its
+two multipliers.  An entry is a ``GaussianRational`` when either operand has
+one, else an int when integral and a Fraction otherwise.
+
+``rank``, ``rank_bareiss`` and ``det`` share the same lowering and one
+fraction-free (Bareiss) elimination, so no rational normalization happens
+inside the loop.  ``inverse`` is the adjugate over the determinant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence, Tuple
 
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, Rational
@@ -68,16 +73,13 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        bcols = tuple(zip(*other.rows))
-        return Matrix(tuple(sum(a * b for a, b in zip(row, col))
-                            for col in bcols)
-                      for row in self.rows)
+        return Matrix(_product(self.rows, zip(*other.rows)))
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product."""
         if len(vec) != self.ncols:
             raise ValueError(f"shape mismatch {self.shape} applied to len {len(vec)}")
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.rows)
+        return tuple(r[0] for r in _product(self.rows, (vec,)))
 
     def scaled(self, s) -> "Matrix":
         return Matrix(tuple(s * a for a in r) for r in self.rows)
@@ -188,25 +190,87 @@ def is_zero_vec(u: Sequence) -> bool:
     return all(not a for a in u)
 
 
-# -- exact elimination: one fraction-free kernel ------------------------------
+# -- exact kernels over Gaussian integers -------------------------------------
 
-def _gauss_int_rows(m: Matrix) -> Tuple[list, int]:
+def _gauss_int_rows(rows: Iterable[Sequence]) -> Tuple[list, list, bool]:
     """Scale each row to Gaussian-integer pairs ``(re, im)``.
 
-    Returns the rows and the product of the row multipliers.  Scaling a row
-    by a positive integer keeps the rank and multiplies the determinant by
-    that integer.
+    Returns the integer rows, each row's multiplier (the least common
+    denominator of its entries) and whether any entry is a
+    ``GaussianRational``.  Scaling a row by a positive integer keeps the rank
+    and multiplies the determinant by that integer.
     """
-    rows = []
-    scale = 1
-    for r in m.rows:
-        pairs = [(e.re, e.im) if isinstance(e, GaussianRational) else (e, 0)
-                 for e in r]
-        mult = lcm(*(x.denominator for pair in pairs for x in pair))
-        rows.append([((a * mult).numerator, (b * mult).numerator)
-                     for a, b in pairs])
-        scale *= mult
-    return rows, scale
+    out, mults = [], []
+    gaussian = False
+    for r in rows:
+        pairs = []
+        dens = set()
+        for e in r:
+            if type(e) is GaussianRational:
+                gaussian = True
+                re, im = e.re, e.im
+                if type(im) is not int:
+                    dens.add(im.denominator)
+            else:
+                re, im = e, 0
+            if type(re) is not int:
+                dens.add(re.denominator)
+            pairs.append((re, im))
+        mult = lcm(*dens)
+        if dens:
+            pairs = [(a.numerator * (mult // a.denominator),
+                      b.numerator * (mult // b.denominator)) for a, b in pairs]
+        out.append(pairs)
+        mults.append(mult)
+    return out, mults, gaussian
+
+
+def _ratio(num: int, den: int) -> Rational:
+    """``num / den`` as an int when it is integral, else as a Fraction."""
+    if den == 1:
+        return num
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+def _product(rows: Iterable[Sequence], cols: Iterable[Sequence]) -> list:
+    """Rows of the product of the matrix with these rows and the matrix with
+    these columns (the kernel the module docstring describes).
+
+    Entry (i, j) is the integer sum over the nonzero terms of lowered row i
+    and lowered column j, divided by the multipliers of row i and column j.
+    """
+    a, amults, a_gauss = _gauss_int_rows(rows)
+    b, bmults, b_gauss = _gauss_int_rows(cols)
+    gaussian = a_gauss or b_gauss
+    width = len(b)
+    # the right operand's nonzero entries, row by row: (column, re, im)
+    b_rows = [[] for _ in b[0]]
+    for j, col in enumerate(b):
+        for k, (re, im) in enumerate(col):
+            if re or im:
+                b_rows[k].append((j, re, im))
+    out = []
+    for arow, am in zip(a, amults):
+        dens = [am * bm for bm in bmults]
+        if gaussian:
+            acc_re = [0] * width
+            acc_im = [0] * width
+            for (ar, ai), brow in zip(arow, b_rows):
+                if ar or ai:
+                    for j, br, bi in brow:
+                        acc_re[j] += ar * br - ai * bi
+                        acc_im[j] += ar * bi + ai * br
+            out.append(tuple(map(GaussianRational, map(_ratio, acc_re, dens),
+                                 map(_ratio, acc_im, dens))))
+        else:
+            acc = [0] * width
+            for (ar, _), brow in zip(arow, b_rows):
+                if ar:
+                    for j, br, _ in brow:
+                        acc[j] += ar * br
+            out.append(tuple(map(_ratio, acc, dens)))
+    return out
 
 
 def _bareiss(rows: list) -> Tuple[int, Tuple[int, int], int]:
@@ -259,12 +323,12 @@ def _bareiss(rows: list) -> Tuple[int, Tuple[int, int], int]:
 
 def rank(m: Matrix) -> int:
     """Exact rank of a matrix with int, Fraction or GaussianRational entries."""
-    return _bareiss(_gauss_int_rows(m)[0])[0]
+    return _bareiss(_gauss_int_rows(m.rows)[0])[0]
 
 
 def rank_bareiss(m: Matrix) -> int:
     """Exact rank of a GaussianRational matrix (the symbol-layer entry point)."""
-    return _bareiss(_gauss_int_rows(m)[0])[0]
+    return _bareiss(_gauss_int_rows(m.rows)[0])[0]
 
 
 def det(m: Matrix):
@@ -272,12 +336,13 @@ def det(m: Matrix):
     ``Fraction``."""
     if m.nrows != m.ncols:
         raise ValueError("det of non-square matrix")
-    rows, scale = _gauss_int_rows(m)
+    rows, mults, gaussian = _gauss_int_rows(m.rows)
     rk, (re, im), sign = _bareiss(rows)
     if rk < m.nrows:
         re = im = 0
+    scale = prod(mults)
     re, im = Fraction(sign * re, scale), Fraction(sign * im, scale)
-    if any(isinstance(e, GaussianRational) for r in m.rows for e in r):
+    if gaussian:
         return GaussianRational(re, im)
     return re
 

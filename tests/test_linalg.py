@@ -2,7 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twodirac.linalg import (Matrix, block, det, gmat, hstack, identity_g,
@@ -11,6 +11,7 @@ from twodirac.linalg import (Matrix, block, det, gmat, hstack, identity_g,
 from twodirac.scalars import GaussianRational, gr
 
 import reference_elimination as field
+import reference_matmul
 
 
 def test_matrix_basics():
@@ -134,3 +135,79 @@ def test_kernel_det_and_rank_agree_with_field_elimination(m):
     assert type(got) is type(want)
     assert rank(m) == field.rank(m)
     assert (got == 0) == (rank(m) < m.nrows)
+
+
+_ZEROS = {"int": (0,), "rational": (0, Fraction(0)), "gaussian": (gr(0),),
+          "mixed": (0, Fraction(0), gr(0))}
+
+
+@st.composite
+def product_operands(draw):
+    """Two compatible matrices, each of int, rational, Gaussian or mixed
+    entries; shapes down to 1 x k and k x 1, most of them zero-heavy, some
+    with a zero row on the left or a zero column on the right."""
+    r, k, c = (draw(st.integers(1, 5)) for _ in range(3))
+    # integral Fractions such as Fraction(4, 2) are among the inputs
+    fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    nonzero = {"int": st.integers(-4, 4), "rational": st.one_of(st.integers(-4, 4), fraction)}
+    nonzero["gaussian"] = st.builds(gr, nonzero["rational"], nonzero["rational"])
+    nonzero["mixed"] = st.one_of(nonzero["rational"], nonzero["gaussian"])
+
+    def matrix(nr, nc):
+        kind = draw(st.sampled_from(sorted(_ZEROS)))
+        zero_share = draw(st.sampled_from((0, 1, 2, 3)))   # in quarters
+        entry = st.integers(0, 3).flatmap(
+            lambda q: st.sampled_from(_ZEROS[kind]) if q < zero_share
+            else nonzero[kind])
+        rows = [draw(st.lists(entry, min_size=nc, max_size=nc)) for _ in range(nr)]
+        return rows, _ZEROS[kind][-1]
+
+    (a, a_zero), (b, b_zero) = matrix(r, k), matrix(k, c)
+    if draw(st.booleans()):
+        a[draw(st.integers(0, r - 1))] = [a_zero] * k
+    if draw(st.booleans()):
+        j = draw(st.integers(0, c - 1))
+        for row in b:
+            row[j] = b_zero
+    return Matrix(a), Matrix(b)
+
+
+def _has_gaussian(entries) -> bool:
+    return any(isinstance(e, GaussianRational) for e in entries)
+
+
+def _assert_typed(entries, gaussian: bool) -> None:
+    """The product's entry-type rule, and components normalised: an integral
+    rational is an int, any other a Fraction."""
+    def normal(x):
+        return type(x) is (int if x.denominator == 1 else Fraction)
+
+    for e in entries:
+        if gaussian:
+            assert type(e) is GaussianRational and normal(e.re) and normal(e.im)
+        else:
+            assert normal(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_operands())
+@example((Matrix([[1, Fraction(1, 2), gr(0, 1)]]), Matrix([[2], [0], [gr(0, -1)]])))
+@example((Matrix([[Fraction(2, 3)], [0]]), Matrix([[3, Fraction(1, 2), 0]])))
+def test_product_kernel_agrees_with_sum_of_products(ab):
+    a, b = ab
+    want = reference_matmul.matmul(a, b)
+    got = a @ b
+    assert got.shape == want.shape
+    assert got == want
+    flat = [e for r in a.rows + b.rows for e in r]
+    _assert_typed([e for r in got.rows for e in r], _has_gaussian(flat))
+    for j in range(b.ncols):
+        v = b.col(j)
+        col = a.apply(v)
+        assert col == want.col(j)
+        _assert_typed(col, _has_gaussian([e for r in a.rows for e in r] + list(v)))
+    wrong = Matrix([[0]] * (a.ncols + 1))
+    with pytest.raises(ValueError):
+        a @ wrong
+    with pytest.raises(ValueError):
+        a.apply((0,) * (a.ncols + 1))
