@@ -4,39 +4,84 @@ Generators are built by the standard tensor-doubling recursion from the
 2-dimensional base case, then scaled by i so that every generator is
 anti-hermitian and squares to ``CLIFFORD_SIGN * Id`` with the fixed
 convention ``CLIFFORD_SIGN = -1`` (vectors act with
-``v.v.psi = -|v|^2 psi``).  All entries stay in ``{0, +-1, +-i}``, so every
-product taken downstream is exact.
+``v.v.psi = -|v|^2 psi``).
+
+Every generator is a signed permutation (monomial: one unit entry in each
+row and each column), and that is how it is stored: row i of gamma_a has its
+one nonzero entry ``i**phases[a][i]`` in column ``cols[a][i]``.  Tensoring
+with a Pauli matrix, the chirality product and scaling by a unit keep this
+form, so the build costs O(n s) and forms no dense matrix.  Validation
+certifies the Clifford relations on the permutations and phase exponents,
+row by row, in O(n^2 s).  ``clifford_mat`` scatters the n s coefficients
+into an s x s matrix, and a gamma acts on a spinor or on the columns of a
+matrix by permuting entries and turning them by a power of i; none of these
+multiplies two exact scalars.  The dense generators are derived on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence, Tuple
 
-from .linalg import Matrix, gmat, zeros_g
-from .scalars import GR_I, GR_ONE, GR_ZERO
+from .linalg import Matrix
+from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational
 
 # v.v = CLIFFORD_SIGN * |v|^2 throughout the package.
 CLIFFORD_SIGN = -1
 
-_SIGMA_X = gmat([[0, 1], [1, 0]])
-_SIGMA_Y = Matrix([[GR_ZERO, -GR_I], [GR_I, GR_ZERO]])
-_SIGMA_Z = gmat([[1, 0], [0, -1]])
+# i**k for the phase exponent k
+_UNITS = (GR_ONE, GR_I, -GR_ONE, -GR_I)
+# the phase exponent of a real unit
+_EXPONENT = {1: 0, -1: 2}
+
+# A signed permutation as (cols, phases): row i has i**phases[i] in cols[i].
+SignedPermutation = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+_SIGMA_X = ((1, 0), (0, 0))
+_SIGMA_Y = ((1, 0), (3, 1))
+_SIGMA_Z = ((0, 1), (0, 2))
 
 
 @dataclass(frozen=True)
 class GammaRep:
-    """Ordered generators gamma_1..gamma_n acting on spinors of dimension s."""
+    """Ordered generators gamma_1..gamma_n acting on spinors of dimension s.
+
+    Row i of gamma_a has the entry ``i**phases[a][i]`` in column
+    ``cols[a][i]`` and zeros elsewhere.
+    """
 
     n: int
     s: int
-    gammas: Tuple[Matrix, ...]
+    cols: Tuple[Tuple[int, ...], ...]
+    phases: Tuple[Tuple[int, ...], ...]
+
+    @cached_property
+    def gammas(self) -> Tuple[Matrix, ...]:
+        """The generators as dense s x s matrices, derived on first use."""
+        s = self.s
+        return tuple(Matrix(tuple(_UNITS[k] if c == j else GR_ZERO for c in range(s))
+                            for j, k in zip(cols, phases))
+                     for cols, phases in zip(self.cols, self.phases))
 
 
-def _tensor(a: Matrix, b: Matrix) -> Matrix:
-    return Matrix(tuple(x * y for x in ra for y in rb)
-                  for ra in a.rows for rb in b.rows)
+def _tensor(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:
+    """The Kronecker product a (x) b: row (i, k) has column (ca[i], cb[k])."""
+    (ca, pa), (cb, pb) = a, b
+    q = len(cb)
+    return (tuple(j * q + c for j in ca for c in cb),
+            tuple((x + y) % 4 for x in pa for y in pb))
+
+
+def _compose(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:
+    """The matrix product a b: row i of a picks row ca[i] of b."""
+    (ca, pa), (cb, pb) = a, b
+    return tuple(cb[j] for j in ca), tuple((x + pb[j]) % 4 for x, j in zip(pa, ca))
+
+
+def _turned(a: SignedPermutation, k: int) -> SignedPermutation:
+    """a scaled by i**k."""
+    return a[0], tuple((x + k) % 4 for x in a[1])
 
 
 def _hermitian_gammas(n: int) -> list:
@@ -45,40 +90,46 @@ def _hermitian_gammas(n: int) -> list:
     if n % 2 == 1:
         gs = _hermitian_gammas(n - 1)
         m = (n - 1) // 2
-        chirality = gs[0]
-        for g in gs[1:]:
-            chirality = chirality @ g
-        # (-i)**m, cycling with period 4
-        unit = (GR_ONE, -GR_I, -GR_ONE, GR_I)[m % 4]
-        return gs + [chirality.scaled(unit)]
+        # the chirality element scaled by (-i)**m = i**(-m)
+        return gs + [_turned(reduce(_compose, gs), -m)]
     gs = _hermitian_gammas(n - 2)
-    size = gs[0].nrows
-    eye = gmat([[1 if i == j else 0 for j in range(size)] for i in range(size)])
+    size = len(gs[0][0])
+    eye = (tuple(range(size)), (0,) * size)
     return [_tensor(g, _SIGMA_Z) for g in gs] + [_tensor(eye, _SIGMA_X),
                                                  _tensor(eye, _SIGMA_Y)]
 
 
-_UNIT_ENTRIES = (GR_ZERO, GR_ONE, -GR_ONE, GR_I, -GR_I)
-
-
 def _validate(rep: GammaRep) -> None:
-    if rep.s != 2 ** (rep.n // 2):
+    """Certify the generators from their permutations and phase exponents.
+
+    For signed permutations g, h, row i of g h has column ch[cg[i]] and phase
+    exponent pg[i] + ph[cg[i]], and row cg[i] of g^dagger has column i and
+    exponent -pg[i]; each relation is compared row by row.
+    """
+    n, s = rep.n, rep.s
+    if s != 2 ** (n // 2):
         raise AssertionError("spinor dimension mismatch")
-    eye = gmat([[1 if i == j else 0 for j in range(rep.s)] for i in range(rep.s)])
-    want_sq = eye.scaled(CLIFFORD_SIGN)
-    for a, ga in enumerate(rep.gammas):
-        for e in (x for row in ga.rows for x in row):
-            if e not in _UNIT_ENTRIES:
-                raise AssertionError(f"gamma_{a + 1} entry {e} outside 0, +-1, +-i")
+    if len(rep.cols) != n or len(rep.phases) != n:
+        raise AssertionError(f"expected {n} generators")
+    square = _EXPONENT[CLIFFORD_SIGN]
+    rows = range(s)
+    for a, (ca, pa) in enumerate(zip(rep.cols, rep.phases)):
+        if sorted(ca) != list(rows) or len(pa) != s:
+            raise AssertionError(f"gamma_{a + 1} is not monomial")
+        if any(k not in (0, 1, 2, 3) for k in pa):
+            raise AssertionError(f"gamma_{a + 1} has a phase outside 1, -1, i, -i")
         # spin inverses are taken as adjoints, which needs gamma^dagger = -gamma
-        if ga.adjoint() != -ga:
+        if any(ca[j] != i or (pa[i] + pa[j] + 2) % 4 for i, j in enumerate(ca)):
             raise AssertionError(f"gamma_{a + 1} is not anti-hermitian")
-        for b in range(a, rep.n):
-            gb = rep.gammas[b]
-            anti = ga @ gb + gb @ ga
-            want = want_sq.scaled(2) if a == b else zeros_g(rep.s, rep.s)
-            if anti != want:
-                raise AssertionError(f"gamma_{a + 1}, gamma_{b + 1} fail Clifford relation")
+        if any(ca[j] != i or (pa[i] + pa[j] - square) % 4 for i, j in enumerate(ca)):
+            raise AssertionError(f"gamma_{a + 1}, gamma_{a + 1} fail Clifford relation")
+        for b in range(a + 1, n):
+            cb, pb = rep.cols[b], rep.phases[b]
+            # gamma_a gamma_b = -gamma_b gamma_a, row by row
+            if any(cb[j] != ca[cb[i]] or (pa[i] + pb[j] - pb[i] - pa[cb[i]] - 2) % 4
+                   for i, j in enumerate(ca)):
+                raise AssertionError(
+                    f"gamma_{a + 1}, gamma_{b + 1} fail Clifford relation")
 
 
 @lru_cache(maxsize=None)
@@ -86,26 +137,81 @@ def build_gamma_rep(n: int) -> GammaRep:
     """Deterministic gamma matrices for Cl(n), n >= 2."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    gammas = tuple(g.scaled(GR_I) for g in _hermitian_gammas(n))
-    rep = GammaRep(n=n, s=2 ** (n // 2), gammas=gammas)
+    gammas = [_turned(g, 1) for g in _hermitian_gammas(n)]
+    rep = GammaRep(n=n, s=2 ** (n // 2), cols=tuple(c for c, _ in gammas),
+                   phases=tuple(p for _, p in gammas))
     _validate(rep)
     return rep
 
 
+def _turn(x, k: int) -> GaussianRational:
+    """x * i**k for a phase exponent k in 0..3, by swapping and negating
+    components."""
+    if type(x) is not GaussianRational:
+        x = GaussianRational(x)
+    if k == 0:
+        return x
+    if k == 1:
+        return GaussianRational(-x.im, x.re)
+    if k == 2:
+        return GaussianRational(-x.re, -x.im)
+    return GaussianRational(x.im, -x.re)
+
+
 def clifford_mat(rep: GammaRep, v: Sequence) -> Matrix:
-    """Clifford action of the vector v as an s x s matrix, sum of v_a gamma_a."""
+    """Clifford action of the vector v as an s x s matrix, sum of v_a gamma_a.
+
+    Each coefficient lands, turned by its phase, on the s positions of its
+    generator; the components are summed where generators share a position.
+    """
     if len(v) != rep.n:
         raise ValueError(f"vector length {len(v)} != n = {rep.n}")
-    rows = [[GR_ZERO] * rep.s for _ in range(rep.s)]
-    for coeff, gamma in zip(v, rep.gammas):
+    s = rep.s
+    acc = ({}, {})  # real and imaginary parts by position i * s + j
+    for coeff, cols, phases in zip(v, rep.cols, rep.phases):
         if not coeff:
             continue
-        for i, grow in enumerate(gamma.rows):
-            row = rows[i]
-            for j, x in enumerate(grow):
-                if x:
-                    row[j] = row[j] + coeff * x
+        if type(coeff) is GaussianRational:
+            # re + im i: the imaginary part lands one phase step further on
+            parts = ((coeff.re, 0), (coeff.im, 1))
+        else:
+            parts = ((coeff, 0),)
+        for x, shift in parts:
+            if not x:
+                continue
+            signed = (x, -x)
+            for i, (j, k) in enumerate(zip(cols, phases)):
+                k += shift
+                part = acc[k & 1]
+                y = signed[(k >> 1) & 1]
+                pos = i * s + j
+                part[pos] = part[pos] + y if pos in part else y
+    rows = [[GR_ZERO] * s for _ in range(s)]
+    re, im = acc
+    for pos in re.keys() | im.keys():
+        x, y = re.get(pos, 0), im.get(pos, 0)
+        if x or y:
+            rows[pos // s][pos % s] = GaussianRational(x, y)
     return Matrix(rows)
+
+
+def gamma_apply(rep: GammaRep, alpha: int, psi: Sequence) -> tuple:
+    """gamma_{alpha+1} acting on the spinor psi: entry i is psi[cols[i]]
+    turned by its phase."""
+    return tuple(_turn(psi[j], k) for j, k in zip(rep.cols[alpha], rep.phases[alpha]))
+
+
+def times_gamma(m: Matrix, rep: GammaRep, alpha: int) -> Matrix:
+    """The product m gamma_{alpha+1}: column k of m, turned by the phase of
+    row k, becomes column cols[k]."""
+    cols, phases = rep.cols[alpha], rep.phases[alpha]
+    out = []
+    for row in m.rows:
+        new = [None] * rep.s
+        for x, j, k in zip(row, cols, phases):
+            new[j] = _turn(x, k)
+        out.append(new)
+    return Matrix(out)
 
 
 def clifford_act(rep: GammaRep, v: Sequence, psi: Sequence) -> tuple:

@@ -4,9 +4,10 @@ Fields are finite sums of monomials in the 2n coordinates x_{i,alpha}
 (i in {1, 2} labels the two derivative slots, alpha in {1..n} the Clifford
 directions) with spinor coefficients.  The operator sends a field f to the
 pair (sum_a gamma_a d_{1,a} f, sum_a gamma_a d_{2,a} f), computed by exact
-polynomial differentiation; applied to <x, xi>^k psi0 it reproduces k times
-<x, xi>^{k-1} times the first symbol of xi, which is the cross-check tying
-the differential operator to the symbol module.
+polynomial differentiation, each gamma permuting the entries of a spinor
+coefficient and turning them by powers of i.  Applied to <x, xi>^k psi0 it
+reproduces k times <x, xi>^{k-1} times the first symbol of xi, which is the
+cross-check tying the differential operator to the symbol module.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-from .clifford import GammaRep
-from .linalg import Matrix
+from .clifford import GammaRep, gamma_apply
 from .scalars import GaussianRational
 from .symbols import Covector, sigma1
 
@@ -108,9 +108,11 @@ class PolySpinorField:
                     out[raised] = term
         return PolySpinorField(self.n, self.s, out)
 
-    def matrix_apply(self, m: Matrix) -> "PolySpinorField":
+    def gamma_apply(self, rep: GammaRep, alpha: int) -> "PolySpinorField":
+        """gamma_{alpha+1} applied to every spinor coefficient."""
         return PolySpinorField(self.n, self.s,
-                               {mi: m.apply(v) for mi, v in self.coeffs.items()})
+                               {mi: gamma_apply(rep, alpha, v)
+                                for mi, v in self.coeffs.items()})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -152,7 +154,7 @@ def apply_flat_2dirac(rep: GammaRep, f: PolySpinorField) -> PairField:
     for i in range(2):
         acc = PolySpinorField.zero(f.n, f.s)
         for alpha in range(rep.n):
-            acc = acc + f.diff(i * rep.n + alpha).matrix_apply(rep.gammas[alpha])
+            acc = acc + f.diff(i * rep.n + alpha).gamma_apply(rep, alpha)
         parts.append(acc)
     return PairField(parts[0], parts[1])
 

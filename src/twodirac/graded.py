@@ -155,20 +155,24 @@ def heisenberg_gram(n: int, basis: Optional[Sequence[Matrix]] = None) -> Matrix:
 
 # -- group membership tests ----------------------------------------------------
 
-def grade_basis(n: int, i: int) -> List[GradedElement]:
-    """Basis of the grade-i subspace: E_rc - E_sigma(c)sigma(r) for each pair
-    of mirrored positions of grade i, in row-major order of the first one."""
+def _grade_positions(n: int, i: int) -> List[Tuple[int, int]]:
+    """The position (r, c) of the +1 entry of each grade-i basis element
+    E_rc - E_sigma(c)sigma(r), in row-major order."""
     if i not in GRADES:
         raise ValueError(f"grade {i} outside {GRADES}")
     w, s, k = _weights(n), _mirror(n), n + 4
-    out = []
-    for r in range(k):
-        for c in range(k):
-            if w[r] - w[c] == i and (r, c) < (s[c], s[r]):
-                out.append(GradedElement(n, Matrix(
-                    tuple(1 if (a, b) == (r, c) else -1 if (a, b) == (s[c], s[r])
-                          else 0 for b in range(k)) for a in range(k))))
-    return out
+    return [(r, c) for r in range(k) for c in range(k)
+            if w[r] - w[c] == i and (r, c) < (s[c], s[r])]
+
+
+def grade_basis(n: int, i: int) -> List[GradedElement]:
+    """Basis of the grade-i subspace: E_rc - E_sigma(c)sigma(r) for each pair
+    of mirrored positions of grade i, in row-major order of the first one."""
+    s, k = _mirror(n), n + 4
+    return [GradedElement(n, Matrix(
+        tuple(1 if (a, b) == (r, c) else -1 if (a, b) == (s[c], s[r])
+              else 0 for b in range(k)) for a in range(k)))
+        for r, c in _grade_positions(n, i)]
 
 
 def _check_h_orthogonal(g: Matrix, n: int) -> Matrix:
@@ -187,13 +191,22 @@ def _check_h_orthogonal(g: Matrix, n: int) -> Matrix:
 def _conjugation_keeps_grades(g: Matrix, n: int,
                               must_vanish: Callable[[int, int], bool]) -> bool:
     """Does conjugation by g map each grade-i element to one whose grade-j
-    component is zero wherever ``must_vanish(i, j)``?"""
+    component is zero wherever ``must_vanish(i, j)``?
+
+    For the basis element E_rc - E_sigma(c)sigma(r), g E g^-1 is column r of g
+    times row c of g^-1 minus column sigma(c) of g times row sigma(r) of
+    g^-1, so only the entries that must vanish are computed.
+    """
     g_inv = _check_h_orthogonal(g, n)
+    w, s, k = _weights(n), _mirror(n), n + 4
+    g_cols, inv_rows = g.transpose().rows, g_inv.rows
     for i in GRADES:
-        for e in grade_basis(n, i):
-            image = GradedElement(n, g @ e.mat @ g_inv)
-            if any(not grade_project(image, j).is_zero()
-                   for j in GRADES if must_vanish(i, j)):
+        watched = [(p, q) for p in range(k) for q in range(k)
+                   if must_vanish(i, w[p] - w[q])]
+        for r, c in _grade_positions(n, i):
+            u, x = g_cols[r], inv_rows[c]
+            v, y = g_cols[s[c]], inv_rows[s[r]]
+            if any(u[p] * x[q] - v[p] * y[q] for p, q in watched):
                 return False
     return True
 

@@ -16,7 +16,8 @@ Rational = Union[int, Fraction]
 
 
 def _normalize(x: Rational) -> Rational:
-    if isinstance(x, Fraction) and x.denominator == 1:
+    # an exact type test: isinstance would run the ABC machinery for every int
+    if type(x) is Fraction and x.denominator == 1:
         return x.numerator
     return x
 

@@ -4,10 +4,12 @@ Group elements are stored as exact spinor matrices together with the
 generating word of rational unit vectors; the spinor matrix is always the
 product of the word's Clifford matrices, never taken from a caller.  The
 induced rotation is composed from the word's line reflections and certified
-by conjugating the Clifford generators with the spinor matrix.  The gammas
-are anti-hermitian (the gamma build certifies it), so the spinor matrix S of
-a word of unit vectors is unitary and its inverse is the adjoint S^dagger;
-no inverse is computed or stored.  With the package convention
+by conjugating the Clifford generators with the spinor matrix; each
+generator is a signed permutation, so S gamma is a column permutation of S
+with phases, and only the product with S^dagger is a matrix product.  The
+gammas are anti-hermitian (the gamma build certifies it), so the spinor
+matrix S of a word of unit vectors is unitary and its inverse is the adjoint
+S^dagger; no inverse is computed or stored.  With the package convention
 ``v.v = -|v|^2``, the word ``(e1, e1)`` realizes the nontrivial central
 element (acting as ``-Id`` on spinors) and ``(e1, -e1)`` is the identity.
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Sequence, Tuple
 
-from .clifford import GammaRep, clifford_mat
+from .clifford import GammaRep, clifford_mat, times_gamma
 from .linalg import Matrix, det, identity_g, identity_q, vdot
 from .scalars import CIRCLE_ONE, CirclePoint
 from .sampling import circle_point, circle_point_with_half, givens, unit_vector
@@ -132,15 +134,18 @@ def rho_n(a: SpinElement) -> RationalRotation:
     It is certified against the spinor matrix S: S gamma_alpha S^dagger must
     be the Clifford action of column alpha for every alpha.  The gammas are
     linearly independent, so this is the equation that determines the
-    rotation from S alone.
+    rotation from S alone.  Each gamma is a signed permutation, so
+    S gamma_alpha is S with its columns permuted and turned by phases; one
+    exact product, with S^dagger, remains per alpha.
     """
     rep = a.rep
     eye = mat = identity_q(rep.n)
     for v in a.word:
         mat = mat @ (Matrix(tuple(2 * x * y for y in v) for x in v) - eye)
     s_adj = a.spinor_mat.adjoint()
-    for alpha, gamma in enumerate(rep.gammas):
-        if a.spinor_mat @ gamma @ s_adj != clifford_mat(rep, mat.col(alpha)):
+    for alpha in range(rep.n):
+        conj = times_gamma(a.spinor_mat, rep, alpha) @ s_adj
+        if conj != clifford_mat(rep, mat.col(alpha)):
             raise ValueError("spinor matrix does not conjugate the gammas by "
                              "the rotation of its word")
     return RationalRotation(mat)

@@ -3,10 +3,12 @@
 Slices an (n+4) x (n+4) matrix along 2 | n | 2 into the six named blocks of
 [[A, Z^T, W], [X, B, -Z], [Y, -X^T, -A^T]] and reads each block's grade from
 ``GRADE``.  It never uses the grading element or the mirror map, so it
-shares no route with the entrywise grading it checks.
+shares no route with the entrywise grading it checks.  Its membership test
+conjugates each block basis matrix by two dense products with g and the
+adjugate inverse of g, where ``graded`` uses outer products and H g^T H.
 """
 
-from twodirac.linalg import Matrix, block, submatrix, zeros_q
+from twodirac.linalg import Matrix, block, inverse, submatrix, zeros_q
 
 GRADE = {"Y": -2, "X": -1, "A": 0, "B": 0, "Z": 1, "W": 2}
 SKEW = ("B", "Y", "W")
@@ -57,3 +59,13 @@ def grade_space(n, i):
                     unit[c][a] = -1
                 out.append(join(n, {name: Matrix(unit)}))
     return out
+
+
+def conjugation_keeps_grades(g, n, must_vanish):
+    """Does g E g^-1 have a zero grade-j part for every grade-i basis matrix
+    E and every (i, j) with ``must_vanish(i, j)``?"""
+    g_inv = inverse(g)
+    grades = sorted(set(GRADE.values()))
+    return all(project(g @ e @ g_inv, n, j).is_zero()
+               for i in grades for e in grade_space(n, i)
+               for j in grades if must_vanish(i, j))

@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twodirac import clifford
 from twodirac.clifford import (CLIFFORD_SIGN, GammaRep, _validate,
                                basis_spinor, build_gamma_rep,
-                               clifford_act, clifford_mat)
+                               clifford_act, clifford_mat, gamma_apply,
+                               times_gamma)
 from twodirac.linalg import Matrix, identity_g, is_zero_vec, zeros_g
 from twodirac.sampling import unit_vector
 from twodirac.scalars import GR_I, GR_ONE, GR_ZERO, gr
+
+import reference_gammas
 
 
 def test_rejects_small_n():
@@ -47,15 +51,64 @@ def test_all_pairs_anticommute_n6():
         assert g @ g == identity_g(8).scaled(CLIFFORD_SIGN)
 
 
+def _pairs_rep(n, s, gens):
+    return GammaRep(n=n, s=s, cols=tuple(c for c, _ in gens),
+                    phases=tuple(p for _, p in gens))
+
+
 def test_validate_rejects_gamma_that_is_not_anti_hermitian():
-    # squares to -1 and has unit entries, but its adjoint is not -gamma, so
-    # spin inverses taken as adjoints would be wrong
-    bad = Matrix([[GR_I, GR_ONE], [GR_ZERO, -GR_I]])
-    assert bad @ bad == identity_g(2).scaled(CLIFFORD_SIGN)
+    # a signed permutation with unit phases that squares to -1 is unitary
+    # and hence anti-hermitian, so the bad gamma is sigma_x, hermitian with
+    # unit entries; the check runs before the Clifford relations
     good = build_gamma_rep(2)
     _validate(good)
     with pytest.raises(AssertionError, match="anti-hermitian"):
-        _validate(GammaRep(n=2, s=2, gammas=(bad, good.gammas[1])))
+        _validate(_pairs_rep(2, 2, [((1, 0), (0, 0)),
+                                    (good.cols[1], good.phases[1])]))
+    # the dense oracle refuses a non-monomial gamma that does square to -1
+    bad = Matrix([[GR_I, GR_ONE], [GR_ZERO, -GR_I]])
+    assert bad @ bad == identity_g(2).scaled(CLIFFORD_SIGN)
+    with pytest.raises(AssertionError, match="anti-hermitian"):
+        reference_gammas.validate(2, 2, (bad, good.gammas[1]))
+
+
+@pytest.mark.parametrize("gen,match", [
+    (((0, 0), (1, 1)), "not monomial"),        # two rows in one column
+    (((1, 0), (1, 5)), "phase outside"),       # i**5 is not a stored exponent
+    (((1, 0, 1), (1, 1, 1)), "not monomial"),  # wrong length
+])
+def test_validate_rejects_non_monomial_input(gen, match):
+    good = build_gamma_rep(2)
+    with pytest.raises(AssertionError, match=match):
+        _validate(_pairs_rep(2, 2, [gen, (good.cols[1], good.phases[1])]))
+
+
+def test_validate_rejects_commuting_generators():
+    # each generator alone is a valid gamma, but the pair commutes
+    g = build_gamma_rep(2)
+    with pytest.raises(AssertionError, match="gamma_1, gamma_2 fail Clifford relation"):
+        _validate(_pairs_rep(2, 2, [(g.cols[0], g.phases[0])] * 2))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_monomial_build_matches_dense_oracle(n):
+    rep = build_gamma_rep(n)
+    dense = reference_gammas.gammas(n)
+    assert rep.gammas == dense
+    if n <= 7:
+        reference_gammas.validate(n, rep.s, dense)
+
+
+def test_build_at_n20_forms_no_dense_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the gamma build formed a dense matrix")
+
+    monkeypatch.setattr(clifford, "Matrix", refuse)
+    rep = build_gamma_rep.__wrapped__(20)
+    assert (rep.n, rep.s) == (20, 1024)
+    assert len(rep.cols) == len(rep.phases) == 20
+    assert "gammas" not in vars(rep)  # the dense form was never derived
+    _validate(rep)
 
 
 def test_entries_are_units():
@@ -68,7 +121,7 @@ def test_entries_are_units():
 def test_determinism_bitwise():
     a = build_gamma_rep.__wrapped__(5)
     b = build_gamma_rep.__wrapped__(5)
-    assert a.gammas == b.gammas
+    assert a == b and a.gammas == b.gammas
 
 
 def test_clifford_mat_basis_and_zero():
@@ -129,3 +182,44 @@ def test_unit_vector_action_squares_to_sign():
         v = unit_vector(rng, 4)
         m = clifford_mat(rep, v)
         assert m @ m == identity_g(4).scaled(CLIFFORD_SIGN)
+
+
+def _dense_sum(n, v):
+    out = zeros_g(2 ** (n // 2), 2 ** (n // 2))
+    for coeff, g in zip(v, reference_gammas.gammas(n)):
+        out = out + g.scaled(coeff)
+    return out
+
+
+coefficients = st.one_of(st.integers(-9, 9),
+                         st.fractions(min_value=-6, max_value=6, max_denominator=7),
+                         st.just(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_clifford_mat_matches_dense_sum(data):
+    n = data.draw(st.integers(2, 8))
+    # zero-heavy vectors keep few generators, so shared positions vary
+    zeros = data.draw(st.sets(st.integers(0, n - 1)))
+    v = tuple(0 if a in zeros else data.draw(coefficients) for a in range(n))
+    assert clifford_mat(build_gamma_rep(n), v) == _dense_sum(n, v)
+
+
+gaussians = st.builds(gr, st.fractions(min_value=-4, max_value=4, max_denominator=5),
+                      st.fractions(min_value=-4, max_value=4, max_denominator=5))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_gamma_actions_match_dense_products(data):
+    n = data.draw(st.integers(2, 7))
+    rep = build_gamma_rep(n)
+    alpha = data.draw(st.integers(0, n - 1))
+    spinors = st.lists(gaussians, min_size=rep.s, max_size=rep.s)
+    psi = tuple(data.draw(spinors))
+    m = Matrix(data.draw(st.lists(spinors, min_size=rep.s, max_size=rep.s)))
+    assert gamma_apply(rep, alpha, psi) == rep.gammas[alpha].apply(psi)
+    assert times_gamma(m, rep, alpha) == m @ rep.gammas[alpha]
+    v = tuple(data.draw(st.lists(gaussians, min_size=n, max_size=n)))
+    assert clifford_mat(rep, v) == _dense_sum(n, v)

@@ -288,3 +288,43 @@ def test_grading_agrees_with_block_layout_oracle(n, seed):
         layout.split(bad, n)
     with pytest.raises(ValueError):
         GradedElement(n, bad)
+
+
+def _unipotent(n, **blocks):
+    # exact exponential I + N + N^2/2: the grades of N share one sign, so N^3 = 0
+    nil = element(n, **blocks).mat
+    return identity_q(n + 4) + nil + (nil @ nil).scaled(Fraction(1, 2))
+
+
+small_ints = st.integers(-3, 3)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(3, 4), st.integers(0, 2 ** 32 - 1),
+       st.lists(small_ints, min_size=4, max_size=4).filter(
+           lambda e: e[0] * e[3] != e[1] * e[2]),
+       st.booleans(), st.booleans(), st.data())
+def test_membership_agrees_with_dense_conjugation_oracle(n, seed, c, upper, lower, data):
+    # g = Levi element * upper unipotent * lower unipotent; g lies in the
+    # parabolic subgroup iff the lower factor is trivial, and in the Levi
+    # subgroup iff both unipotent factors are
+    def blocks(rows, cols):
+        return qmat(data.draw(st.lists(st.lists(small_ints, min_size=cols, max_size=cols),
+                                       min_size=rows, max_size=rows)))
+
+    c = qmat([c[:2], c[2:]])
+    g = block([[c, zeros_q(2, n), zeros_q(2, 2)],
+               [zeros_q(n, 2), rotation(Random(seed), n), zeros_q(n, 2)],
+               [zeros_q(2, 2), zeros_q(2, n), inverse(c).transpose()]])
+    w = data.draw(st.integers(1, 3))
+    if upper:
+        z = blocks(n, 2)
+        g = g @ _unipotent(n, Z=z, W=qmat([[0, w], [-w, 0]]))
+    if lower:
+        x = blocks(n, 2)
+        g = g @ _unipotent(n, X=x, Y=qmat([[0, w], [-w, 0]]))
+    parabolic, levi = is_parabolic_member(g, n), is_levi_member(g, n)
+    assert parabolic == layout.conjugation_keeps_grades(g, n, lambda i, j: j < i)
+    assert levi == layout.conjugation_keeps_grades(g, n, lambda i, j: j != i)
+    assert parabolic == (not lower)
+    assert levi == (not upper and not lower)

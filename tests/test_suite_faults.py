@@ -3,12 +3,15 @@
 Each case patches one fault into the namespace its suite looks the name up
 in and asserts that the suite, which passes unpatched, then reports FAIL
 through its own checks rather than through a crash record.
-``build_gamma_rep`` is never patched: its cache would hide the patch.
+``build_gamma_rep`` is never patched: its cache would hide the patch.  The
+one premise it certifies, the Clifford relations, gets its own fault: the
+sign convention is flipped with the cache cleared around the patch.
 """
 
 import pytest
 
-from twodirac import flat, report, spin, symbols
+from twodirac import clifford, flat, report, spin, symbols
+from twodirac.clifford import build_gamma_rep
 from twodirac.linalg import Matrix
 from twodirac.report import SUITE_ORDER, run_check
 from twodirac.scalars import CIRCLE_ONE
@@ -66,3 +69,21 @@ def test_symbols_refuses_a_scan_that_checked_too_few(monkeypatch):
     monkeypatch.setattr(report, "ellipticity_scan", vacuous)
     rpt = run_check("symbols", 3, 2, 0, "exact")
     assert [f["expected"] for f in rpt.failures] == [">= 2 covectors"]
+
+
+def test_gamma_build_refuses_the_wrong_clifford_sign(monkeypatch):
+    build_gamma_rep.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(clifford, "CLIFFORD_SIGN", 1)
+            for n in range(2, 9):
+                with pytest.raises(AssertionError, match="fail Clifford relation"):
+                    build_gamma_rep(n)
+    finally:
+        build_gamma_rep.cache_clear()
+    # later callers see the unpatched sign and a cache of validated reps
+    assert clifford.CLIFFORD_SIGN == -1
+    for n in range(2, 9):
+        rep = build_gamma_rep(n)
+        clifford._validate(rep)
+        assert build_gamma_rep(n) is rep
