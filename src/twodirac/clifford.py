@@ -186,12 +186,10 @@ def clifford_mat(rep: GammaRep, v: Sequence) -> Matrix:
                 y = signed[(k >> 1) & 1]
                 pos = i * s + j
                 part[pos] = part[pos] + y if pos in part else y
-    rows = [[GR_ZERO] * s for _ in range(s)]
+    rows = [[0] * s for _ in range(s)]
     re, im = acc
     for pos in re.keys() | im.keys():
-        x, y = re.get(pos, 0), im.get(pos, 0)
-        if x or y:
-            rows[pos // s][pos % s] = GaussianRational(x, y)
+        rows[pos // s][pos % s] = GaussianRational(re.get(pos, 0), im.get(pos, 0))
     return Matrix(rows)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .linalg import Matrix, block, det, qmat, rank, submatrix, zeros_q
+from .linalg import Matrix, block, det, rank, submatrix, zeros
 
 GRADES = (-2, -1, 0, 1, 2)
 
@@ -81,20 +81,20 @@ class GradedElement:
 
 
 def zero_element(n: int) -> GradedElement:
-    return GradedElement(n, zeros_q(n + 4, n + 4))
+    return GradedElement(n, zeros(n + 4, n + 4))
 
 
 def element(n: int, A: Optional[Matrix] = None, B: Optional[Matrix] = None,
             X: Optional[Matrix] = None, Y: Optional[Matrix] = None,
             Z: Optional[Matrix] = None, W: Optional[Matrix] = None) -> GradedElement:
     """Element with the given blocks, all others zero."""
-    z2, zn = zeros_q(2, 2), zeros_q(n, 2)
+    z2, zn = zeros(2, 2), zeros(n, 2)
     A = z2 if A is None else A
     X = zn if X is None else X
     Z = zn if Z is None else Z
     return GradedElement(n, block([
         [A, Z.transpose(), z2 if W is None else W],
-        [X, zeros_q(n, n) if B is None else B, -Z],
+        [X, zeros(n, n) if B is None else B, -Z],
         [z2 if Y is None else Y, -X.transpose(), -A.transpose()]]))
 
 
@@ -147,7 +147,7 @@ def heisenberg_gram(n: int, basis: Optional[Sequence[Matrix]] = None) -> Matrix:
     basis = list(basis)
     if len(basis) != 2 * n:
         raise ValueError(f"basis has {len(basis)} elements, expected {2 * n}")
-    flat = qmat([tuple(x for row in b.rows for x in row) for b in basis])
+    flat = Matrix([tuple(x for row in b.rows for x in row) for b in basis])
     if rank(flat) < 2 * n:
         raise ValueError("basis does not span the grade -1 space")
     return Matrix(tuple(levi_bracket(bi, bj)[0, 1] for bj in basis) for bi in basis)
@@ -228,7 +228,7 @@ def trace_form(e: GradedElement, f: GradedElement):
 
 def random_element(n: int, rng: Random, lo: int = -5, hi: int = 5) -> GradedElement:
     def rnd(r, c):
-        return qmat([[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)])
+        return Matrix([[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)])
 
     def rnd_skew(k):
         rows = [[0] * k for _ in range(k)]
@@ -237,7 +237,7 @@ def random_element(n: int, rng: Random, lo: int = -5, hi: int = 5) -> GradedElem
                 v = rng.randint(lo, hi)
                 rows[a][b] = v
                 rows[b][a] = -v
-        return qmat(rows)
+        return Matrix(rows)
 
     return element(n, A=rnd(2, 2), B=rnd_skew(n), X=rnd(n, 2), Y=rnd_skew(2),
                    Z=rnd(n, 2), W=rnd_skew(2))

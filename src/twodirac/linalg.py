@@ -1,49 +1,69 @@
 """Small exact linear-algebra kit.
 
-``Matrix`` is an immutable dense matrix whose entries are rationals
-(``int``/``fractions.Fraction``) or ``GaussianRational``.  Sums, negations
-and scalings work entry by entry and never divide.
+``Matrix`` is an immutable dense matrix over the Gaussian rationals, stored
+once in lowest terms: integer numerators of the real parts and of the
+imaginary parts (``None`` when all are zero) over one positive denominator,
+so ``==`` and ``hash`` compare the storage.  Only this module reads it.
+Entries become scalars only when read (``rows``, ``[i, j]``, ``col``,
+``apply``, ``trace``, ``det``), by one rule on the value alone: a
+``GaussianRational`` exactly when the imaginary part is nonzero, else an int
+when integral and a ``Fraction`` when not.
 
-Every product (``@`` and ``apply``) goes through one kernel over Gaussian
-integers: each operand is lowered once to integer ``(re, im)`` pairs with a
-positive multiplier per row of the left operand and per column of the right
-one, only nonzero terms are summed, and each entry is divided once by its
-two multipliers.  An entry is a ``GaussianRational`` when either operand has
-one, else an int when integral and a Fraction otherwise.
-
-``rank``, ``rank_bareiss`` and ``det`` share the same lowering and one
-fraction-free (Bareiss) elimination, so no rational normalization happens
-inside the loop.  ``inverse`` is the adjugate over the determinant.
+Sums, stacks and products work on the numerators: a product is one integer
+kernel, summing only nonzero terms, over the parts that are not zero.
+``rank`` (also ``rank_bareiss``) and ``det`` run one fraction-free (Bareiss)
+elimination on them; ``inverse`` is the adjugate over the determinant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
-from typing import Iterable, Sequence, Tuple
+from itertools import chain
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence, Tuple
 
-from .scalars import GR_ONE, GR_ZERO, GaussianRational, Rational
+from .scalars import GaussianRational
+
+IntRows = Tuple[Tuple[int, ...], ...]
 
 
 class Matrix:
-    __slots__ = ("rows",)
+    __slots__ = ("_re", "_im", "_den", "_rows")
 
-    def __init__(self, rows: Iterable[Iterable]):
+    def __new__(cls, rows: Iterable[Iterable]) -> "Matrix":
         rs = tuple(tuple(r) for r in rows)
         if not rs or not rs[0]:
             raise ValueError("matrix must be non-empty")
         w = len(rs[0])
         if any(len(r) != w for r in rs):
             raise ValueError("ragged rows")
-        self.rows = rs
+        if all(type(e) is int for r in rs for e in r):
+            return _stored(rs, None, 1)
+        parts = [[(e.re, e.im) if type(e) is GaussianRational else (e, 0) for e in r]
+                 for r in rs]
+        den = lcm(*{c.denominator for r in parts for e in r for c in e})
+
+        def numerators(k: int) -> IntRows:
+            return tuple(tuple(e[k].numerator * (den // e[k].denominator) for e in r)
+                         for r in parts)
+
+        return _stored(numerators(0), numerators(1), den)
+
+    @property
+    def rows(self) -> tuple:
+        """The entries, read once by the module's rule and kept."""
+        if self._rows is None:
+            self._rows = tuple(tuple(_scalar(x, y, self._den) for x, y in zip(r, i))
+                               for r, i in zip(self._re, _imag(self)))
+        return self._rows
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self._re)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0])
+        return len(self._re[0])
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -53,105 +73,142 @@ class Matrix:
         i, j = ij
         return self.rows[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
-
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(tuple(a + b for a, b in zip(ra, rb))
-                      for ra, rb in zip(self.rows, other.rows))
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
+        den = lcm(self._den, other._den)
+        ka, kb = den // self._den, den // other._den
+        im = None
+        if self._im is not None or other._im is not None:
+            im = _lin(_imag(self), ka, _imag(other), kb)
+        return _stored(_lin(self._re, ka, other._re, kb), im, den)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(tuple(a - b for a, b in zip(ra, rb))
-                      for ra, rb in zip(self.rows, other.rows))
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix(tuple(-a for a in r) for r in self.rows)
+        return _stored(_times(self._re, -1), self._im and _times(self._im, -1), self._den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        return Matrix(_product(self.rows, zip(*other.rows)))
+        return _product(self, other)
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product."""
         if len(vec) != self.ncols:
             raise ValueError(f"shape mismatch {self.shape} applied to len {len(vec)}")
-        return tuple(r[0] for r in _product(self.rows, (vec,)))
+        return _product(self, Matrix((x,) for x in vec)).col(0)
 
     def scaled(self, s) -> "Matrix":
-        return Matrix(tuple(s * a for a in r) for r in self.rows)
+        """self times the scalar s, as the product with s times the identity."""
+        n = self.ncols
+        return _product(self, Matrix(tuple(s if i == j else 0 for j in range(n))
+                                     for i in range(n)))
 
     def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.rows))
+        im = self._im
+        return _stored(tuple(zip(*self._re)), im and tuple(zip(*im)), self._den)
 
     def adjoint(self) -> "Matrix":
         """Conjugate transpose."""
-        return Matrix(tuple(a.conjugate() for a in col) for col in zip(*self.rows))
+        t = self.transpose()
+        return _stored(t._re, t._im and _times(t._im, -1), t._den)
 
     def is_zero(self) -> bool:
-        return all(not a for r in self.rows for a in r)
+        return self._im is None and not any(map(any, self._re))
 
     def trace(self):
         if self.nrows != self.ncols:
             raise ValueError("trace of non-square matrix")
-        return sum(self.rows[i][i] for i in range(self.nrows))
+        re, im = self._re, _imag(self)
+        return _scalar(sum(re[i][i] for i in range(self.nrows)),
+                       sum(im[i][i] for i in range(self.nrows)), self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows
+        return (self._den, self._re, self._im) == (other._den, other._re, other._im)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self._den, self._re, self._im))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(a) for a in r) for r in self.rows)
         return f"Matrix[{body}]"
 
 
+# -- storage ----------------------------------------------------------------------
+
+def _stored(re: IntRows, im: Optional[IntRows], den: int) -> Matrix:
+    """Numerators ``re``, ``im`` (None for zeros) over ``den > 0``, in lowest terms."""
+    if not re or not re[0]:
+        raise ValueError("matrix must be non-empty")
+    if im is not None and not any(map(any, im)):
+        im = None
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im or ()))
+        if g != 1:
+            re = tuple(tuple(x // g for x in r) for r in re)
+            im = im and tuple(tuple(x // g for x in r) for r in im)
+            den //= g
+    m = object.__new__(Matrix)
+    # the rows of a real integer matrix are its numerators
+    m._re, m._im, m._den, m._rows = re, im, den, re if den == 1 and im is None else None
+    return m
+
+
+def _imag(m: Matrix) -> IntRows:
+    """The imaginary numerators, zeros when the matrix is real."""
+    return m._im or ((0,) * m.ncols,) * m.nrows
+
+
+def _times(rows: IntRows, k: int) -> IntRows:
+    return rows if k == 1 else tuple(tuple(k * x for x in r) for r in rows)
+
+
+def _lin(a: IntRows, ka: int, b: IntRows, kb: int) -> IntRows:
+    """ka a + kb b, entrywise."""
+    return tuple(tuple(ka * x + kb * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _scalar(re: int, im: int, den: int):
+    """``(re + im i) / den`` read by the module's rule."""
+    if im:
+        # a GaussianRational keeps an integral component as an int
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
+    q, r = divmod(re, den)
+    return Fraction(re, den) if r else q
+
+
 # -- constructors -----------------------------------------------------------
 
-def qmat(rows: Iterable[Iterable[Rational]]) -> Matrix:
-    """Matrix over rationals (entries kept as int/Fraction as given)."""
-    return Matrix(rows)
+def identity(n: int) -> Matrix:
+    return Matrix(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def gmat(rows: Iterable[Iterable]) -> Matrix:
-    """Matrix over GaussianRational, coercing rational entries."""
-    return Matrix(tuple(x if isinstance(x, GaussianRational) else GaussianRational(x)
-                        for x in r) for r in rows)
-
-
-def identity_q(n: int) -> Matrix:
-    return Matrix(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def zeros_q(r: int, c: int) -> Matrix:
+def zeros(r: int, c: int) -> Matrix:
     return Matrix((0,) * c for _ in range(r))
-
-
-def identity_g(n: int) -> Matrix:
-    return Matrix(tuple(GR_ONE if i == j else GR_ZERO for j in range(n))
-                  for i in range(n))
-
-
-def zeros_g(r: int, c: int) -> Matrix:
-    return Matrix((GR_ZERO,) * c for _ in range(r))
 
 
 def hstack(*ms: Matrix) -> Matrix:
     if len({m.nrows for m in ms}) != 1:
         raise ValueError("hstack: row counts differ")
-    return Matrix(tuple(x for m in ms for x in m.rows[i]) for i in range(ms[0].nrows))
+    return vstack(*(m.transpose() for m in ms)).transpose()
 
 
 def vstack(*ms: Matrix) -> Matrix:
     if len({m.ncols for m in ms}) != 1:
         raise ValueError("vstack: column counts differ")
-    return Matrix(r for m in ms for r in m.rows)
+    den = lcm(*(m._den for m in ms))
+    im = None
+    if any(m._im is not None for m in ms):
+        im = tuple(chain.from_iterable(_times(_imag(m), den // m._den) for m in ms))
+    return _stored(tuple(chain.from_iterable(_times(m._re, den // m._den) for m in ms)),
+                   im, den)
 
 
 def block(grid: Sequence[Sequence[Matrix]]) -> Matrix:
@@ -159,7 +216,9 @@ def block(grid: Sequence[Sequence[Matrix]]) -> Matrix:
 
 
 def submatrix(m: Matrix, r0: int, r1: int, c0: int, c1: int) -> Matrix:
-    return Matrix(r[c0:c1] for r in m.rows[r0:r1])
+    im = m._im
+    return _stored(tuple(r[c0:c1] for r in m._re[r0:r1]),
+                   im and tuple(r[c0:c1] for r in im[r0:r1]), m._den)
 
 
 # -- vectors ------------------------------------------------------------------
@@ -171,11 +230,13 @@ def vdot(u: Sequence, v: Sequence):
 
 
 def vadd(u: Sequence, v: Sequence) -> tuple:
+    if len(u) != len(v):
+        raise ValueError("vadd: length mismatch")
     return tuple(a + b for a, b in zip(u, v))
 
 
 def vsub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
+    return vadd(u, vneg(v))
 
 
 def vscale(s, u: Sequence) -> tuple:
@@ -192,99 +253,50 @@ def is_zero_vec(u: Sequence) -> bool:
 
 # -- exact kernels over Gaussian integers -------------------------------------
 
-def _gauss_int_rows(rows: Iterable[Sequence]) -> Tuple[list, list, bool]:
-    """Scale each row to Gaussian-integer pairs ``(re, im)``.
-
-    Returns the integer rows, each row's multiplier (the least common
-    denominator of its entries) and whether any entry is a
-    ``GaussianRational``.  Scaling a row by a positive integer keeps the rank
-    and multiplies the determinant by that integer.
-    """
-    out, mults = [], []
-    gaussian = False
-    for r in rows:
-        pairs = []
-        dens = set()
-        for e in r:
-            if type(e) is GaussianRational:
-                gaussian = True
-                re, im = e.re, e.im
-                if type(im) is not int:
-                    dens.add(im.denominator)
-            else:
-                re, im = e, 0
-            if type(re) is not int:
-                dens.add(re.denominator)
-            pairs.append((re, im))
-        mult = lcm(*dens)
-        if dens:
-            pairs = [(a.numerator * (mult // a.denominator),
-                      b.numerator * (mult // b.denominator)) for a, b in pairs]
-        out.append(pairs)
-        mults.append(mult)
-    return out, mults, gaussian
-
-
-def _ratio(num: int, den: int) -> Rational:
-    """``num / den`` as an int when it is integral, else as a Fraction."""
-    if den == 1:
-        return num
-    q, r = divmod(num, den)
-    return Fraction(num, den) if r else q
-
-
-def _product(rows: Iterable[Sequence], cols: Iterable[Sequence]) -> list:
-    """Rows of the product of the matrix with these rows and the matrix with
-    these columns (the kernel the module docstring describes).
-
-    Entry (i, j) is the integer sum over the nonzero terms of lowered row i
-    and lowered column j, divided by the multipliers of row i and column j.
-    """
-    a, amults, a_gauss = _gauss_int_rows(rows)
-    b, bmults, b_gauss = _gauss_int_rows(cols)
-    gaussian = a_gauss or b_gauss
-    width = len(b)
-    # the right operand's nonzero entries, row by row: (column, re, im)
-    b_rows = [[] for _ in b[0]]
-    for j, col in enumerate(b):
-        for k, (re, im) in enumerate(col):
-            if re or im:
-                b_rows[k].append((j, re, im))
+def _mul(a: IntRows, b: IntRows) -> IntRows:
+    """The integer product a b, summing only the nonzero terms."""
+    width = len(b[0])
+    # b's nonzero entries, row by row: (column, value)
+    b_rows = [[(j, y) for j, y in enumerate(r) if y] for r in b]
     out = []
-    for arow, am in zip(a, amults):
-        dens = [am * bm for bm in bmults]
-        if gaussian:
-            acc_re = [0] * width
-            acc_im = [0] * width
-            for (ar, ai), brow in zip(arow, b_rows):
-                if ar or ai:
-                    for j, br, bi in brow:
-                        acc_re[j] += ar * br - ai * bi
-                        acc_im[j] += ar * bi + ai * br
-            out.append(tuple(map(GaussianRational, map(_ratio, acc_re, dens),
-                                 map(_ratio, acc_im, dens))))
-        else:
-            acc = [0] * width
-            for (ar, _), brow in zip(arow, b_rows):
-                if ar:
-                    for j, br, _ in brow:
-                        acc[j] += ar * br
-            out.append(tuple(map(_ratio, acc, dens)))
-    return out
+    for arow in a:
+        acc = [0] * width
+        for x, brow in zip(arow, b_rows):
+            if x:
+                for j, y in brow:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
-def _bareiss(rows: list) -> Tuple[int, Tuple[int, int], int]:
-    """Fraction-free elimination (Bareiss 1968) on mutable rows of int pairs.
+def _product(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b over the product of the denominators: (A + iB)(C + iD) is
+    AC - BD + i(AD + BC), and a zero imaginary part skips its products."""
+    ar, ai, br, bi = a._re, a._im, b._re, b._im
+    re, im = _mul(ar, br), None
+    if ai is not None:
+        im = _mul(ai, br)
+        if bi is not None:
+            re = _lin(re, 1, _mul(ai, bi), -1)
+    if bi is not None:
+        im = _mul(ar, bi) if im is None else _lin(im, 1, _mul(ar, bi), 1)
+    return _stored(re, im, a._den * b._den)
 
-    Returns the rank, the last pivot and the sign of the row permutation.
+
+def _bareiss(m: Matrix) -> Tuple[int, Tuple[int, int], int]:
+    """Fraction-free elimination (Bareiss 1968) on the numerators of m, as
+    rows of Gaussian-integer pairs: m times its denominator e, which keeps
+    the rank and multiplies the determinant by e**n.  Returns the rank, the
+    last pivot and the sign of the row permutation.
+
     After each pivot step every entry is a minor of the row-permuted matrix,
     so the division by the previous pivot is exact (Sylvester identity);
     column skipping for rank-deficient columns does not disturb this.  For a
     square matrix of full rank the last pivot is therefore the determinant
     of the row-permuted matrix.
     """
-    nr = len(rows)
-    nc = len(rows[0])
+    rows = [list(zip(r, i)) for r, i in zip(m._re, _imag(m))]
+    nr, nc = m.shape
     rk = 0
     sign = 1
     pre, pim, pnrm = 1, 0, 1
@@ -322,29 +334,22 @@ def _bareiss(rows: list) -> Tuple[int, Tuple[int, int], int]:
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank of a matrix with int, Fraction or GaussianRational entries."""
-    return _bareiss(_gauss_int_rows(m.rows)[0])[0]
+    """Exact rank."""
+    return _bareiss(m)[0]
 
 
-def rank_bareiss(m: Matrix) -> int:
-    """Exact rank of a GaussianRational matrix (the symbol-layer entry point)."""
-    return _bareiss(_gauss_int_rows(m.rows)[0])[0]
+# the symbol layer's name for the same rank
+rank_bareiss = rank
 
 
 def det(m: Matrix):
-    """Exact determinant: a ``GaussianRational`` if any entry is one, else a
-    ``Fraction``."""
+    """Exact determinant, read by the module's rule."""
     if m.nrows != m.ncols:
         raise ValueError("det of non-square matrix")
-    rows, mults, gaussian = _gauss_int_rows(m.rows)
-    rk, (re, im), sign = _bareiss(rows)
+    rk, (re, im), sign = _bareiss(m)
     if rk < m.nrows:
-        re = im = 0
-    scale = prod(mults)
-    re, im = Fraction(sign * re, scale), Fraction(sign * im, scale)
-    if gaussian:
-        return GaussianRational(re, im)
-    return re
+        return 0
+    return _scalar(sign * re, sign * im, m._den ** m.nrows)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -357,10 +362,10 @@ def inverse(m: Matrix) -> Matrix:
         raise ValueError("matrix is singular")
     n = m.nrows
     if n == 1:
-        return Matrix([[1 / d]])
+        return Matrix([[Fraction(1) / d]])
 
     def minor(i: int, j: int) -> Matrix:
         return Matrix(r[:j] + r[j + 1:] for k, r in enumerate(m.rows) if k != i)
 
-    return Matrix(tuple((-1) ** (i + j) * det(minor(j, i)) / d for j in range(n))
-                  for i in range(n))
+    return Matrix(tuple((-1) ** (i + j) * det(minor(j, i)) for j in range(n))
+                  for i in range(n)).scaled(Fraction(1) / d)

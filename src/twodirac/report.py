@@ -23,8 +23,7 @@ from .graded import (GRADES, bracket, grade_basis, grade_project,
                      heisenberg_gram, is_levi_member, is_parabolic_member,
                      levi_bracket, random_element, standard_neg1_basis,
                      zero_element)
-from .linalg import (block, det, identity_g, identity_q, inverse, qmat, rank,
-                     submatrix, zeros_q)
+from .linalg import Matrix, block, det, identity, inverse, rank, submatrix, zeros
 from .sampling import circle_point, deterministic_circle_points, rotation
 from .scalars import CIRCLE_MINUS_ONE, CIRCLE_ONE, CirclePoint
 from .spin import (SpinCElement, SpinElement, gamma_c_act, gamma_c_mat,
@@ -129,18 +128,18 @@ def _check_grading(n: int, samples: int, seed: int, mode: str) -> List[Failure]:
                 fails.append(_fail("grade-0 action on grade -1",
                                    "B X - X A", "differs"))
     # group-level filtration and grading stabilizers
-    eye = identity_q(n + 4)
+    eye = identity(n + 4)
     if not (is_parabolic_member(eye, n) and is_levi_member(eye, n)):
         fails.append(_fail("identity", "parabolic and levi member", "rejected"))
-    cmat = qmat([[2, 1], [1, 1]])
-    blockdiag = block([[cmat, zeros_q(2, n), zeros_q(2, 2)],
-                       [zeros_q(n, 2), rotation(rng, n), zeros_q(n, 2)],
-                       [zeros_q(2, 2), zeros_q(2, n), inverse(cmat).transpose()]])
+    cmat = Matrix([[2, 1], [1, 1]])
+    blockdiag = block([[cmat, zeros(2, n), zeros(2, 2)],
+                       [zeros(n, 2), rotation(rng, n), zeros(n, 2)],
+                       [zeros(2, 2), zeros(2, n), inverse(cmat).transpose()]])
     if not (is_parabolic_member(blockdiag, n) and is_levi_member(blockdiag, n)):
         fails.append(_fail("block diagonal element", "parabolic and levi",
                            "rejected"))
     nassembled = bases[1][0].mat
-    unipotent = (identity_q(n + 4) + nassembled
+    unipotent = (identity(n + 4) + nassembled
                  + (nassembled @ nassembled).scaled(Fraction(1, 2)))
     if not is_parabolic_member(unipotent, n):
         fails.append(_fail("unipotent element", "parabolic member", "rejected"))
@@ -164,9 +163,9 @@ def _check_heisenberg(n: int, samples: int, seed: int, mode: str) -> List[Failur
     if all(levi_bracket(bi, bj).is_zero() for bi in basis for bj in basis):
         fails.append(_fail("span of levi brackets", "all of grade -2", "zero"))
     for idx in range(samples):
-        x1 = qmat([[rng.randint(-9, 9) for _ in range(2)] for _ in range(n)])
-        x2 = qmat([[rng.randint(-9, 9) for _ in range(2)] for _ in range(n)])
-        x3 = qmat([[rng.randint(-9, 9) for _ in range(2)] for _ in range(n)])
+        x1 = Matrix([[rng.randint(-9, 9) for _ in range(2)] for _ in range(n)])
+        x2 = Matrix([[rng.randint(-9, 9) for _ in range(2)] for _ in range(n)])
+        x3 = Matrix([[rng.randint(-9, 9) for _ in range(2)] for _ in range(n)])
         if levi_bracket(x1, x2) != -levi_bracket(x2, x1):
             fails.append(_fail(f"sample {idx}", "skew bracket", "not skew"))
         if levi_bracket(x1 + x3, x2) != levi_bracket(x1, x2) + levi_bracket(x3, x2):
@@ -181,7 +180,7 @@ def _check_spin(n: int, samples: int, seed: int, mode: str) -> List[Failure]:
     rng = _rng(seed, "spin", n)
     rep = build_gamma_rep(n)
     minus = SpinElement.minus_one(rep)
-    if minus.spinor_mat != identity_g(rep.s).scaled(-1):
+    if minus.spinor_mat != identity(rep.s).scaled(-1):
         fails.append(_fail("central element", "-Id on spinors", "differs"))
     for idx in range(samples):
         a = random_spin(rep, rng)
@@ -205,7 +204,7 @@ def _check_spinc(n: int, samples: int, seed: int, mode: str) -> List[Failure]:
     rng = _rng(seed, "spinc", n)
     rep = build_gamma_rep(n)
     one = SpinElement.identity(rep)
-    psi = tuple(identity_g(rep.s).col(0))
+    psi = tuple(identity(rep.s).col(0))
     # the defining class relation
     x = random_spinc(rep, rng)
     if not spinc_equal(x, x.negated_representative()):
@@ -234,12 +233,12 @@ def _check_spinc(n: int, samples: int, seed: int, mode: str) -> List[Failure]:
             fails.append(_fail(f"pair {idx}", "gamma^c action", "differs"))
         # sequence exactness at the group level
         in_u1 = is_in_u1_subgroup(x)
-        if (rho_n_c(x).mat == identity_q(n)) != in_u1:
+        if (rho_n_c(x).mat == identity(n)) != in_u1:
             fails.append(_fail(f"sample {idx}", "ker rho^c = U(1)", "mismatch"))
         if (varsigma_n(x) == CIRCLE_ONE) != is_in_spin_subgroup(x):
             fails.append(_fail(f"sample {idx}", "ker varsigma = Spin", "mismatch"))
     u1_elt = SpinCElement(circle_point(rng), one)
-    if rho_n_c(u1_elt).mat != identity_q(n) or not is_in_u1_subgroup(u1_elt):
+    if rho_n_c(u1_elt).mat != identity(n) or not is_in_u1_subgroup(u1_elt):
         fails.append(_fail("central circle element", "in ker rho^c", "not"))
     spin_elt = SpinCElement(CIRCLE_MINUS_ONE, random_spin(rep, rng))
     if varsigma_n(spin_elt) != CIRCLE_ONE or not is_in_spin_subgroup(spin_elt):
@@ -299,7 +298,7 @@ def _check_embedding(n: int, samples: int, seed: int, mode: str) -> List[Failure
             fails.append(_fail(f"pair {idx}", "iota injective", "collision"))
     kernel = (SpinCElement(CIRCLE_ONE, one), SpinCElement(CIRCLE_MINUS_ONE, one))
     for x in kernel:
-        if rho_n(iota_embed(x, big)).mat != identity_q(n + 2):
+        if rho_n(iota_embed(x, big)).mat != identity(n + 2):
             fails.append(_fail("kernel class", "identity rotation", "differs"))
     if spinc_equal(kernel[0], kernel[1]):
         fails.append(_fail("kernel", "two distinct classes", "collapsed"))
@@ -403,7 +402,7 @@ def _check_flat(n: int, samples: int, seed: int, mode: str) -> List[Failure]:
     fails: List[Failure] = []
     rng = _rng(seed, "flat-dirac", n)
     rep = build_gamma_rep(n)
-    psi0 = tuple(identity_g(rep.s).col(0))
+    psi0 = tuple(identity(rep.s).col(0))
     out = apply_flat_2dirac(rep, PolySpinorField.constant(n, psi0))
     if not (out.p1.is_zero() and out.p2.is_zero()):
         fails.append(_fail("constant field", "killed by the operator", "nonzero"))

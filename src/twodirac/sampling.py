@@ -14,7 +14,7 @@ from fractions import Fraction
 from random import Random
 from typing import List
 
-from .linalg import Matrix, identity_q, vdot
+from .linalg import Matrix, identity, vdot
 from .scalars import CirclePoint
 
 INT_LO, INT_HI = -9, 9
@@ -78,9 +78,9 @@ def givens(k: int, i: int, j: int, p: CirclePoint) -> Matrix:
 def rotation(rng: Random, k: int, twists: int = 0) -> Matrix:
     """Exact element of SO(k): a product of seeded Givens rotations."""
     if k < 2:
-        return identity_q(k)
+        return identity(k)
     twists = twists or 2 * k
-    out = identity_q(k)
+    out = identity(k)
     for _ in range(twists):
         i = rng.randrange(k)
         j = rng.randrange(k)

@@ -102,9 +102,6 @@ class GaussianRational:
     def norm_sq(self) -> Rational:
         return self.re * self.re + self.im * self.im
 
-    def is_real(self) -> bool:
-        return not self.im
-
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 

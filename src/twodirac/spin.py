@@ -25,7 +25,7 @@ from random import Random
 from typing import Sequence, Tuple
 
 from .clifford import GammaRep, clifford_mat, times_gamma
-from .linalg import Matrix, det, identity_g, identity_q, vdot
+from .linalg import Matrix, det, identity, vdot
 from .scalars import CIRCLE_ONE, CirclePoint
 from .sampling import circle_point, circle_point_with_half, givens, unit_vector
 
@@ -40,7 +40,7 @@ class RationalRotation:
         m = self.mat
         if m.nrows != m.ncols:
             raise ValueError("rotation matrix must be square")
-        if m.transpose() @ m != identity_q(m.nrows):
+        if m.transpose() @ m != identity(m.nrows):
             raise ValueError("matrix is not orthogonal")
         if det(m) != 1:
             raise ValueError("matrix has determinant != 1")
@@ -57,7 +57,7 @@ class SpinElement:
     def __init__(self, rep: GammaRep, word: Sequence[tuple]):
         self.rep = rep
         self.word = tuple(tuple(v) for v in word)
-        mat = clifford_mat(rep, self.word[0]) if self.word else identity_g(rep.s)
+        mat = clifford_mat(rep, self.word[0]) if self.word else identity(rep.s)
         for v in self.word[1:]:
             mat = mat @ clifford_mat(rep, v)
         self.spinor_mat = mat
@@ -97,7 +97,7 @@ class SpinElement:
 
     def is_central(self) -> bool:
         """True when the element is +-1, i.e. acts as a sign on spinors."""
-        eye = identity_g(self.rep.s)
+        eye = identity(self.rep.s)
         return self.spinor_mat == eye or self.spinor_mat == eye.scaled(-1)
 
     def __eq__(self, other) -> bool:
@@ -139,7 +139,7 @@ def rho_n(a: SpinElement) -> RationalRotation:
     exact product, with S^dagger, remains per alpha.
     """
     rep = a.rep
-    eye = mat = identity_q(rep.n)
+    eye = mat = identity(rep.n)
     for v in a.word:
         mat = mat @ (Matrix(tuple(2 * x * y for y in v) for x in v) - eye)
     s_adj = a.spinor_mat.adjoint()

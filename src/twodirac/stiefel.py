@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from random import Random
 from typing import List, Sequence, Tuple
 
-from .linalg import (Matrix, det, identity_q, inverse, is_zero_vec, qmat, rank,
-                     vadd, vdot, vneg, vscale, vsub)
+from .linalg import (Matrix, det, identity, inverse, is_zero_vec, rank, vadd, vdot,
+                     vneg, vscale, vsub)
 from .sampling import rational_fraction, rotation
 from .scalars import CirclePoint
 
@@ -119,7 +119,7 @@ def isotropic_to_frame(b1: Sequence, b2: Sequence) -> Frame2:
     Solves for the combination whose negative-summand part is the identity;
     the positive-summand parts then form an orthonormal frame.
     """
-    top = qmat([[b1[0], b2[0]], [b1[1], b2[1]]])
+    top = Matrix([[b1[0], b2[0]], [b1[1], b2[1]]])
     try:
         # columns of top^{-1} give the two renormalizing combinations
         inv = inverse(top)
@@ -131,7 +131,7 @@ def isotropic_to_frame(b1: Sequence, b2: Sequence) -> Frame2:
 
 
 def _check_special_orthogonal(m: Matrix, what: str) -> None:
-    if m.transpose() @ m != identity_q(m.nrows) or det(m) != 1:
+    if m.transpose() @ m != identity(m.nrows) or det(m) != 1:
         raise ValueError(f"{what} is not special orthogonal")
 
 
@@ -143,7 +143,7 @@ def ksharp_act(a: Matrix, b: Matrix, f: Frame2) -> Frame2:
         raise ValueError("B must match the ambient dimension")
     _check_special_orthogonal(a, "A")
     _check_special_orthogonal(b, "B")
-    cols = qmat([[x, y] for x, y in zip(f.v1, f.v2)])
+    cols = Matrix([[x, y] for x, y in zip(f.v1, f.v2)])
     moved = b @ cols @ a.transpose()  # A^{-1} = A^T in SO(2)
     return Frame2(moved.col(0), moved.col(1))
 
@@ -189,7 +189,7 @@ def levi_witness(t: StiefelTangent) -> StiefelTangent:
 def quotient_q(f: Frame2) -> OrientedPlane:
     """Oriented span of the frame; constant along circle orbits."""
     k = f.ambient_dim
-    return OrientedPlane(qmat([[f.v1[i] * f.v2[j] - f.v2[i] * f.v1[j]
+    return OrientedPlane(Matrix([[f.v1[i] * f.v2[j] - f.v2[i] * f.v1[j]
                                 for j in range(k)] for i in range(k)]))
 
 
@@ -224,7 +224,7 @@ def infinitesimal_rotation(t: StiefelTangent) -> Matrix:
                    + c * (f.v1[i] * f.v2[j] - f.v2[i] * f.v1[j]))
             row.append(val)
         rows.append(row)
-    psi = qmat(rows)
+    psi = Matrix(rows)
     if psi.apply(f.v1) != tuple(t.w1) or psi.apply(f.v2) != tuple(t.w2):
         raise AssertionError("infinitesimal rotation reconstruction failed")
     return psi
@@ -282,7 +282,7 @@ def tangent_coordinates(t: StiefelTangent, complement: Sequence[tuple]) -> Matri
     if not in_contact_distribution(t):
         raise ValueError("tangent is not in the contact distribution")
     rows = [[vdot(b, t.w1), vdot(b, t.w2)] for b in complement]
-    x = qmat(rows)
+    x = Matrix(rows)
     # coordinates must reconstruct the tangent exactly
     r1 = (0,) * t.base.ambient_dim
     r2 = (0,) * t.base.ambient_dim

@@ -8,12 +8,12 @@ route with the build and validation it checks.
 """
 
 from twodirac.clifford import CLIFFORD_SIGN
-from twodirac.linalg import Matrix, gmat, zeros_g
+from twodirac.linalg import Matrix, zeros
 from twodirac.scalars import GR_I, GR_ONE, GR_ZERO
 
-SIGMA_X = gmat([[0, 1], [1, 0]])
+SIGMA_X = Matrix([[0, 1], [1, 0]])
 SIGMA_Y = Matrix([[GR_ZERO, -GR_I], [GR_I, GR_ZERO]])
-SIGMA_Z = gmat([[1, 0], [0, -1]])
+SIGMA_Z = Matrix([[1, 0], [0, -1]])
 UNIT_ENTRIES = (GR_ZERO, GR_ONE, -GR_ONE, GR_I, -GR_I)
 
 
@@ -36,7 +36,7 @@ def hermitian_gammas(n: int) -> list:
         return gs + [chirality.scaled(unit)]
     gs = hermitian_gammas(n - 2)
     size = gs[0].nrows
-    eye = gmat([[1 if i == j else 0 for j in range(size)] for i in range(size)])
+    eye = Matrix([[1 if i == j else 0 for j in range(size)] for i in range(size)])
     return [tensor(g, SIGMA_Z) for g in gs] + [tensor(eye, SIGMA_X),
                                                tensor(eye, SIGMA_Y)]
 
@@ -51,7 +51,7 @@ def validate(n: int, s: int, gs) -> None:
     C^s with entries in {0, +-1, +-i}."""
     if s != 2 ** (n // 2):
         raise AssertionError("spinor dimension mismatch")
-    eye = gmat([[1 if i == j else 0 for j in range(s)] for i in range(s)])
+    eye = Matrix([[1 if i == j else 0 for j in range(s)] for i in range(s)])
     want_sq = eye.scaled(CLIFFORD_SIGN)
     for a, ga in enumerate(gs):
         for e in (x for row in ga.rows for x in row):
@@ -62,6 +62,6 @@ def validate(n: int, s: int, gs) -> None:
         for b in range(a, n):
             gb = gs[b]
             anti = ga @ gb + gb @ ga
-            want = want_sq.scaled(2) if a == b else zeros_g(s, s)
+            want = want_sq.scaled(2) if a == b else zeros(s, s)
             if anti != want:
                 raise AssertionError(f"gamma_{a + 1}, gamma_{b + 1} fail Clifford relation")

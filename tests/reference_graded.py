@@ -8,7 +8,7 @@ conjugates each block basis matrix by two dense products with g and the
 adjugate inverse of g, where ``graded`` uses outer products and H g^T H.
 """
 
-from twodirac.linalg import Matrix, block, inverse, submatrix, zeros_q
+from twodirac.linalg import Matrix, block, inverse, submatrix, zeros
 
 GRADE = {"Y": -2, "X": -1, "A": 0, "B": 0, "Z": 1, "W": 2}
 SKEW = ("B", "Y", "W")
@@ -21,7 +21,7 @@ def shapes(n):
 
 def join(n, blocks):
     """The matrix with the given blocks, all others zero."""
-    b = {k: blocks.get(k, zeros_q(*shape)) for k, shape in shapes(n).items()}
+    b = {k: blocks.get(k, zeros(*shape)) for k, shape in shapes(n).items()}
     return block([[b["A"], b["Z"].transpose(), b["W"]],
                   [b["X"], b["B"], -b["Z"]],
                   [b["Y"], -b["X"].transpose(), -b["A"].transpose()]])

@@ -11,7 +11,7 @@ route with the word-based map it checks.
 from fractions import Fraction
 
 from twodirac.clifford import CLIFFORD_SIGN
-from twodirac.linalg import Matrix, zeros_g
+from twodirac.linalg import Matrix, zeros
 from twodirac.scalars import GaussianRational
 from twodirac.spin import RationalRotation, SpinElement
 
@@ -27,11 +27,12 @@ def rho_n(a: SpinElement) -> RationalRotation:
         col = []
         for beta in range(rep.n):
             t = (rep.gammas[beta] @ conj).trace()
-            if not t.is_real():
+            # a trace reads as a GaussianRational exactly when it is not real
+            if type(t) is GaussianRational:
                 raise ValueError("conjugation left the span of the gamma matrices")
-            col.append(t.re * scale)
+            col.append(t * scale)
         cols.append(col)
-        recon = zeros_g(rep.s, rep.s)
+        recon = zeros(rep.s, rep.s)
         for beta, coeff in enumerate(col):
             if coeff:
                 recon = recon + rep.gammas[beta].scaled(GaussianRational(coeff))

@@ -11,7 +11,7 @@ from twodirac.clifford import (CLIFFORD_SIGN, GammaRep, _validate,
                                basis_spinor, build_gamma_rep,
                                clifford_act, clifford_mat, gamma_apply,
                                times_gamma)
-from twodirac.linalg import Matrix, identity_g, is_zero_vec, zeros_g
+from twodirac.linalg import Matrix, identity, is_zero_vec, zeros
 from twodirac.sampling import unit_vector
 from twodirac.scalars import GR_I, GR_ONE, GR_ZERO, gr
 
@@ -34,7 +34,7 @@ def test_spinor_dimension(n, s):
 
 def test_base_case_pauli_type():
     rep = build_gamma_rep(2)
-    sq = identity_g(2).scaled(CLIFFORD_SIGN)
+    sq = identity(2).scaled(CLIFFORD_SIGN)
     for g in rep.gammas:
         assert g @ g == sq
     g1, g2 = rep.gammas
@@ -46,9 +46,9 @@ def test_all_pairs_anticommute_n6():
     assert len(list(combinations(range(6), 2))) == 15
     for a, b in combinations(range(6), 2):
         ga, gb = rep.gammas[a], rep.gammas[b]
-        assert ga @ gb + gb @ ga == zeros_g(8, 8)
+        assert ga @ gb + gb @ ga == zeros(8, 8)
     for g in rep.gammas:
-        assert g @ g == identity_g(8).scaled(CLIFFORD_SIGN)
+        assert g @ g == identity(8).scaled(CLIFFORD_SIGN)
 
 
 def _pairs_rep(n, s, gens):
@@ -67,7 +67,7 @@ def test_validate_rejects_gamma_that_is_not_anti_hermitian():
                                     (good.cols[1], good.phases[1])]))
     # the dense oracle refuses a non-monomial gamma that does square to -1
     bad = Matrix([[GR_I, GR_ONE], [GR_ZERO, -GR_I]])
-    assert bad @ bad == identity_g(2).scaled(CLIFFORD_SIGN)
+    assert bad @ bad == identity(2).scaled(CLIFFORD_SIGN)
     with pytest.raises(AssertionError, match="anti-hermitian"):
         reference_gammas.validate(2, 2, (bad, good.gammas[1]))
 
@@ -127,7 +127,7 @@ def test_determinism_bitwise():
 def test_clifford_mat_basis_and_zero():
     rep = build_gamma_rep(3)
     assert clifford_mat(rep, (1, 0, 0)) == rep.gammas[0]
-    assert clifford_mat(rep, (0, 0, 0)) == zeros_g(2, 2)
+    assert clifford_mat(rep, (0, 0, 0)) == zeros(2, 2)
     with pytest.raises(ValueError):
         clifford_mat(rep, (1, 0))
 
@@ -136,7 +136,7 @@ def test_square_law_example():
     # (gamma1 + gamma2)^2 = 2 * sign * Id, multiplied out exactly
     rep = build_gamma_rep(3)
     m = clifford_mat(rep, (1, 1, 0))
-    assert m @ m == identity_g(2).scaled(2 * CLIFFORD_SIGN)
+    assert m @ m == identity(2).scaled(2 * CLIFFORD_SIGN)
 
 
 rational_vecs = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6),
@@ -149,7 +149,7 @@ def test_polarized_clifford_relation(v, w):
     rep = build_gamma_rep(4)
     mv, mw = clifford_mat(rep, v), clifford_mat(rep, w)
     inner = sum(a * b for a, b in zip(v, w))
-    want = identity_g(4).scaled(gr(2 * CLIFFORD_SIGN * inner))
+    want = identity(4).scaled(gr(2 * CLIFFORD_SIGN * inner))
     assert mv @ mw + mw @ mv == want
 
 
@@ -181,11 +181,11 @@ def test_unit_vector_action_squares_to_sign():
     for _ in range(20):
         v = unit_vector(rng, 4)
         m = clifford_mat(rep, v)
-        assert m @ m == identity_g(4).scaled(CLIFFORD_SIGN)
+        assert m @ m == identity(4).scaled(CLIFFORD_SIGN)
 
 
 def _dense_sum(n, v):
-    out = zeros_g(2 ** (n // 2), 2 ** (n // 2))
+    out = zeros(2 ** (n // 2), 2 ** (n // 2))
     for coeff, g in zip(v, reference_gammas.gammas(n)):
         out = out + g.scaled(coeff)
     return out

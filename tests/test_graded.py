@@ -11,8 +11,7 @@ from twodirac.graded import (GRADES, GradedElement, bracket, element,
                              is_levi_member, is_parabolic_member, levi_bracket,
                              random_element, standard_neg1_basis, trace_form,
                              zero_element)
-from twodirac.linalg import (block, det, identity_q, inverse, qmat, rank,
-                             zeros_q)
+from twodirac.linalg import Matrix, block, det, identity, inverse, rank, zeros
 from twodirac.sampling import rotation
 
 import reference_graded as layout
@@ -22,21 +21,21 @@ def test_shape_and_skewness_validation():
     with pytest.raises(ValueError):
         element(2)  # n too small
     with pytest.raises(ValueError):
-        element(3, qmat([[1, 0], [0, 1]]), qmat([[0, 1, 0], [1, 0, 0],
-                [0, 0, 0]]), zeros_q(3, 2), zeros_q(2, 2), zeros_q(3, 2),
-                zeros_q(2, 2))  # B not skew
+        element(3, Matrix([[1, 0], [0, 1]]), Matrix([[0, 1, 0], [1, 0, 0],
+                [0, 0, 0]]), zeros(3, 2), zeros(2, 2), zeros(3, 2),
+                zeros(2, 2))  # B not skew
     with pytest.raises(ValueError):
-        element(3, X=zeros_q(2, 3))  # wrong block shape
+        element(3, X=zeros(2, 3))  # wrong block shape
 
 
 def test_assemble_layout():
     n = 3
-    e = element(n, A=identity_q(2))
+    e = element(n, A=identity(2))
     m = e.mat
     assert m[0, 0] == 1 and m[1, 1] == 1
     assert m[n + 2, n + 2] == -1 and m[n + 3, n + 3] == -1
     assert zero_element(n).mat.is_zero()
-    z = qmat([[1, 2], [3, 4], [5, 6]])
+    z = Matrix([[1, 2], [3, 4], [5, 6]])
     m = element(n, Z=z).mat
     assert m[0, 2] == 1 and m[1, 2] == 2  # Z^T in the top middle
     assert m[2, n + 2] == -1 and m[2, n + 3] == -2  # -Z in the middle right
@@ -48,7 +47,7 @@ def test_assembled_matrices_lie_in_orthogonal_algebra():
         h = h_gram(n)
         for _ in range(20):
             m = random_element(n, rng).mat
-            assert m.transpose() @ h + h @ m == zeros_q(n + 4, n + 4)
+            assert m.transpose() @ h + h @ m == zeros(n + 4, n + 4)
 
 
 def test_disassemble_round_trip_and_rejection():
@@ -56,9 +55,9 @@ def test_disassemble_round_trip_and_rejection():
     e = random_element(4, rng)
     assert GradedElement(4, e.mat) == e
     with pytest.raises(ValueError):
-        GradedElement(4, identity_q(8))  # -A^T block inconsistent
+        GradedElement(4, identity(8))  # -A^T block inconsistent
     with pytest.raises(ValueError):
-        GradedElement(4, identity_q(7))
+        GradedElement(4, identity(7))
 
 
 def test_grade_projections():
@@ -116,9 +115,9 @@ def test_jacobi_identity():
 def test_levi_bracket_frozen_example():
     # oracle: the same value from the assembled commutator's grade -2 block
     n = 3
-    x1 = qmat([[1, 0], [0, 0], [0, 0]])
-    x2 = qmat([[0, 1], [0, 0], [0, 0]])
-    want = qmat([[0, -1], [1, 0]])
+    x1 = Matrix([[1, 0], [0, 0], [0, 0]])
+    x2 = Matrix([[0, 1], [0, 0], [0, 0]])
+    want = Matrix([[0, -1], [1, 0]])
     assert levi_bracket(x1, x2) == want
     br = bracket(element(n, X=x1), element(n, X=x2))
     assert br.Y == want and grade_project(br, -2) == br
@@ -126,7 +125,7 @@ def test_levi_bracket_frozen_example():
 
 def test_levi_bracket_shape_error():
     with pytest.raises(ValueError):
-        levi_bracket(qmat([[1, 0], [0, 1]]), qmat([[1], [0]]))
+        levi_bracket(Matrix([[1, 0], [0, 1]]), Matrix([[1], [0]]))
 
 
 small_ints = st.integers(-6, 6)
@@ -134,7 +133,7 @@ small_ints = st.integers(-6, 6)
 
 @st.composite
 def nx2_blocks(draw, n=3):
-    return qmat([[draw(small_ints), draw(small_ints)] for _ in range(n)])
+    return Matrix([[draw(small_ints), draw(small_ints)] for _ in range(n)])
 
 
 @settings(max_examples=50, deadline=None)
@@ -171,8 +170,8 @@ def test_heisenberg_gram_structure():
     # so in the column-major basis the gram matrix is [[0, -I], [I, 0]]
     for n in (3, 4, 5, 6, 7, 8):
         g = heisenberg_gram(n)
-        eye = identity_q(n)
-        assert g == block([[zeros_q(n, n), -eye], [eye, zeros_q(n, n)]])
+        eye = identity(n)
+        assert g == block([[zeros(n, n), -eye], [eye, zeros(n, n)]])
         assert g.transpose() == -g
         assert det(g) != 0
         assert rank(g) == 2 * n
@@ -201,13 +200,13 @@ def test_grade_minus_two_is_spanned_by_levi_brackets():
 
 def test_membership_identity_and_levi_block():
     n = 3
-    eye = identity_q(n + 4)
+    eye = identity(n + 4)
     assert is_parabolic_member(eye, n) and is_levi_member(eye, n)
-    c = qmat([[1, 2], [1, 3]])  # det 1 > 0
+    c = Matrix([[1, 2], [1, 3]])  # det 1 > 0
     d = rotation(Random(7), n)
-    g = block([[c, zeros_q(2, n), zeros_q(2, 2)],
-               [zeros_q(n, 2), d, zeros_q(n, 2)],
-               [zeros_q(2, 2), zeros_q(2, n), inverse(c).transpose()]])
+    g = block([[c, zeros(2, n), zeros(2, 2)],
+               [zeros(n, 2), d, zeros(n, 2)],
+               [zeros(2, 2), zeros(2, n), inverse(c).transpose()]])
     assert is_parabolic_member(g, n)
     assert is_levi_member(g, n)
 
@@ -215,24 +214,24 @@ def test_membership_identity_and_levi_block():
 def test_membership_unipotent():
     # exact exponential of a nilpotent grade +1 element: I + N + N^2/2
     n = 3
-    nil = element(n, Z=qmat([[1, 2], [0, 1], [3, 0]])).mat
+    nil = element(n, Z=Matrix([[1, 2], [0, 1], [3, 0]])).mat
     sq = nil @ nil
     assert (sq @ nil).is_zero()
-    expn = identity_q(n + 4) + nil + sq.scaled(Fraction(1, 2))
+    expn = identity(n + 4) + nil + sq.scaled(Fraction(1, 2))
     assert is_parabolic_member(expn, n)
     assert not is_levi_member(expn, n)
     # grade -1 unipotents do not even preserve the filtration
-    lower = element(n, X=qmat([[1, 0], [0, 1], [0, 0]])).mat
+    lower = element(n, X=Matrix([[1, 0], [0, 1], [0, 0]])).mat
     sq = lower @ lower
-    exl = identity_q(n + 4) + lower + sq.scaled(Fraction(1, 2))
+    exl = identity(n + 4) + lower + sq.scaled(Fraction(1, 2))
     assert not is_parabolic_member(exl, n)
 
 
 def test_membership_rejects_non_orthogonal():
     with pytest.raises(ValueError):
-        is_parabolic_member(identity_q(7).scaled(2), 3)
+        is_parabolic_member(identity(7).scaled(2), 3)
     with pytest.raises(ValueError):
-        is_levi_member(qmat([[2 if i == j and i == 0 else (1 if i == j else 0)
+        is_levi_member(Matrix([[2 if i == j and i == 0 else (1 if i == j else 0)
                               for j in range(7)] for i in range(7)]), 3)
 
 
@@ -244,7 +243,7 @@ def test_membership_checks_the_form_before_using_h_gt_h():
     shear[0][1] = 1  # det 1, but g^T H g != H
     reflection = [[1 if i == j else 0 for j in range(n + 4)] for i in range(n + 4)]
     reflection[2][2] = -1  # g^T H g = H, but det -1
-    for g in (qmat(shear), qmat(reflection)):
+    for g in (Matrix(shear), Matrix(reflection)):
         for member in (is_parabolic_member, is_levi_member):
             with pytest.raises(ValueError):
                 member(g, n)
@@ -263,7 +262,7 @@ def test_trace_form_dual_pairing():
 
 
 def _span_rank(mats):
-    return rank(qmat([tuple(x for row in m.rows for x in row) for m in mats]))
+    return rank(Matrix([tuple(x for row in m.rows for x in row) for m in mats]))
 
 
 @settings(max_examples=20, deadline=None)
@@ -282,7 +281,7 @@ def test_grading_agrees_with_block_layout_oracle(n, seed):
         assert _span_rank(basis) == _span_rank(oracle + basis) == dims[i]
     # one perturbed entry breaks the mirror relation, wherever it sits
     r, c = rng.randrange(n + 4), rng.randrange(n + 4)
-    bad = qmat([[x + (a == r and b == c) for b, x in enumerate(row)]
+    bad = Matrix([[x + (a == r and b == c) for b, x in enumerate(row)]
                 for a, row in enumerate(e.mat.rows)])
     with pytest.raises(ValueError):
         layout.split(bad, n)
@@ -293,7 +292,7 @@ def test_grading_agrees_with_block_layout_oracle(n, seed):
 def _unipotent(n, **blocks):
     # exact exponential I + N + N^2/2: the grades of N share one sign, so N^3 = 0
     nil = element(n, **blocks).mat
-    return identity_q(n + 4) + nil + (nil @ nil).scaled(Fraction(1, 2))
+    return identity(n + 4) + nil + (nil @ nil).scaled(Fraction(1, 2))
 
 
 small_ints = st.integers(-3, 3)
@@ -309,20 +308,20 @@ def test_membership_agrees_with_dense_conjugation_oracle(n, seed, c, upper, lowe
     # parabolic subgroup iff the lower factor is trivial, and in the Levi
     # subgroup iff both unipotent factors are
     def blocks(rows, cols):
-        return qmat(data.draw(st.lists(st.lists(small_ints, min_size=cols, max_size=cols),
+        return Matrix(data.draw(st.lists(st.lists(small_ints, min_size=cols, max_size=cols),
                                        min_size=rows, max_size=rows)))
 
-    c = qmat([c[:2], c[2:]])
-    g = block([[c, zeros_q(2, n), zeros_q(2, 2)],
-               [zeros_q(n, 2), rotation(Random(seed), n), zeros_q(n, 2)],
-               [zeros_q(2, 2), zeros_q(2, n), inverse(c).transpose()]])
+    c = Matrix([c[:2], c[2:]])
+    g = block([[c, zeros(2, n), zeros(2, 2)],
+               [zeros(n, 2), rotation(Random(seed), n), zeros(n, 2)],
+               [zeros(2, 2), zeros(2, n), inverse(c).transpose()]])
     w = data.draw(st.integers(1, 3))
     if upper:
         z = blocks(n, 2)
-        g = g @ _unipotent(n, Z=z, W=qmat([[0, w], [-w, 0]]))
+        g = g @ _unipotent(n, Z=z, W=Matrix([[0, w], [-w, 0]]))
     if lower:
         x = blocks(n, 2)
-        g = g @ _unipotent(n, X=x, Y=qmat([[0, w], [-w, 0]]))
+        g = g @ _unipotent(n, X=x, Y=Matrix([[0, w], [-w, 0]]))
     parabolic, levi = is_parabolic_member(g, n), is_levi_member(g, n)
     assert parabolic == layout.conjugation_keeps_grades(g, n, lambda i, j: j < i)
     assert levi == layout.conjugation_keeps_grades(g, n, lambda i, j: j != i)

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twodirac.linalg import (Matrix, block, det, gmat, hstack, identity_g,
-                             identity_q, inverse, qmat, rank, rank_bareiss,
-                             vstack, zeros_q)
+from twodirac.linalg import (Matrix, block, det, hstack, identity, inverse, rank,
+                             rank_bareiss, submatrix, vadd, vstack, vsub, zeros)
 from twodirac.scalars import GaussianRational, gr
 
 import reference_elimination as field
@@ -15,12 +14,12 @@ import reference_matmul
 
 
 def test_matrix_basics():
-    a = qmat([[1, 2], [3, 4]])
-    b = qmat([[0, 1], [1, 0]])
-    assert a @ b == qmat([[2, 1], [4, 3]])
-    assert a + b == qmat([[1, 3], [4, 4]])
+    a = Matrix([[1, 2], [3, 4]])
+    b = Matrix([[0, 1], [1, 0]])
+    assert a @ b == Matrix([[2, 1], [4, 3]])
+    assert a + b == Matrix([[1, 3], [4, 4]])
     assert (-a).rows[0][0] == -1
-    assert a.transpose() == qmat([[1, 3], [2, 4]])
+    assert a.transpose() == Matrix([[1, 3], [2, 4]])
     assert a.apply((1, 0)) == (1, 3)
     assert a.trace() == 5
     assert vstack(a, b).nrows == 4
@@ -30,38 +29,48 @@ def test_matrix_basics():
 
 def test_shape_errors():
     with pytest.raises(ValueError):
-        qmat([[1, 2], [3]])
+        Matrix([[1, 2], [3]])
     with pytest.raises(ValueError):
-        qmat([[1, 2]]) @ qmat([[1, 2]])
+        Matrix([[1, 2]]) @ Matrix([[1, 2]])
     with pytest.raises(ValueError):
-        qmat([[1, 2]]).apply((1, 2, 3))
+        Matrix([[1, 2]]).apply((1, 2, 3))
+    with pytest.raises(ValueError):
+        Matrix([[1, 2]]) + Matrix([[1]])
+    with pytest.raises(ValueError):
+        Matrix([[1, 2], [3, 4]]) - Matrix([[1, 2]])
+    with pytest.raises(ValueError):
+        vadd((1, 2), (1,))
+    with pytest.raises(ValueError):
+        vsub((1,), (1, 2))
 
 
 def test_det_and_inverse():
-    a = qmat([[2, 1], [1, 1]])
+    a = Matrix([[2, 1], [1, 1]])
     assert det(a) == 1
-    assert inverse(a) @ a == identity_q(2)
-    assert det(qmat([[1, 2], [2, 4]])) == 0
+    assert inverse(a) @ a == identity(2)
+    assert det(Matrix([[1, 2], [2, 4]])) == 0
     with pytest.raises(ValueError):
-        inverse(qmat([[1, 2], [2, 4]]))
-    g = gmat([[gr(0, 1), gr(1)], [gr(0), gr(2)]])
-    assert g @ inverse(g) == identity_g(2)
-    h = qmat([[1, 2, 0], [0, 1, 3], [4, 0, Fraction(1, 2)]])
-    assert inverse(h) @ h == identity_q(3)
-    assert inverse(qmat([[Fraction(2, 3)]])) == qmat([[Fraction(3, 2)]])
-    # a row swap flips the sign; rational input gives a Fraction, Gaussian
-    # input a GaussianRational
-    assert type(det(qmat([[0, 1], [1, 0]]))) is Fraction
-    assert det(qmat([[0, 1], [1, 0]])) == -1
-    d = det(gmat([[0, gr(0, 1)], [gr(2), gr(1, 1)]]))
+        inverse(Matrix([[1, 2], [2, 4]]))
+    g = Matrix([[gr(0, 1), gr(1)], [gr(0), gr(2)]])
+    assert g @ inverse(g) == identity(2)
+    h = Matrix([[1, 2, 0], [0, 1, 3], [4, 0, Fraction(1, 2)]])
+    assert inverse(h) @ h == identity(3)
+    assert inverse(Matrix([[Fraction(2, 3)]])) == Matrix([[Fraction(3, 2)]])
+    # a row swap flips the sign; the value alone fixes the type: an int when
+    # integral, a Fraction when not, a GaussianRational when not real
+    assert type(det(Matrix([[0, 1], [1, 0]]))) is int
+    assert det(Matrix([[0, 1], [1, 0]])) == -1
+    assert type(det(Matrix([[Fraction(1, 2)]]))) is Fraction
+    assert type(det(Matrix([[gr(0, 1), 0], [0, gr(0, 1)]]))) is int
+    d = det(Matrix([[0, gr(0, 1)], [gr(2), gr(1, 1)]]))
     assert isinstance(d, GaussianRational) and d == gr(0, -2)
 
 
 def test_rank_on_rationals():
-    assert rank(qmat([[1, 2], [2, 4]])) == 1
-    assert rank(identity_q(4)) == 4
-    assert rank(zeros_q(3, 5)) == 0
-    assert rank(qmat([[Fraction(1, 3), 1], [1, 3]])) == 1
+    assert rank(Matrix([[1, 2], [2, 4]])) == 1
+    assert rank(identity(4)) == 4
+    assert rank(zeros(3, 5)) == 0
+    assert rank(Matrix([[Fraction(1, 3), 1], [1, 3]])) == 1
 
 
 gauss_entries = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
@@ -83,7 +92,7 @@ def test_bareiss_agrees_with_field_elimination(m):
 
 
 def test_bareiss_handles_fractional_entries():
-    m = gmat([[gr(Fraction(1, 2), Fraction(1, 3)), gr(1)],
+    m = Matrix([[gr(Fraction(1, 2), Fraction(1, 3)), gr(1)],
               [gr(Fraction(3, 2), 1), gr(3, Fraction(2, 5))]])
     assert rank_bareiss(m) == field.rank(m)
 
@@ -132,7 +141,7 @@ def test_kernel_det_and_rank_agree_with_field_elimination(m):
     want = field.det(m)
     got = det(m)
     assert got == want
-    assert type(got) is type(want)
+    _assert_read([got])
     assert rank(m) == field.rank(m)
     assert (got == 0) == (rank(m) < m.nrows)
 
@@ -172,19 +181,16 @@ def product_operands(draw):
     return Matrix(a), Matrix(b)
 
 
-def _has_gaussian(entries) -> bool:
-    return any(isinstance(e, GaussianRational) for e in entries)
-
-
-def _assert_typed(entries, gaussian: bool) -> None:
-    """The product's entry-type rule, and components normalised: an integral
-    rational is an int, any other a Fraction."""
+def _assert_read(entries) -> None:
+    """The reading rule, and components normalised: a GaussianRational
+    exactly when the imaginary part is nonzero; an integral rational is an
+    int, any other a Fraction."""
     def normal(x):
         return type(x) is (int if x.denominator == 1 else Fraction)
 
     for e in entries:
-        if gaussian:
-            assert type(e) is GaussianRational and normal(e.re) and normal(e.im)
+        if type(e) is GaussianRational:
+            assert e.im and normal(e.re) and normal(e.im)
         else:
             assert normal(e)
 
@@ -199,15 +205,30 @@ def test_product_kernel_agrees_with_sum_of_products(ab):
     got = a @ b
     assert got.shape == want.shape
     assert got == want
-    flat = [e for r in a.rows + b.rows for e in r]
-    _assert_typed([e for r in got.rows for e in r], _has_gaussian(flat))
+    _assert_read([e for r in got.rows for e in r])
     for j in range(b.ncols):
         v = b.col(j)
         col = a.apply(v)
         assert col == want.col(j)
-        _assert_typed(col, _has_gaussian([e for r in a.rows for e in r] + list(v)))
+        _assert_read(col)
     wrong = Matrix([[0]] * (a.ncols + 1))
     with pytest.raises(ValueError):
         a @ wrong
     with pytest.raises(ValueError):
         a.apply((0,) * (a.ncols + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_operands(), fractions_)
+def test_results_are_stored_as_the_entries_they_read(ab, t):
+    """Every operation stores its result as the matrix of the entries it
+    reads, in lowest terms, so equal matrices compare and hash alike."""
+    a, b = ab
+    p = a @ b
+    results = [p, p + p, p - p, -p, p.scaled(t), p.scaled(gr(0, t)), a.transpose(),
+               a.adjoint(), hstack(a, a), vstack(b, b), submatrix(p, 0, 1, 0, 1)]
+    if p.nrows == p.ncols and det(p):
+        results.append(inverse(p))
+    for m in results:
+        again = Matrix(m.rows)
+        assert m == again and hash(m) == hash(again)

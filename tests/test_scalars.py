@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twodirac.linalg import identity_g, identity_q
+from twodirac.linalg import Matrix, identity
 from twodirac.scalars import (CIRCLE_I, CIRCLE_MINUS_ONE, CIRCLE_ONE,
                               CirclePoint, gr)
 
@@ -45,8 +45,9 @@ def test_hash_agrees_with_equality_on_real_values(x):
 
 
 def test_equal_matrices_over_both_scalar_types_hash_alike():
-    assert identity_q(2) == identity_g(2)
-    assert hash(identity_q(2)) == hash(identity_g(2))
+    gaussian = Matrix([[gr(1), gr(0)], [gr(0), gr(1)]])
+    assert identity(2) == gaussian
+    assert hash(identity(2)) == hash(gaussian)
 
 
 def test_mixed_scalar_arithmetic():

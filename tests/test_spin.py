@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twodirac.clifford import build_gamma_rep
-from twodirac.linalg import Matrix, identity_g, identity_q, qmat, submatrix, vdot
+from twodirac.linalg import Matrix, identity, submatrix, vdot
 from twodirac.sampling import circle_point, deterministic_circle_points
 from twodirac.scalars import CIRCLE_MINUS_ONE, CIRCLE_ONE, CirclePoint
 from twodirac.spin import (PhaseTriple, RationalRotation, SpinCElement,
@@ -50,17 +50,17 @@ def test_word_validation():
 
 def test_identity_and_center():
     e1 = (1, 0, 0)
-    assert spin_from_unit_vectors(REP3, [e1, (-1, 0, 0)]).spinor_mat == identity_g(2)
+    assert spin_from_unit_vectors(REP3, [e1, (-1, 0, 0)]).spinor_mat == identity(2)
     minus = spin_from_unit_vectors(REP3, [e1, e1])
-    assert minus.spinor_mat == identity_g(2).scaled(-1)
+    assert minus.spinor_mat == identity(2).scaled(-1)
     assert minus == SpinElement.minus_one(REP3)
     assert minus.is_central() and SpinElement.identity(REP3).is_central()
-    assert rho_n(minus).mat == identity_q(3)
+    assert rho_n(minus).mat == identity(3)
 
 
 def test_coordinate_plane_rotation():
     a = spin_from_unit_vectors(REP3, [(1, 0, 0), (0, 1, 0)])
-    assert rho_n(a).mat == qmat([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
+    assert rho_n(a).mat == Matrix([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
 
 
 def test_rho_against_reflection_oracle():
@@ -92,18 +92,17 @@ def test_double_angle_at_rational_points():
 
 def test_rational_rotation_validation():
     with pytest.raises(ValueError):
-        RationalRotation(qmat([[1, 1], [0, 1]]))
+        RationalRotation(Matrix([[1, 1], [0, 1]]))
     with pytest.raises(ValueError):
-        RationalRotation(qmat([[0, 1], [1, 0]]))  # determinant -1
+        RationalRotation(Matrix([[0, 1], [1, 0]]))  # determinant -1
 
 
 def test_rho_rejects_corrupted_element():
     # a hand-corrupted spinor matrix whose conjugation leaves the gamma span;
     # the word route and the trace oracle must both refuse it
-    bad = qmat([[1, 0], [0, 2]])
-    from twodirac.linalg import gmat
+    bad = Matrix([[1, 0], [0, 2]])
     elt = SpinElement(REP3, ())
-    elt.spinor_mat = gmat(bad.rows)
+    elt.spinor_mat = Matrix(bad.rows)
     for route in (rho_n, trace.rho_n):
         with pytest.raises(ValueError):
             route(elt)
@@ -112,7 +111,7 @@ def test_rho_rejects_corrupted_element():
 def test_spin_element_refuses_a_passed_spinor_matrix():
     # the spinor matrix is always built from the word, never taken on trust
     with pytest.raises(TypeError):
-        SpinElement(REP3, (), spinor_mat=identity_g(REP3.s))
+        SpinElement(REP3, (), spinor_mat=identity(REP3.s))
 
 
 @settings(max_examples=20, deadline=None)
@@ -140,7 +139,7 @@ def test_rho_c_and_varsigma():
     one = SpinElement.identity(REP3)
     assert varsigma_n(SpinCElement(CIRCLE_ONE, one)) == CIRCLE_ONE
     assert varsigma_n(SpinCElement(CirclePoint(0, 1), one)) == CIRCLE_MINUS_ONE
-    assert rho_n_c(SpinCElement.identity(REP3)).mat == identity_q(3)
+    assert rho_n_c(SpinCElement.identity(REP3)).mat == identity(3)
     for _ in range(100):
         x = random_spinc(REP3, rng)
         y = random_spinc(REP3, rng)
@@ -151,12 +150,12 @@ def test_rho_c_and_varsigma():
         assert varsigma_n(x * y) == varsigma_n(x) * varsigma_n(y)
         # output orthogonality is enforced by the RationalRotation type
         r = rho_n_c(x)
-        assert r.mat.transpose() @ r.mat == identity_q(3)
+        assert r.mat.transpose() @ r.mat == identity(3)
 
 
 def test_gamma_c_action():
     rng = Random(9)
-    psi = tuple(identity_g(2).col(0))
+    psi = tuple(identity(2).col(0))
     one = SpinCElement.identity(REP3)
     assert gamma_c_act(one, psi) == psi
     flip = SpinCElement(CIRCLE_MINUS_ONE, SpinElement.minus_one(REP3))
@@ -173,10 +172,10 @@ def test_kernels_of_the_two_sequences():
     one = SpinElement.identity(REP3)
     for _ in range(30):
         x = random_spinc(REP3, rng)
-        assert (rho_n_c(x).mat == identity_q(3)) == is_in_u1_subgroup(x)
+        assert (rho_n_c(x).mat == identity(3)) == is_in_u1_subgroup(x)
         assert (varsigma_n(x) == CIRCLE_ONE) == is_in_spin_subgroup(x)
     u1 = SpinCElement(circle_point(rng), one)
-    assert is_in_u1_subgroup(u1) and rho_n_c(u1).mat == identity_q(3)
+    assert is_in_u1_subgroup(u1) and rho_n_c(u1).mat == identity(3)
     sp = SpinCElement(CIRCLE_MINUS_ONE, random_spin(REP3, rng))
     assert is_in_spin_subgroup(sp) and varsigma_n(sp) == CIRCLE_ONE
 
@@ -201,7 +200,7 @@ def test_iota_block_diagonal_and_homomorphism():
         assert submatrix(r, 0, 2, 2, 5).is_zero()
         assert submatrix(r, 2, 5, 0, 2).is_zero()
         ph2 = x.phase.square()
-        assert submatrix(r, 0, 2, 0, 2) == qmat([[ph2.c, -ph2.d], [ph2.d, ph2.c]])
+        assert submatrix(r, 0, 2, 0, 2) == Matrix([[ph2.c, -ph2.d], [ph2.d, ph2.c]])
         assert submatrix(r, 2, 5, 2, 5) == rho_n_c(x).mat
         assert iota_embed(x.negated_representative(), big) == emb
         assert iota_embed(x * y, big) == emb * iota_embed(y, big)
@@ -218,9 +217,9 @@ def test_iota_kernel_is_z2():
     k1 = SpinCElement(CIRCLE_MINUS_ONE, one)
     assert not spinc_equal(k0, k1)
     for x in (k0, k1):
-        assert rho_n(iota_embed(x, big)).mat == identity_q(5)
-    assert iota_embed(k0, big).spinor_mat == identity_g(4)
-    assert iota_embed(k1, big).spinor_mat == identity_g(4).scaled(-1)
+        assert rho_n(iota_embed(x, big)).mat == identity(5)
+    assert iota_embed(k0, big).spinor_mat == identity(4)
+    assert iota_embed(k1, big).spinor_mat == identity(4).scaled(-1)
 
 
 def test_hsharp_explicit_values():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twodirac.graded import levi_bracket
-from twodirac.linalg import identity_q, qmat, rank, vdot, vneg
+from twodirac.linalg import identity, Matrix, rank, vdot, vneg
 from twodirac.sampling import circle_point, rotation
 from twodirac.scalars import CirclePoint
 from twodirac.stiefel import (Frame2, OrientedPlane, StiefelTangent,
@@ -89,13 +89,13 @@ def test_isotropic_to_frame_rejects_bad_input():
 def test_ksharp_action_properties():
     rng = Random(2)
     f = standard_frame(N)
-    eye2, eyebig = identity_q(2), identity_q(N + 2)
+    eye2, eyebig = identity(2), identity(N + 2)
     assert ksharp_act(eye2, eyebig, f) == f
     # stabilizer of the standard frame: A acting on both the frame slot and
     # the first two ambient coordinates cancels out
     p = circle_point(rng)
-    a = qmat([[p.c, -p.d], [p.d, p.c]])
-    b = qmat([[a[i, j] if i < 2 and j < 2 else (1 if i == j else 0)
+    a = Matrix([[p.c, -p.d], [p.d, p.c]])
+    b = Matrix([[a[i, j] if i < 2 and j < 2 else (1 if i == j else 0)
                for j in range(N + 2)] for i in range(N + 2)])
     assert ksharp_act(a, b, f) == f
     # group action: acting twice equals acting by the product
@@ -106,7 +106,7 @@ def test_ksharp_action_properties():
         assert (ksharp_act(a2, b2, ksharp_act(a1, b1, g))
                 == ksharp_act(a2 @ a1, b2 @ b1, g))
     with pytest.raises(ValueError):
-        ksharp_act(qmat([[1, 1], [0, 1]]), eyebig, f)
+        ksharp_act(Matrix([[1, 1], [0, 1]]), eyebig, f)
 
 
 def test_center_action_moves_frame_not_plane():
@@ -171,10 +171,10 @@ def test_contact_distribution_dimension():
     for b1 in comp:
         vecs.append(tuple(b1) + (0,) * (N + 2))
         vecs.append((0,) * (N + 2) + tuple(b1))
-    assert rank(qmat(vecs)) == 2 * N
+    assert rank(Matrix(vecs)) == 2 * N
     r = reeb_field(f)
     vecs.append(tuple(r.w1) + tuple(r.w2))
-    assert rank(qmat(vecs)) == 2 * N + 1
+    assert rank(Matrix(vecs)) == 2 * N + 1
 
 
 def test_levi_form_gram_nondegenerate_at_every_sampled_frame():
@@ -184,7 +184,7 @@ def test_levi_form_gram_nondegenerate_at_every_sampled_frame():
         f, comp = random_frame_with_complement(N, rng)
         basis = [StiefelTangent(f, b, zero) for b in comp]
         basis += [StiefelTangent(f, zero, b) for b in comp]
-        gram = qmat([[levi_form_H(f, t1, t2) for t2 in basis] for t1 in basis])
+        gram = Matrix([[levi_form_H(f, t1, t2) for t2 in basis] for t1 in basis])
         assert rank(gram) == 2 * N
 
 
@@ -196,7 +196,7 @@ def test_alpha_invariance_under_ksharp():
         a = rotation(rng, 2)
         b = rotation(rng, N + 2)
         g = ksharp_act(a, b, f)
-        cols = qmat([[x, y] for x, y in zip(t.w1, t.w2)])
+        cols = Matrix([[x, y] for x, y in zip(t.w1, t.w2)])
         moved = b @ cols @ a.transpose()
         t2 = StiefelTangent(g, moved.col(0), moved.col(1))
         assert contact_alpha(t2) == contact_alpha(t)
@@ -241,7 +241,7 @@ def test_levi_form_gram_nondegenerate():
         basis.append(StiefelTangent(f, b, zero))
     for b in comp:
         basis.append(StiefelTangent(f, zero, b))
-    gram = qmat([[levi_form_H(f, t1, t2) for t2 in basis] for t1 in basis])
+    gram = Matrix([[levi_form_H(f, t1, t2) for t2 in basis] for t1 in basis])
     assert rank(gram) == 2 * N
 
 
@@ -310,7 +310,7 @@ def test_quotient_q_projector_and_orientation():
     pl = quotient_q(f)
     proj = [[1 if i == j and i < 2 else 0 for j in range(N + 2)]
             for i in range(N + 2)]
-    assert pl.projector == qmat(proj)
+    assert pl.projector == Matrix(proj)
     assert pl.orientation[0, 1] == 1 and pl.orientation[1, 0] == -1
     swapped = quotient_q(Frame2(f.v2, f.v1))
     assert swapped.projector == pl.projector
@@ -334,7 +334,7 @@ def test_oriented_plane_validation():
     pl = quotient_q(f)
     OrientedPlane(pl.orientation)
     with pytest.raises(ValueError):
-        OrientedPlane(identity_q(N + 2))  # not skew
+        OrientedPlane(identity(N + 2))  # not skew
     with pytest.raises(ValueError):
         OrientedPlane(pl.orientation.scaled(0))  # o^3 = -o, but rank 0
 
@@ -345,7 +345,7 @@ def test_oriented_plane_is_its_unit_two_vector(n, seed):
     f, _ = random_frame_with_complement(n, Random(seed))
     pl = quotient_q(f)
     k = n + 2
-    assert pl.projector == qmat([[f.v1[i] * f.v1[j] + f.v2[i] * f.v2[j]
+    assert pl.projector == Matrix([[f.v1[i] * f.v1[j] + f.v2[i] * f.v2[j]
                                   for j in range(k)] for i in range(k)])
     with pytest.raises(ValueError):
         OrientedPlane(pl.orientation.scaled(2))

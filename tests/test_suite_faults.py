@@ -6,7 +6,12 @@ through its own checks rather than through a crash record.
 ``build_gamma_rep`` is never patched: its cache would hide the patch.  The
 one premise it certifies, the Clifford relations, gets its own fault: the
 sign convention is flipped with the cache cleared around the patch.
+The failure records each fault produces are pinned by digest, so a change
+in how entries render shows as a changed report, not as a silent one.
 """
+
+import hashlib
+import json
 
 import pytest
 
@@ -48,6 +53,22 @@ FAULTS = {
 }
 
 
+# suite -> (record count, SHA-256 of the records as JSON with sorted keys)
+# under its fault at n = 3, samples 2, seed 0
+FAULT_RECORDS = {
+    "grading": (208, "f7eafc2a4c4e05a5be46f320588ed2cd5cb533d1b49729b1a0665d51323bbf06"),
+    "heisenberg": (4, "e05b35f7a748b0da5d2618fae49168a5c19e601f1c824f336d9457de64498680"),
+    "spin": (20, "c3f9f8399320704713376b79ded099695ef7dbd759a882204f7cf25f7ea3008e"),
+    "spinc": (4, "9da65a8fad7a7ab8fd5d0ae8e114f9d2fe5fe9b73a53932b0453deb7ff49c5a0"),
+    "embedding": (3, "52780c3b199a0d7e4d790db4917a3601545713b56f701ccdd2e2d22a4ea2581c"),
+    "contact": (2, "d8edb5674eb801b9cf5f85799935c4b713e4ce983ff0a0cb34ff8482c9c78508"),
+    "symbols": (23, "632c78a2a73f5b5f8883bbd0a08d20055464690ba8e4f3ca42cf75013c908fcf"),
+    "flat-dirac": (2, "2f880a637b6669eebe4561baf7640536ccc9284401012fb7aadacee79c0961dd"),
+    "index": (1, "160cf16b8d8903ae2c8b578dbc76280ff476876647a24429df50d84610255ad5"),
+    "dims": (1, "84f2a4af5437a53b1267388078fd54b526801cc95113fbaf74a01729474336b8"),
+}
+
+
 def test_every_suite_has_a_fault():
     assert sorted(FAULTS) == sorted(SUITE_ORDER)
 
@@ -60,6 +81,15 @@ def test_suite_reports_fail_under_its_fault(suite, monkeypatch):
     rpt = run_check(suite, 3, 2, 0, "exact")
     assert rpt.passed is False and rpt.failures
     assert all(f["expected"] != "no exception" for f in rpt.failures)
+
+
+@pytest.mark.parametrize("suite", SUITE_ORDER)
+def test_failure_records_render_as_pinned(suite, monkeypatch):
+    module, name, fault = FAULTS[suite]
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    records = list(run_check(suite, 3, 2, 0, "exact").failures)
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert (len(records), digest) == FAULT_RECORDS[suite]
 
 
 def test_symbols_refuses_a_scan_that_checked_too_few(monkeypatch):

@@ -4,8 +4,7 @@ from random import Random
 import pytest
 
 from twodirac.clifford import CLIFFORD_SIGN, build_gamma_rep
-from twodirac.linalg import (block, hstack, identity_g, rank, rank_bareiss,
-                             vstack, zeros_g)
+from twodirac.linalg import block, hstack, identity, rank, rank_bareiss, vstack, zeros
 from twodirac.spin import gamma_c_mat, random_spinc, rho_n_c
 from twodirac.symbols import (Covector, ScanReport,
                               degenerate_family, ellipticity_scan,
@@ -32,13 +31,13 @@ def test_sigma_shapes_and_zero():
 def test_sigma_frozen_forms():
     g1 = REP3.gammas[0]
     x10 = Covector((1, 0, 0), (0, 0, 0))
-    assert sigma1(REP3, x10) == vstack(g1, zeros_g(2, 2))
+    assert sigma1(REP3, x10) == vstack(g1, zeros(2, 2))
     # with X2 = 0 the only surviving block of sigma2 is M1 M1 = sign * Id
     assert sigma2(REP3, x10) == block(
-        [[zeros_g(2, 2), identity_g(2).scaled(CLIFFORD_SIGN)],
-         [zeros_g(2, 2), zeros_g(2, 2)]])
+        [[zeros(2, 2), identity(2).scaled(CLIFFORD_SIGN)],
+         [zeros(2, 2), zeros(2, 2)]])
     x01 = Covector((0, 0, 0), (1, 0, 0))
-    assert sigma3(REP3, x01) == hstack(-g1, zeros_g(2, 2))
+    assert sigma3(REP3, x01) == hstack(-g1, zeros(2, 2))
 
 
 def test_complex_property_identically():
@@ -153,7 +152,7 @@ def test_sigma1_equivariance_under_spinc():
         r = rho_n_c(g).mat
         moved = Covector(r.apply(x.x1), r.apply(x.x2))
         gc = gamma_c_mat(g)
-        z = zeros_g(2, 2)
+        z = zeros(2, 2)
         stacked = block([[gc, z], [z, gc]])
         assert sigma1(REP3, moved) @ gc == stacked @ sigma1(REP3, x)
 
