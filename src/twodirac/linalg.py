@@ -229,24 +229,6 @@ def vdot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vadd(u: Sequence, v: Sequence) -> tuple:
-    if len(u) != len(v):
-        raise ValueError("vadd: length mismatch")
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Sequence, v: Sequence) -> tuple:
-    return vadd(u, vneg(v))
-
-
-def vscale(s, u: Sequence) -> tuple:
-    return tuple(s * a for a in u)
-
-
-def vneg(u: Sequence) -> tuple:
-    return tuple(-a for a in u)
-
-
 def is_zero_vec(u: Sequence) -> bool:
     return all(not a for a in u)
 

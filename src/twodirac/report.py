@@ -33,11 +33,11 @@ from .spin import (SpinCElement, SpinElement, gamma_c_act, gamma_c_mat,
                    rho_n_c, so2_block, spin_rotation_generator, spinc_equal,
                    varsigma_n)
 from .stiefel import (center_rotate, contact_alpha, frame_to_isotropic,
-                      in_contact_distribution, isotropic_to_frame, ksharp_act,
-                      levi_form_H, levi_witness, plane_act, quotient_q,
+                      in_contact_distribution, is_isotropic,
+                      isotropic_to_frame, ksharp_act, levi_form_H,
+                      levi_witness, plane_act, quotient_q,
                       random_contact_tangent, random_frame_with_complement,
-                      random_tangent, reeb_field, split_form,
-                      tangent_coordinates)
+                      random_tangent, reeb_field, tangent_coordinates)
 from .symbols import (MODES, Covector, ellipticity_scan, exactness_report,
                       index_certificate, random_covector, sigma1, sigma2,
                       sigma3, spinor_dim, symbol_triple, weight_table)
@@ -318,10 +318,10 @@ def _check_contact(n: int, samples: int, seed: int, mode: str) -> List[Failure]:
                                contact_alpha(reeb)))
         if in_contact_distribution(reeb):
             fails.append(_fail(f"frame {idx}", "reeb transversal", "in kernel"))
-        u1, u2 = frame_to_isotropic(f)
-        if split_form(u1, u1) or split_form(u2, u2) or split_form(u1, u2):
+        u = frame_to_isotropic(f)
+        if not is_isotropic(u):
             fails.append(_fail(f"frame {idx}", "isotropic plane", "not isotropic"))
-        if isotropic_to_frame(u1, u2) != f:
+        if isotropic_to_frame(u) != f:
             fails.append(_fail(f"frame {idx}", "isotropic round trip", "differs"))
         t = random_tangent(f, rng)
         if (contact_alpha(t) == 0) != in_contact_distribution(t):

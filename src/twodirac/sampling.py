@@ -11,6 +11,7 @@ fail.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 from typing import List
 
@@ -67,7 +68,7 @@ def circle_point_with_half(rng: Random) -> CirclePoint:
 
 def givens(k: int, i: int, j: int, p: CirclePoint) -> Matrix:
     """Rotation by the point p in the (i, j) coordinate plane of R^k."""
-    rows = [[Fraction(1) if a == b else Fraction(0) for b in range(k)] for a in range(k)]
+    rows = [[int(a == b) for b in range(k)] for a in range(k)]
     rows[i][i] = p.c
     rows[j][j] = p.c
     rows[i][j] = -p.d
@@ -76,18 +77,33 @@ def givens(k: int, i: int, j: int, p: CirclePoint) -> Matrix:
 
 
 def rotation(rng: Random, k: int, twists: int = 0) -> Matrix:
-    """Exact element of SO(k): a product of seeded Givens rotations."""
+    """Exact element of SO(k): a product of seeded Givens rotations.
+
+    Each factor ``givens(k, i, j, p)`` changes only rows i and j of the
+    running product, kept as integer numerators r over one denominator: with
+    p = (a, b) / e, the denominator gains the factor e, the other rows are
+    multiplied by e, and rows i and j become a r_i - b r_j and b r_i + a r_j.
+    """
     if k < 2:
         return identity(k)
     twists = twists or 2 * k
-    out = identity(k)
+    rows = [[int(a == b) for b in range(k)] for a in range(k)]
+    den = 1
     for _ in range(twists):
         i = rng.randrange(k)
         j = rng.randrange(k)
         if i == j:
             continue
-        out = givens(k, i, j, circle_point(rng)) @ out
-    return out
+        p = circle_point(rng)
+        e = lcm(p.c.denominator, p.d.denominator)
+        a, b = int(p.c * e), int(p.d * e)
+        ri, rj = rows[i], rows[j]
+        if e != 1:
+            rows = [[e * x for x in r] for r in rows]
+        rows[i] = [a * x - b * y for x, y in zip(ri, rj)]
+        rows[j] = [b * x + a * y for x, y in zip(ri, rj)]
+        den *= e
+    return Matrix(rows).scaled(Fraction(1, den))
 
 
 def deterministic_circle_points(count: int) -> List[CirclePoint]:

@@ -7,60 +7,89 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twodirac.graded import levi_bracket
-from twodirac.linalg import identity, Matrix, rank, vdot, vneg
+from twodirac.linalg import (Matrix, block, hstack, identity, rank, submatrix,
+                             vstack, zeros)
 from twodirac.sampling import circle_point, rotation
 from twodirac.scalars import CirclePoint
 from twodirac.stiefel import (Frame2, OrientedPlane, StiefelTangent,
                               center_rotate, contact_alpha, frame_to_isotropic,
                               in_contact_distribution, infinitesimal_rotation,
-                              isotropic_to_frame, ksharp_act, levi_form_H,
-                              levi_witness, plane_act, quotient_q,
+                              is_isotropic, isotropic_to_frame, ksharp_act,
+                              levi_form_H, levi_witness, plane_act, quotient_q,
                               random_contact_tangent,
                               random_frame_with_complement, random_tangent,
-                              reeb_field, split_form, standard_frame,
-                              tangent_coordinates, tangent_from_skew)
+                              reeb_field, standard_frame, tangent_coordinates,
+                              tangent_from_skew)
+
+import reference_stiefel as ref
 
 N = 3
 
 
+def cols(*vecs) -> Matrix:
+    """The matrix whose columns are the given vectors."""
+    return Matrix(zip(*vecs))
+
+
+def e(i, k=N + 2):
+    return tuple(int(i == j) for j in range(k))
+
+
+def column(m: Matrix, j: int) -> Matrix:
+    return submatrix(m, 0, m.nrows, j, j + 1)
+
+
 def test_frame_validation():
     with pytest.raises(ValueError):
-        Frame2((1, 0, 0, 0, 0), (1, 0, 0, 0, 0))
+        Frame2(cols(e(0), e(0)))  # not orthogonal
     with pytest.raises(ValueError):
-        Frame2((2, 0, 0, 0, 0), (0, 1, 0, 0, 0))
+        Frame2(cols((2, 0, 0, 0, 0), e(1)))  # not unit
     with pytest.raises(ValueError):
-        Frame2((1, 0, 0, 0), (0, 1, 0, 0, 0))
-    standard_frame(N)
+        Frame2(cols(e(0), e(1), e(2)))  # k x 3
+    with pytest.raises(ValueError):
+        Frame2(cols(e(0)))  # k x 1
+    with pytest.raises(ValueError):
+        Frame2(cols((1, 1, 0, 0, 0), (1, -1, 0, 0, 0)))  # F^T F = 2 I
+    assert standard_frame(N).mat == cols(e(0), e(1))
 
 
 def test_tangent_validation():
     f = standard_frame(N)
-    StiefelTangent(f, (0, 0, 1, 0, 0), (0, 0, 0, 1, 0))
+    zero = (0,) * (N + 2)
+    StiefelTangent(f, cols(e(2), e(3)))
+    StiefelTangent(f, cols(e(1), tuple(-x for x in e(0))))  # <w1, v2> = -<w2, v1>
+    # each linearized constraint refused on its own
     with pytest.raises(ValueError):
-        StiefelTangent(f, (1, 0, 0, 0, 0), (0, 0, 0, 0, 0))  # <w1, v1> != 0
+        StiefelTangent(f, cols(e(0), zero))  # <w1, v1> != 0
     with pytest.raises(ValueError):
-        StiefelTangent(f, (0, 1, 0, 0, 0), (0, 0, 0, 0, 0))  # mixed constraint
+        StiefelTangent(f, cols(zero, e(1)))  # <w2, v2> != 0
+    with pytest.raises(ValueError):
+        StiefelTangent(f, cols(e(1), zero))  # <w1, v2> + <w2, v1> != 0
+    # wrong shapes
+    with pytest.raises(ValueError):
+        StiefelTangent(f, cols(e(2), e(3), e(4)))
+    with pytest.raises(ValueError):
+        StiefelTangent(f, cols(e(2)))
+    with pytest.raises(ValueError):
+        StiefelTangent(f, cols(e(2, N + 3), e(3, N + 3)))
 
 
 def test_frame_to_isotropic_origin():
     f = standard_frame(N)
-    u1, u2 = frame_to_isotropic(f)
-    assert u1 == (1, 0, 1, 0, 0, 0, 0)
-    assert u2 == (0, 1, 0, 1, 0, 0, 0)
-    assert split_form(u1, u1) == 0  # -1 + 1
-    assert split_form(u2, u2) == 0
-    assert split_form(u1, u2) == 0
+    u = frame_to_isotropic(f)
+    assert u == cols((1, 0, 1, 0, 0, 0, 0), (0, 1, 0, 1, 0, 0, 0))
+    assert is_isotropic(u)  # -1 + 1 on each diagonal entry
+    assert not is_isotropic(vstack(identity(2), f.mat.scaled(2)))
+    assert not is_isotropic(cols((1, 0, 0, 1, 0, 0, 0), (0, 1, 1, 0, 0, 0, 0)) + u)
 
 
 def test_isotropy_for_seeded_frames():
     rng = Random(0)
     for _ in range(25):
         f, _ = random_frame_with_complement(N, rng)
-        u1, u2 = frame_to_isotropic(f)
-        assert split_form(u1, u1) == 0
-        assert split_form(u2, u2) == 0
-        assert split_form(u1, u2) == 0
-        assert isotropic_to_frame(u1, u2) == f
+        u = frame_to_isotropic(f)
+        assert is_isotropic(u)
+        assert isotropic_to_frame(u) == f
 
 
 def test_isotropic_round_trip_under_split_isometries():
@@ -71,19 +100,17 @@ def test_isotropic_round_trip_under_split_isometries():
         f = random_frame_with_complement(N, rng)[0]
         a = rotation(rng, 2)
         b = rotation(rng, N + 2)
-        u1, u2 = frame_to_isotropic(f)
-
-        def act(u):
-            return tuple(a.apply(u[:2])) + tuple(b.apply(u[2:]))
-
-        w1, w2 = act(u1), act(u2)
-        assert split_form(w1, w1) == 0 and split_form(w1, w2) == 0
-        assert isotropic_to_frame(w1, w2) == ksharp_act(a, b, f)
+        isometry = block([[a, zeros(2, N + 2)], [zeros(N + 2, 2), b]])
+        moved = isometry @ frame_to_isotropic(f)
+        assert is_isotropic(moved)
+        assert isotropic_to_frame(moved) == ksharp_act(a, b, f)
 
 
 def test_isotropic_to_frame_rejects_bad_input():
     with pytest.raises(ValueError):
-        isotropic_to_frame((0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0))
+        isotropic_to_frame(cols((0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0)))
+    with pytest.raises(ValueError):
+        isotropic_to_frame(cols((1, 0, 1, 0, 0, 0, 0)))
 
 
 def test_ksharp_action_properties():
@@ -123,23 +150,24 @@ def test_contact_alpha_and_reeb():
     for _ in range(25):
         f, comp = random_frame_with_complement(N, rng)
         r = reeb_field(f)
-        assert r.w1 == vneg(f.v2) and r.w2 == f.v1
+        v1, v2 = f.mat.col(0), f.mat.col(1)
+        assert r.mat == cols(tuple(-x for x in v2), v1)
         assert contact_alpha(r) == 1
         assert not in_contact_distribution(r)
         t = random_contact_tangent(f, comp, rng)
         assert contact_alpha(t) == 0
         # linearity in the tangent
         t2 = random_contact_tangent(f, comp, rng)
-        both = t + t2.scaled(Fraction(7, 2))
+        both = StiefelTangent(f, t.mat + t2.mat.scaled(Fraction(7, 2)))
         assert contact_alpha(both) == 0
-        shifted = t + r.scaled(Fraction(5, 3))
+        shifted = StiefelTangent(f, t.mat + r.mat.scaled(Fraction(5, 3)))
         assert contact_alpha(shifted) == Fraction(5, 3)
 
 
 def test_reeb_frozen_example_and_image():
     f = standard_frame(N)
     r = reeb_field(f)
-    assert r.w1 == (0, -1, 0, 0, 0) and r.w2 == (1, 0, 0, 0, 0)
+    assert r.mat == cols((0, -1, 0, 0, 0), (1, 0, 0, 0, 0))
     # its infinitesimal rotation has image exactly the frame's plane
     psi = infinitesimal_rotation(r)
     proj = quotient_q(f).projector
@@ -168,24 +196,30 @@ def test_contact_distribution_dimension():
     rng = Random(6)
     f, comp = random_frame_with_complement(N, rng)
     vecs = []
-    for b1 in comp:
-        vecs.append(tuple(b1) + (0,) * (N + 2))
-        vecs.append((0,) * (N + 2) + tuple(b1))
+    for j in range(N):
+        b1 = comp.col(j)
+        vecs.append(b1 + (0,) * (N + 2))
+        vecs.append((0,) * (N + 2) + b1)
     assert rank(Matrix(vecs)) == 2 * N
     r = reeb_field(f)
-    vecs.append(tuple(r.w1) + tuple(r.w2))
+    vecs.append(r.mat.col(0) + r.mat.col(1))
     assert rank(Matrix(vecs)) == 2 * N + 1
+
+
+def levi_gram(f: Frame2, comp: Matrix) -> Matrix:
+    """The Levi form's Gram matrix on the tangents (b | 0) and (0 | b) for
+    the complement's columns b."""
+    zero = zeros(N + 2, 1)
+    bs = [column(comp, j) for j in range(N)]
+    basis = [StiefelTangent(f, hstack(b, zero)) for b in bs]
+    basis += [StiefelTangent(f, hstack(zero, b)) for b in bs]
+    return Matrix([[levi_form_H(f, t1, t2) for t2 in basis] for t1 in basis])
 
 
 def test_levi_form_gram_nondegenerate_at_every_sampled_frame():
     rng = Random(14)
-    zero = (0,) * (N + 2)
     for _ in range(10):
-        f, comp = random_frame_with_complement(N, rng)
-        basis = [StiefelTangent(f, b, zero) for b in comp]
-        basis += [StiefelTangent(f, zero, b) for b in comp]
-        gram = Matrix([[levi_form_H(f, t1, t2) for t2 in basis] for t1 in basis])
-        assert rank(gram) == 2 * N
+        assert rank(levi_gram(*random_frame_with_complement(N, rng))) == 2 * N
 
 
 def test_alpha_invariance_under_ksharp():
@@ -196,18 +230,16 @@ def test_alpha_invariance_under_ksharp():
         a = rotation(rng, 2)
         b = rotation(rng, N + 2)
         g = ksharp_act(a, b, f)
-        cols = Matrix([[x, y] for x, y in zip(t.w1, t.w2)])
-        moved = b @ cols @ a.transpose()
-        t2 = StiefelTangent(g, moved.col(0), moved.col(1))
+        t2 = StiefelTangent(g, b @ t.mat @ a.transpose())
         assert contact_alpha(t2) == contact_alpha(t)
 
 
 def test_levi_form_basic_values():
     rng = Random(8)
     f, comp = random_frame_with_complement(N, rng)
-    u = comp[0]
-    t1 = StiefelTangent(f, u, (0,) * (N + 2))
-    t2 = StiefelTangent(f, (0,) * (N + 2), u)
+    u, zero = column(comp, 0), zeros(N + 2, 1)
+    t1 = StiefelTangent(f, hstack(u, zero))
+    t2 = StiefelTangent(f, hstack(zero, u))
     assert levi_form_H(f, t1, t1) == 0
     assert levi_form_H(f, t1, t2) == -1  # +-1 depending on slot order
     assert levi_form_H(f, t2, t1) == 1
@@ -225,7 +257,7 @@ def test_levi_form_nondegenerate_and_matches_heisenberg():
         val = levi_form_H(f, t1, t2)
         assert val == -levi_form_H(f, t2, t1)
         w = levi_witness(t1)
-        assert levi_form_H(f, t1, w) == vdot(t1.w1, t1.w1) + vdot(t1.w2, t1.w2) > 0
+        assert levi_form_H(f, t1, w) == (t1.mat.transpose() @ t1.mat).trace() > 0
         x1 = tangent_coordinates(t1, comp)
         x2 = tangent_coordinates(t2, comp)
         # cross-module identity with the fixed global sign +1
@@ -234,15 +266,7 @@ def test_levi_form_nondegenerate_and_matches_heisenberg():
 
 def test_levi_form_gram_nondegenerate():
     rng = Random(10)
-    f, comp = random_frame_with_complement(N, rng)
-    basis = []
-    zero = (0,) * (N + 2)
-    for b in comp:
-        basis.append(StiefelTangent(f, b, zero))
-    for b in comp:
-        basis.append(StiefelTangent(f, zero, b))
-    gram = Matrix([[levi_form_H(f, t1, t2) for t2 in basis] for t1 in basis])
-    assert rank(gram) == 2 * N
+    assert rank(levi_gram(*random_frame_with_complement(N, rng))) == 2 * N
 
 
 def _expm(a, terms=30):
@@ -271,8 +295,8 @@ def test_levi_form_against_finite_difference_oracle():
                        for row in infinitesimal_rotation(t1).rows])
         p2 = np.array([[float(x) for x in row]
                        for row in infinitesimal_rotation(t2).rows])
-        v1 = np.array([float(x) for x in f.v1])
-        v2 = np.array([float(x) for x in f.v2])
+        v1 = np.array([float(x) for x in f.mat.col(0)])
+        v2 = np.array([float(x) for x in f.mat.col(1)])
 
         def alpha_of_field(psi, base1, base2):
             return -float(np.dot(psi @ base1, base2))
@@ -302,7 +326,7 @@ def test_tangent_from_skew_round_trip():
         psi = infinitesimal_rotation(t)
         assert psi.transpose() == -psi
         back = tangent_from_skew(f, psi)
-        assert back.w1 == t.w1 and back.w2 == t.w2
+        assert back.mat == t.mat
 
 
 def test_quotient_q_projector_and_orientation():
@@ -312,7 +336,7 @@ def test_quotient_q_projector_and_orientation():
             for i in range(N + 2)]
     assert pl.projector == Matrix(proj)
     assert pl.orientation[0, 1] == 1 and pl.orientation[1, 0] == -1
-    swapped = quotient_q(Frame2(f.v2, f.v1))
+    swapped = quotient_q(Frame2(f.mat @ Matrix([[0, 1], [1, 0]])))
     assert swapped.projector == pl.projector
     assert swapped.orientation == -pl.orientation
 
@@ -344,8 +368,39 @@ def test_oriented_plane_validation():
 def test_oriented_plane_is_its_unit_two_vector(n, seed):
     f, _ = random_frame_with_complement(n, Random(seed))
     pl = quotient_q(f)
-    k = n + 2
-    assert pl.projector == Matrix([[f.v1[i] * f.v1[j] + f.v2[i] * f.v2[j]
-                                  for j in range(k)] for i in range(k)])
+    assert pl.projector == f.mat @ f.mat.transpose()
     with pytest.raises(ValueError):
         OrientedPlane(pl.orientation.scaled(2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 6), st.integers(0, 2 ** 32 - 1))
+def test_matrix_identities_match_tuple_oracle(n, seed):
+    """Every sampled object and value equals the tuple formulas', drawn from
+    two copies of one seeded generator that end in the same state."""
+    rng, ref_rng = Random(seed), Random(seed)
+    f, comp = random_frame_with_complement(n, rng)
+    v1, v2, rcomp = ref.random_frame_with_complement(n, ref_rng)
+    assert f.mat == cols(v1, v2) and comp == cols(*rcomp)
+    reeb = reeb_field(f)
+    assert reeb.mat == cols(*ref.reeb_field(v1, v2))
+    assert contact_alpha(reeb) == ref.contact_alpha(v2, ref.reeb_field(v1, v2)[0])
+    t = random_tangent(f, rng)
+    rt = ref.random_tangent(v1, v2, ref_rng)
+    assert t.mat == cols(*rt)
+    assert contact_alpha(t) == ref.contact_alpha(v2, rt[0])
+    assert infinitesimal_rotation(t) == Matrix(ref.infinitesimal_rotation(v1, v2, rt))
+    t1 = random_contact_tangent(f, comp, rng)
+    t2 = random_contact_tangent(f, comp, rng)
+    r1 = ref.random_contact_tangent(rcomp, ref_rng)
+    r2 = ref.random_contact_tangent(rcomp, ref_rng)
+    assert t1.mat == cols(*r1) and t2.mat == cols(*r2)
+    assert contact_alpha(t1) == ref.contact_alpha(v2, r1[0]) == 0
+    assert levi_form_H(f, t1, t2) == ref.levi_form_H(r1, r2)
+    rw = (r1[1], tuple(-x for x in r1[0]))
+    assert levi_witness(t1).mat == cols(*rw)
+    assert levi_form_H(f, t1, levi_witness(t1)) == ref.levi_form_H(r1, rw)
+    assert tangent_coordinates(t1, comp) == Matrix(ref.tangent_coordinates(r1, rcomp))
+    assert infinitesimal_rotation(t2) == Matrix(ref.infinitesimal_rotation(v1, v2, r2))
+    assert quotient_q(f).orientation == Matrix(ref.quotient_q(v1, v2))
+    assert rng.random() == ref_rng.random()
