@@ -12,10 +12,12 @@ one nonzero entry ``i**phases[a][i]`` in column ``cols[a][i]``.  Tensoring
 with a Pauli matrix, the chirality product and scaling by a unit keep this
 form, so the build costs O(n s) and forms no dense matrix.  Validation
 certifies the Clifford relations on the permutations and phase exponents,
-row by row, in O(n^2 s).  ``clifford_mat`` scatters the n s coefficients
-into an s x s matrix, and a gamma acts on a spinor or on the columns of a
-matrix by permuting entries and turning them by a power of i; none of these
-multiplies two exact scalars.  The dense generators are derived on demand.
+row by row, in O(n^2 s).  ``clifford_mat`` (the identity times
+sum v_a gamma_a) and ``times_gamma`` (a matrix times one gamma) are the
+scatter kernel ``linalg.times_signed_perms``: it moves each column to its
+permuted place and turns its integer numerators by a power of i, so neither
+forms a dense product.  ``gamma_apply`` permutes and turns the entries of a
+spinor.  The dense generators are derived on demand.
 """
 
 from __future__ import annotations
@@ -24,14 +26,12 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Sequence, Tuple
 
-from .linalg import Matrix
-from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational
+from .linalg import Matrix, identity, times_signed_perms
+from .scalars import GR_ONE, GR_ZERO, GaussianRational
 
 # v.v = CLIFFORD_SIGN * |v|^2 throughout the package.
 CLIFFORD_SIGN = -1
 
-# i**k for the phase exponent k
-_UNITS = (GR_ONE, GR_I, -GR_ONE, -GR_I)
 # the phase exponent of a real unit
 _EXPONENT = {1: 0, -1: 2}
 
@@ -59,9 +59,7 @@ class GammaRep:
     @cached_property
     def gammas(self) -> Tuple[Matrix, ...]:
         """The generators as dense s x s matrices, derived on first use."""
-        s = self.s
-        return tuple(Matrix(tuple(_UNITS[k] if c == j else GR_ZERO for c in range(s))
-                            for j, k in zip(cols, phases))
+        return tuple(times_signed_perms(identity(self.s), ((1, cols, phases),))
                      for cols, phases in zip(self.cols, self.phases))
 
 
@@ -159,38 +157,11 @@ def _turn(x, k: int) -> GaussianRational:
 
 
 def clifford_mat(rep: GammaRep, v: Sequence) -> Matrix:
-    """Clifford action of the vector v as an s x s matrix, sum of v_a gamma_a.
-
-    Each coefficient lands, turned by its phase, on the s positions of its
-    generator; the components are summed where generators share a position.
-    """
+    """Clifford action of the vector v as an s x s matrix, sum of v_a gamma_a:
+    the identity times that sum of signed permutations."""
     if len(v) != rep.n:
         raise ValueError(f"vector length {len(v)} != n = {rep.n}")
-    s = rep.s
-    acc = ({}, {})  # real and imaginary parts by position i * s + j
-    for coeff, cols, phases in zip(v, rep.cols, rep.phases):
-        if not coeff:
-            continue
-        if type(coeff) is GaussianRational:
-            # re + im i: the imaginary part lands one phase step further on
-            parts = ((coeff.re, 0), (coeff.im, 1))
-        else:
-            parts = ((coeff, 0),)
-        for x, shift in parts:
-            if not x:
-                continue
-            signed = (x, -x)
-            for i, (j, k) in enumerate(zip(cols, phases)):
-                k += shift
-                part = acc[k & 1]
-                y = signed[(k >> 1) & 1]
-                pos = i * s + j
-                part[pos] = part[pos] + y if pos in part else y
-    rows = [[0] * s for _ in range(s)]
-    re, im = acc
-    for pos in re.keys() | im.keys():
-        rows[pos // s][pos % s] = GaussianRational(re.get(pos, 0), im.get(pos, 0))
-    return Matrix(rows)
+    return times_signed_perms(identity(rep.s), zip(v, rep.cols, rep.phases))
 
 
 def gamma_apply(rep: GammaRep, alpha: int, psi: Sequence) -> tuple:
@@ -202,14 +173,7 @@ def gamma_apply(rep: GammaRep, alpha: int, psi: Sequence) -> tuple:
 def times_gamma(m: Matrix, rep: GammaRep, alpha: int) -> Matrix:
     """The product m gamma_{alpha+1}: column k of m, turned by the phase of
     row k, becomes column cols[k]."""
-    cols, phases = rep.cols[alpha], rep.phases[alpha]
-    out = []
-    for row in m.rows:
-        new = [None] * rep.s
-        for x, j, k in zip(row, cols, phases):
-            new[j] = _turn(x, k)
-        out.append(new)
-    return Matrix(out)
+    return times_signed_perms(m, ((1, rep.cols[alpha], rep.phases[alpha]),))
 
 
 def clifford_act(rep: GammaRep, v: Sequence, psi: Sequence) -> tuple:

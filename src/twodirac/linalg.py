@@ -9,10 +9,15 @@ Entries become scalars only when read (``rows``, ``[i, j]``, ``col``,
 ``GaussianRational`` exactly when the imaginary part is nonzero, else an int
 when integral and a ``Fraction`` when not.
 
-Sums, stacks and products work on the numerators: a product is one integer
-kernel, summing only nonzero terms, over the parts that are not zero.
-``rank`` (also ``rank_bareiss``) and ``det`` run one fraction-free (Bareiss)
-elimination on them; ``inverse`` is the adjugate over the determinant.
+Sums, stacks, scaling and products work on the numerators: a product is one
+integer kernel, summing only nonzero terms, over the parts that are not zero.
+A product with a sum of signed permutations, m @ sum_k c_k P_k (Clifford
+matrices and spin words), is a second kernel, ``times_signed_perms``: it
+scatters m's columns to their permuted places, turning each by a power of i
+(a swap and negation of the real and imaginary numerators) and multiplying
+it by c_k's integer numerator, and forms no dense factor.  ``rank`` (also
+``rank_bareiss``) and ``det`` run one fraction-free (Bareiss) elimination on
+the numerators; ``inverse`` is the adjugate over the determinant.
 """
 
 from __future__ import annotations
@@ -104,10 +109,14 @@ class Matrix:
         return _product(self, Matrix((x,) for x in vec)).col(0)
 
     def scaled(self, s) -> "Matrix":
-        """self times the scalar s, as the product with s times the identity."""
-        n = self.ncols
-        return _product(self, Matrix(tuple(s if i == j else 0 for j in range(n))
-                                     for i in range(n)))
+        """self times the scalar s = (a + b i) / e, in one pass over the
+        numerators: (x + y i)(a + b i) = (a x - b y) + (a y + b x) i."""
+        (a, b), e = _numerators(s)
+        re, im = self._re, self._im
+        if not b:
+            return _stored(_times(re, a), im and _times(im, a), self._den * e)
+        im = _imag(self)
+        return _stored(_lin(re, a, im, -b), _lin(im, a, re, b), self._den * e)
 
     def transpose(self) -> "Matrix":
         im = self._im
@@ -173,6 +182,13 @@ def _times(rows: IntRows, k: int) -> IntRows:
 def _lin(a: IntRows, ka: int, b: IntRows, kb: int) -> IntRows:
     """ka a + kb b, entrywise."""
     return tuple(tuple(ka * x + kb * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _numerators(c) -> Tuple[Tuple[int, int], int]:
+    """An int, ``Fraction`` or ``GaussianRational`` c as ((a, b), e), c = (a + b i) / e."""
+    re, im = (c.re, c.im) if type(c) is GaussianRational else (c, 0)
+    e = lcm(re.denominator, im.denominator)
+    return (re.numerator * (e // re.denominator), im.numerator * (e // im.denominator)), e
 
 
 def _scalar(re: int, im: int, den: int):
@@ -263,6 +279,40 @@ def _product(a: Matrix, b: Matrix) -> Matrix:
     if bi is not None:
         im = _mul(ar, bi) if im is None else _lin(im, 1, _mul(ar, bi), 1)
     return _stored(re, im, a._den * b._den)
+
+
+def times_signed_perms(m: Matrix, terms: Iterable[Tuple[object, Sequence[int], Sequence[int]]]
+                       ) -> Matrix:
+    """m @ sum_k c_k P_k for exact scalars c_k and signed permutations P_k.
+
+    Each term is ``(c_k, cols, phases)``: row j of P_k has the single entry
+    ``i**phases[j]`` in column ``cols[j]``.  So column j of m moves to column
+    ``cols[j]``, turned by that power of i and multiplied by c_k; on the
+    numerators a turn only swaps and negates the real and imaginary parts.
+    The coefficients share one denominator, and the sum is stored once over
+    m's denominator times it.  Zero entries of m and zero terms are skipped.
+    """
+    parts = [(_numerators(c), cols, phases) for c, cols, phases in terms if c]
+    den = lcm(*(e for (_, e), _, _ in parts))
+    spots = []  # per term: column j -> (target column, turned coefficient)
+    for ((a, b), e), cols, phases in parts:
+        a, b = a * (den // e), b * (den // e)
+        # (a + b i) i**k for k = 0..3
+        turned = ((a, b), (-b, a), (-a, -b), (b, -a))
+        spots.append([(t, *turned[k]) for t, k in zip(cols, phases)])
+    width = m.ncols
+    out_re, out_im = [], []
+    for row_re, row_im in zip(m._re, _imag(m)):
+        nonzero = [(j, x, y) for j, (x, y) in enumerate(zip(row_re, row_im)) if x or y]
+        re, im = [0] * width, [0] * width
+        for spot in spots:
+            for j, x, y in nonzero:
+                t, a, b = spot[j]
+                re[t] += a * x - b * y
+                im[t] += a * y + b * x
+        out_re.append(tuple(re))
+        out_im.append(tuple(im))
+    return _stored(tuple(out_re), tuple(out_im), m._den * den)
 
 
 def _bareiss(m: Matrix) -> Tuple[int, Tuple[int, int], int]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from random import Random
-from typing import List
+from typing import List, Tuple
 
 from .linalg import Matrix, identity, vdot
 from .scalars import CirclePoint
@@ -28,8 +28,13 @@ def integer_vector(rng: Random, n: int, nonzero: bool = True) -> tuple:
             return v
 
 
+def _ratio(rng: Random) -> Tuple[int, int]:
+    """A numerator and a positive denominator, drawn in that order."""
+    return rng.randint(INT_LO, INT_HI), rng.randint(1, 9)
+
+
 def rational_fraction(rng: Random) -> Fraction:
-    return Fraction(rng.randint(INT_LO, INT_HI), rng.randint(1, 9))
+    return Fraction(*_ratio(rng))
 
 
 def unit_vector(rng: Random, n: int) -> tuple:
@@ -55,10 +60,15 @@ def circle_point(rng: Random) -> CirclePoint:
     if roll < 0.1:
         return rng.choice((CirclePoint(1, 0), CirclePoint(-1, 0),
                            CirclePoint(0, 1), CirclePoint(0, -1)))
-    t = rational_fraction(rng)
-    den = 1 + t * t
-    p = CirclePoint((1 - t * t) / den, 2 * t / den)
+    p = _circle_at(*_ratio(rng))
     return -p if roll < 0.55 else p
+
+
+def _circle_at(a: int, b: int) -> CirclePoint:
+    """The point ((1 - t^2), 2t) / (1 + t^2) at t = a / b, in the integer form
+    ((b^2 - a^2), 2ab) / (a^2 + b^2)."""
+    den = a * a + b * b
+    return CirclePoint(Fraction(b * b - a * a, den), Fraction(2 * a * b, den))
 
 
 def circle_point_with_half(rng: Random) -> CirclePoint:
@@ -112,9 +122,7 @@ def deterministic_circle_points(count: int) -> List[CirclePoint]:
     t = 0
     while len(pts) < count:
         t += 1
-        f = Fraction(t, count + 1)
-        den = 1 + f * f
-        pts.append(CirclePoint((1 - f * f) / den, 2 * f / den))
+        pts.append(_circle_at(t, count + 1))
     return pts
 
 

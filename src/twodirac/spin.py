@@ -2,12 +2,15 @@
 
 Group elements are stored as exact spinor matrices together with the
 generating word of rational unit vectors; the spinor matrix is always the
-product of the word's Clifford matrices, never taken from a caller.  The
-induced rotation is composed from the word's line reflections and certified
-by conjugating the Clifford generators with the spinor matrix; each
-generator is a signed permutation, so S gamma is a column permutation of S
-with phases, and only the product with S^dagger is a matrix product.  The
-gammas are anti-hermitian (the gamma build certifies it), so the spinor
+product of the word's Clifford matrices, never taken from a caller.  Each
+Clifford matrix is a sum of signed permutations (the gammas), so every
+letter v is applied as mat <- sum_a v_a (mat gamma_a) by the scatter kernel
+``linalg.times_signed_perms``, and no Clifford matrix or product is formed.
+The induced rotation is composed from the word's line reflections on integer
+numerators, with no reflection matrix, and certified by conjugating the
+Clifford generators with the spinor matrix; S gamma is a column permutation
+of S with phases, and only the product with S^dagger is a matrix product.
+The gammas are anti-hermitian (the gamma build certifies it), so the spinor
 matrix S of a word of unit vectors is unitary and its inverse is the adjoint
 S^dagger; no inverse is computed or stored.  With the package convention
 ``v.v = -|v|^2``, the word ``(e1, e1)`` realizes the nontrivial central
@@ -21,11 +24,14 @@ the inverse stabilizer maps is carried as a witness on the point itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from operator import mul
 from random import Random
 from typing import Sequence, Tuple
 
 from .clifford import GammaRep, clifford_mat, times_gamma
-from .linalg import Matrix, det, identity, vdot
+from .linalg import Matrix, det, identity, times_signed_perms, vdot
 from .scalars import CIRCLE_ONE, CirclePoint
 from .sampling import circle_point, circle_point_with_half, givens, unit_vector
 
@@ -57,9 +63,10 @@ class SpinElement:
     def __init__(self, rep: GammaRep, word: Sequence[tuple]):
         self.rep = rep
         self.word = tuple(tuple(v) for v in word)
-        mat = clifford_mat(rep, self.word[0]) if self.word else identity(rep.s)
-        for v in self.word[1:]:
-            mat = mat @ clifford_mat(rep, v)
+        mat = identity(rep.s)
+        for v in self.word:
+            # mat (sum_a v_a gamma_a) = sum_a v_a (mat gamma_a), by scatter
+            mat = times_signed_perms(mat, zip(v, rep.cols, rep.phases))
         self.spinor_mat = mat
 
     @classmethod
@@ -130,8 +137,9 @@ def rho_n(a: SpinElement) -> RationalRotation:
     """The rotation induced by conjugation on vectors (the 2:1 covering).
 
     Conjugation by a unit vector v is w -> 2<v, w> v - w, so the rotation of
-    the word v1..vk is the product of the matrices 2 v v^T - I in word order.
-    It is certified against the spinor matrix S: S gamma_alpha S^dagger must
+    the word v1..vk is the product of the reflections 2 v v^T - I in word
+    order, composed on integer numerators by ``_reflections``.  It is
+    certified against the spinor matrix S: S gamma_alpha S^dagger must
     be the Clifford action of column alpha for every alpha.  The gammas are
     linearly independent, so this is the equation that determines the
     rotation from S alone.  Each gamma is a signed permutation, so
@@ -139,9 +147,7 @@ def rho_n(a: SpinElement) -> RationalRotation:
     exact product, with S^dagger, remains per alpha.
     """
     rep = a.rep
-    eye = mat = identity(rep.n)
-    for v in a.word:
-        mat = mat @ (Matrix(tuple(2 * x * y for y in v) for x in v) - eye)
+    mat = _reflections(a.word, rep.n)
     s_adj = a.spinor_mat.adjoint()
     for alpha in range(rep.n):
         conj = times_gamma(a.spinor_mat, rep, alpha) @ s_adj
@@ -149,6 +155,29 @@ def rho_n(a: SpinElement) -> RationalRotation:
             raise ValueError("spinor matrix does not conjugate the gammas by "
                              "the rotation of its word")
     return RationalRotation(mat)
+
+
+def _reflections(word: Sequence[tuple], n: int) -> Matrix:
+    """The product of the reflections 2 v v^T - I over the word, in word order.
+
+    The running product is kept as integer numerators R over one
+    denominator.  For v = p / e with p integral, R (2 v v^T - I) is
+    (2 (R p) p^T - e^2 R) / e^2, so each letter costs O(n^2) integer
+    operations and no reflection matrix is formed.
+    """
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    den = 1
+    for v in word:
+        e = lcm(*(x.denominator for x in v))
+        p = [x.numerator * (e // x.denominator) for x in v]
+        e2 = e * e
+        new = []
+        for r in rows:
+            k = 2 * sum(map(mul, r, p))
+            new.append([k * y - e2 * x for x, y in zip(r, p)])
+        rows = new
+        den *= e2
+    return Matrix(rows).scaled(Fraction(1, den))
 
 
 def spin_rotation_generator(rep: GammaRep, p: CirclePoint) -> SpinElement:

@@ -11,11 +11,13 @@ from twodirac.clifford import (CLIFFORD_SIGN, GammaRep, _validate,
                                basis_spinor, build_gamma_rep,
                                clifford_act, clifford_mat, gamma_apply,
                                times_gamma)
-from twodirac.linalg import Matrix, identity, is_zero_vec, zeros
+from twodirac.linalg import Matrix, identity, is_zero_vec, times_signed_perms, zeros
 from twodirac.sampling import unit_vector
 from twodirac.scalars import GR_I, GR_ONE, GR_ZERO, gr
 
 import reference_gammas
+import reference_matmul
+import reference_words
 
 
 def test_rejects_small_n():
@@ -223,3 +225,33 @@ def test_gamma_actions_match_dense_products(data):
     assert times_gamma(m, rep, alpha) == m @ rep.gammas[alpha]
     v = tuple(data.draw(st.lists(gaussians, min_size=n, max_size=n)))
     assert clifford_mat(rep, v) == _dense_sum(n, v)
+
+
+def _dense_combination(n, terms):
+    """sum_k c_k gamma_k for (c_k, k) terms, repeats included."""
+    v = [0] * n
+    for c, k in terms:
+        v[k] += c
+    return reference_words.clifford_matrix(n, v)
+
+
+kernel_coefficients = st.one_of(st.integers(-9, 9),
+                                st.fractions(min_value=-6, max_value=6, max_denominator=7),
+                                gaussians, st.just(0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_signed_perm_kernel_matches_dense_product(data):
+    n = data.draw(st.integers(2, 8))
+    rep = build_gamma_rep(n)
+    # any multiset of gammas, repeats and zero coefficients included
+    picks = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 2))
+    terms = [(data.draw(kernel_coefficients), k) for k in picks]
+    rows = data.draw(st.one_of(st.just(rep.s), st.integers(1, rep.s + 2)))
+    entries = st.one_of(st.just(0), st.integers(-5, 5), gaussians)
+    m = Matrix(data.draw(st.lists(st.lists(entries, min_size=rep.s, max_size=rep.s),
+                                  min_size=rows, max_size=rows)))
+    got = times_signed_perms(m, [(c, rep.cols[k], rep.phases[k]) for c, k in terms])
+    assert got == m @ _dense_combination(n, terms)
+    assert got == reference_matmul.matmul(m, _dense_combination(n, terms))

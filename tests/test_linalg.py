@@ -228,3 +228,16 @@ def test_results_are_stored_as_the_entries_they_read(ab, t):
     for m in results:
         again = Matrix(m.rows)
         assert m == again and hash(m) == hash(again)
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_operands(), st.one_of(fractions_, st.builds(gr, fractions_, fractions_),
+                                     st.just(0)))
+def test_scaling_agrees_with_the_product_by_a_scalar_matrix(ab, t):
+    # the scalar matrix t I is multiplied by the sum-of-products oracle
+    a, _ = ab
+    n = a.ncols
+    scalar = Matrix(tuple(t if i == j else 0 for j in range(n)) for i in range(n))
+    got = a.scaled(t)
+    assert got == reference_matmul.matmul(a, scalar)
+    _assert_read([e for r in got.rows for e in r])

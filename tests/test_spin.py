@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from twodirac.clifford import build_gamma_rep
 from twodirac.linalg import Matrix, identity, submatrix, vdot
-from twodirac.sampling import circle_point, deterministic_circle_points
+from twodirac.sampling import circle_point, deterministic_circle_points, unit_vector
 from twodirac.scalars import CIRCLE_MINUS_ONE, CIRCLE_ONE, CirclePoint
 from twodirac.spin import (PhaseTriple, RationalRotation, SpinCElement,
                            SpinElement, gamma_c_act, hc_forward, hc_inverse,
@@ -18,6 +18,7 @@ from twodirac.spin import (PhaseTriple, RationalRotation, SpinCElement,
                            spin_rotation_generator, spinc_equal, varsigma_n)
 
 import reference_rho as trace
+import reference_words as words
 
 REP3 = build_gamma_rep(3)
 
@@ -65,11 +66,51 @@ def test_coordinate_plane_rotation():
 
 def test_rho_against_reflection_oracle():
     rng = Random(5)
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6, 7):
         rep = build_gamma_rep(n)
         for _ in range(30):
             a = random_spin(rep, rng)
-            assert rho_n(a).mat == reflection_word_rotation(a.word, n)
+            for elt in (a, a.inverse()):
+                assert rho_n(elt).mat == reflection_word_rotation(elt.word, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 6), st.integers(0, 2 ** 32 - 1))
+def test_spinor_matrix_matches_dense_word_product(n, length, seed):
+    # any length, odd words included: the scatter applies each letter alone
+    rng = Random(seed)
+    word = [unit_vector(rng, n) for _ in range(length)]
+    elt = SpinElement(build_gamma_rep(n), word)
+    assert elt.spinor_mat == words.spinor_mat(n, word)
+
+
+def test_spin_word_forms_no_dense_product(monkeypatch):
+    rep = build_gamma_rep(8)
+    word = [unit_vector(Random(17), 8) for _ in range(4)]
+
+    def refuse(*args):
+        raise AssertionError("a spin word formed a dense product")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Matrix, "__matmul__", refuse)
+        elt = spin_from_unit_vectors(rep, word)
+    assert elt.spinor_mat == words.spinor_mat(8, word)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_rho_rejects_the_spinor_matrix_of_another_word(n):
+    # the certificate ties the word's rotation to the spinor matrix, so an
+    # element whose matrix belongs to a word of another rotation is refused
+    rep = build_gamma_rep(n)
+    rng = Random(40 + n)
+    checked = 0
+    while checked < 5:
+        a, b = random_spin(rep, rng), random_spin(rep, rng)
+        if rho_n(a).mat == rho_n(b).mat:
+            continue
+        with pytest.raises(ValueError, match="does not conjugate"):
+            rho_n(SpinElement._derived(rep, a.word, b.spinor_mat))
+        checked += 1
 
 
 def test_rho_homomorphism_and_double_cover():
