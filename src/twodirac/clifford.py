@@ -12,12 +12,15 @@ one nonzero entry ``i**phases[a][i]`` in column ``cols[a][i]``.  Tensoring
 with a Pauli matrix, the chirality product and scaling by a unit keep this
 form, so the build costs O(n s) and forms no dense matrix.  Validation
 certifies the Clifford relations on the permutations and phase exponents,
-row by row, in O(n^2 s).  ``clifford_mat`` (the identity times
-sum v_a gamma_a) and ``times_gamma`` (a matrix times one gamma) are the
-scatter kernel ``linalg.times_signed_perms``: it moves each column to its
-permuted place and turns its integer numerators by a power of i, so neither
-forms a dense product.  ``gamma_apply`` permutes and turns the entries of a
-spinor.  The dense generators are derived on demand.
+row by row, in O(n^2 s).  Every product with a Clifford action goes through
+``times_clifford``, m @ sum v_a gamma_a, which is the scatter kernel
+``linalg.times_signed_perms``: it moves each column of m to its permuted
+place and turns its integer numerators by a power of i, so it forms no dense
+product.  ``clifford_mat`` is the identity times that sum, and a spinor is
+acted on by ``clifford_mat(rep, v).apply(psi)``.  ``gamma_apply`` permutes
+one generator's entries of a spinor and turns them, leaving an entry's type
+alone for a real phase.  Only this module and the kernel read the
+permutations and phases; the dense generators are derived on demand.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import cached_property, lru_cache, reduce
 from typing import Sequence, Tuple
 
 from .linalg import Matrix, identity, times_signed_perms
-from .scalars import GR_ONE, GR_ZERO, GaussianRational
+from .scalars import GaussianRational
 
 # v.v = CLIFFORD_SIGN * |v|^2 throughout the package.
 CLIFFORD_SIGN = -1
@@ -142,46 +145,34 @@ def build_gamma_rep(n: int) -> GammaRep:
     return rep
 
 
-def _turn(x, k: int) -> GaussianRational:
-    """x * i**k for a phase exponent k in 0..3, by swapping and negating
-    components."""
-    if type(x) is not GaussianRational:
-        x = GaussianRational(x)
+def _turn(x, k: int):
+    """x * i**k for a phase exponent k in 0..3: x or -x unchanged for even k,
+    a ``GaussianRational`` with swapped and negated components for odd k."""
     if k == 0:
         return x
+    if k == 2:
+        return -x
+    if type(x) is not GaussianRational:
+        x = GaussianRational(x)
     if k == 1:
         return GaussianRational(-x.im, x.re)
-    if k == 2:
-        return GaussianRational(-x.re, -x.im)
     return GaussianRational(x.im, -x.re)
 
 
+def times_clifford(m: Matrix, rep: GammaRep, v: Sequence) -> Matrix:
+    """m times the Clifford action of the vector v, m @ sum_a v_a gamma_a,
+    by scatter on m's numerators."""
+    return times_signed_perms(m, zip(v, rep.cols, rep.phases))
+
+
 def clifford_mat(rep: GammaRep, v: Sequence) -> Matrix:
-    """Clifford action of the vector v as an s x s matrix, sum of v_a gamma_a:
-    the identity times that sum of signed permutations."""
+    """Clifford action of the vector v as an s x s matrix, sum v_a gamma_a."""
     if len(v) != rep.n:
         raise ValueError(f"vector length {len(v)} != n = {rep.n}")
-    return times_signed_perms(identity(rep.s), zip(v, rep.cols, rep.phases))
+    return times_clifford(identity(rep.s), rep, v)
 
 
 def gamma_apply(rep: GammaRep, alpha: int, psi: Sequence) -> tuple:
     """gamma_{alpha+1} acting on the spinor psi: entry i is psi[cols[i]]
     turned by its phase."""
     return tuple(_turn(psi[j], k) for j, k in zip(rep.cols[alpha], rep.phases[alpha]))
-
-
-def times_gamma(m: Matrix, rep: GammaRep, alpha: int) -> Matrix:
-    """The product m gamma_{alpha+1}: column k of m, turned by the phase of
-    row k, becomes column cols[k]."""
-    return times_signed_perms(m, ((1, rep.cols[alpha], rep.phases[alpha]),))
-
-
-def clifford_act(rep: GammaRep, v: Sequence, psi: Sequence) -> tuple:
-    """Vector v acting on the spinor psi."""
-    if len(psi) != rep.s:
-        raise ValueError(f"spinor length {len(psi)} != s = {rep.s}")
-    return clifford_mat(rep, v).apply(psi)
-
-
-def basis_spinor(rep: GammaRep, k: int) -> tuple:
-    return tuple(GR_ONE if i == k else GR_ZERO for i in range(rep.s))

@@ -2,8 +2,10 @@
 
 Fields are finite sums of monomials in the 2n coordinates x_{i,alpha}
 (i in {1, 2} labels the two derivative slots, alpha in {1..n} the Clifford
-directions) with spinor coefficients.  The operator sends a field f to the
-pair (sum_a gamma_a d_{1,a} f, sum_a gamma_a d_{2,a} f), computed by exact
+directions) with exact spinor coefficients: ints, Fractions or Gaussian
+rationals, kept as given, so an integer field stays integral until a gamma
+turns it by an odd power of i.  The operator sends a field f to the pair
+(sum_a gamma_a d_{1,a} f, sum_a gamma_a d_{2,a} f), computed by exact
 polynomial differentiation, each gamma permuting the entries of a spinor
 coefficient and turning them by powers of i.  Applied to <x, xi>^k psi0 it
 reproduces k times <x, xi>^{k-1} times the first symbol of xi, which is the
@@ -16,18 +18,15 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from .clifford import GammaRep, gamma_apply
-from .scalars import GaussianRational
 from .symbols import Covector, sigma1
 
 MultiIndex = Tuple[int, ...]
-SpinorCoeff = Tuple[GaussianRational, ...]
 
 
-def _coerce_spinor(psi: Sequence, s: int) -> SpinorCoeff:
+def _coerce_spinor(psi: Sequence, s: int) -> tuple:
     if len(psi) != s:
         raise ValueError(f"spinor length {len(psi)} != s = {s}")
-    return tuple(c if isinstance(c, GaussianRational) else GaussianRational(c)
-                 for c in psi)
+    return tuple(psi)
 
 
 class PolySpinorField:
@@ -38,7 +37,7 @@ class PolySpinorField:
     def __init__(self, n: int, s: int, coeffs: Dict[MultiIndex, Sequence]):
         self.n = n
         self.s = s
-        clean: Dict[MultiIndex, SpinorCoeff] = {}
+        clean: Dict[MultiIndex, tuple] = {}
         for mi, vec in coeffs.items():
             if len(mi) != 2 * n or any(e < 0 for e in mi):
                 raise ValueError(f"bad multi-index {mi} for n = {n}")
@@ -79,7 +78,7 @@ class PolySpinorField:
 
     def diff(self, var: int) -> "PolySpinorField":
         """Exact partial derivative in coordinate ``var`` (0-based, < 2n)."""
-        out: Dict[MultiIndex, SpinorCoeff] = {}
+        out: Dict[MultiIndex, tuple] = {}
         for mi, v in self.coeffs.items():
             k = mi[var]
             if k:
@@ -95,7 +94,7 @@ class PolySpinorField:
         """Multiply by the scalar linear form sum_j linear[j] * x_j."""
         if len(linear) != 2 * self.n:
             raise ValueError("linear form has wrong arity")
-        out: Dict[MultiIndex, SpinorCoeff] = {}
+        out: Dict[MultiIndex, tuple] = {}
         for mi, v in self.coeffs.items():
             for j, c in enumerate(linear):
                 if not c:

@@ -21,11 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from .linalg import Matrix, block, det, rank, submatrix, zeros
+from .linalg import Matrix, block, det, submatrix, zeros
 
 GRADES = (-2, -1, 0, 1, 2)
+
+# the entry range of random_element
+ENTRY_LO, ENTRY_HI = -5, 5
 
 
 def _weights(n: int) -> Tuple[int, ...]:
@@ -140,16 +143,10 @@ def standard_neg1_basis(n: int) -> List[Matrix]:
     return out
 
 
-def heisenberg_gram(n: int, basis: Optional[Sequence[Matrix]] = None) -> Matrix:
-    """Gram matrix of the scalar Heisenberg form over the given 2n-element basis."""
-    if basis is None:
-        basis = standard_neg1_basis(n)
-    basis = list(basis)
-    if len(basis) != 2 * n:
-        raise ValueError(f"basis has {len(basis)} elements, expected {2 * n}")
-    flat = Matrix([tuple(x for row in b.rows for x in row) for b in basis])
-    if rank(flat) < 2 * n:
-        raise ValueError("basis does not span the grade -1 space")
+def heisenberg_gram(n: int) -> Matrix:
+    """Gram matrix of the scalar Heisenberg form over the standard basis of
+    grade -1."""
+    basis = standard_neg1_basis(n)
     return Matrix(tuple(levi_bracket(bi, bj)[0, 1] for bj in basis) for bi in basis)
 
 
@@ -226,15 +223,17 @@ def trace_form(e: GradedElement, f: GradedElement):
     return (e.mat @ f.mat).trace()
 
 
-def random_element(n: int, rng: Random, lo: int = -5, hi: int = 5) -> GradedElement:
+def random_element(n: int, rng: Random) -> GradedElement:
+    """Seeded element with integer entries in ENTRY_LO..ENTRY_HI."""
     def rnd(r, c):
-        return Matrix([[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)])
+        return Matrix([[rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(c)]
+                       for _ in range(r)])
 
     def rnd_skew(k):
         rows = [[0] * k for _ in range(k)]
         for a in range(k):
             for b in range(a + 1, k):
-                v = rng.randint(lo, hi)
+                v = rng.randint(ENTRY_LO, ENTRY_HI)
                 rows[a][b] = v
                 rows[b][a] = -v
         return Matrix(rows)

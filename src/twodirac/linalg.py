@@ -23,6 +23,7 @@ the numerators; ``inverse`` is the adjugate over the determinant.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Tuple
@@ -202,7 +203,9 @@ def _scalar(re: int, im: int, den: int):
 
 # -- constructors -----------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def identity(n: int) -> Matrix:
+    """The n x n identity, built once per n (a Matrix is immutable)."""
     return Matrix(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 

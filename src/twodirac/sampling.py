@@ -86,8 +86,8 @@ def givens(k: int, i: int, j: int, p: CirclePoint) -> Matrix:
     return Matrix(rows)
 
 
-def rotation(rng: Random, k: int, twists: int = 0) -> Matrix:
-    """Exact element of SO(k): a product of seeded Givens rotations.
+def rotation(rng: Random, k: int) -> Matrix:
+    """Exact element of SO(k): a product of 2k seeded Givens rotations.
 
     Each factor ``givens(k, i, j, p)`` changes only rows i and j of the
     running product, kept as integer numerators r over one denominator: with
@@ -96,10 +96,9 @@ def rotation(rng: Random, k: int, twists: int = 0) -> Matrix:
     """
     if k < 2:
         return identity(k)
-    twists = twists or 2 * k
     rows = [[int(a == b) for b in range(k)] for a in range(k)]
     den = 1
-    for _ in range(twists):
+    for _ in range(2 * k):
         i = rng.randrange(k)
         j = rng.randrange(k)
         if i == j:

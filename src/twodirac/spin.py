@@ -3,13 +3,16 @@
 Group elements are stored as exact spinor matrices together with the
 generating word of rational unit vectors; the spinor matrix is always the
 product of the word's Clifford matrices, never taken from a caller.  Each
-Clifford matrix is a sum of signed permutations (the gammas), so every
-letter v is applied as mat <- sum_a v_a (mat gamma_a) by the scatter kernel
-``linalg.times_signed_perms``, and no Clifford matrix or product is formed.
-The induced rotation is composed from the word's line reflections on integer
-numerators, with no reflection matrix, and certified by conjugating the
-Clifford generators with the spinor matrix; S gamma is a column permutation
-of S with phases, and only the product with S^dagger is a matrix product.
+letter v is applied as mat <- mat (sum_a v_a gamma_a) by
+``clifford.times_clifford``, a scatter over the gammas' signed permutations,
+so no Clifford matrix or product is formed.  The induced rotation is
+composed from the word's line reflections on integer numerators, with no
+reflection matrix, and certified by conjugating the Clifford generators with
+the spinor matrix; S gamma_alpha is ``times_clifford`` at e_alpha, a column
+permutation of S with phases, and only the product with S^dagger is a matrix
+product.  Rotations are certified once, by ``RationalRotation``: R^T R = I
+and det R = 1.  A Spin^c class acts on spinors by its one matrix,
+``gamma_c_mat``.
 The gammas are anti-hermitian (the gamma build certifies it), so the spinor
 matrix S of a word of unit vectors is unitary and its inverse is the adjoint
 S^dagger; no inverse is computed or stored.  With the package convention
@@ -30,10 +33,13 @@ from operator import mul
 from random import Random
 from typing import Sequence, Tuple
 
-from .clifford import GammaRep, clifford_mat, times_gamma
-from .linalg import Matrix, det, identity, times_signed_perms, vdot
+from .clifford import GammaRep, clifford_mat, times_clifford
+from .linalg import Matrix, det, identity, vdot
 from .scalars import CIRCLE_ONE, CirclePoint
 from .sampling import circle_point, circle_point_with_half, givens, unit_vector
+
+# random_spin draws words of at most this many pairs of unit vectors
+MAX_PAIRS = 3
 
 
 @dataclass(frozen=True)
@@ -65,8 +71,7 @@ class SpinElement:
         self.word = tuple(tuple(v) for v in word)
         mat = identity(rep.s)
         for v in self.word:
-            # mat (sum_a v_a gamma_a) = sum_a v_a (mat gamma_a), by scatter
-            mat = times_signed_perms(mat, zip(v, rep.cols, rep.phases))
+            mat = times_clifford(mat, rep, v)
         self.spinor_mat = mat
 
     @classmethod
@@ -150,7 +155,8 @@ def rho_n(a: SpinElement) -> RationalRotation:
     mat = _reflections(a.word, rep.n)
     s_adj = a.spinor_mat.adjoint()
     for alpha in range(rep.n):
-        conj = times_gamma(a.spinor_mat, rep, alpha) @ s_adj
+        e_alpha = tuple(int(b == alpha) for b in range(rep.n))
+        conj = times_clifford(a.spinor_mat, rep, e_alpha) @ s_adj
         if conj != clifford_mat(rep, mat.col(alpha)):
             raise ValueError("spinor matrix does not conjugate the gammas by "
                              "the rotation of its word")
@@ -251,16 +257,14 @@ def varsigma_n(x: SpinCElement) -> CirclePoint:
     return x.phase.square()
 
 
-def gamma_c_act(x: SpinCElement, psi: Sequence) -> tuple:
-    """Spinor action of a Spin^c class: phase times the spin action."""
-    if len(psi) != x.spin.rep.s:
-        raise ValueError(f"spinor length {len(psi)} != s = {x.spin.rep.s}")
-    p = x.phase.as_gaussian()
-    return tuple(p * c for c in x.spin.spinor_mat.apply(psi))
-
-
 def gamma_c_mat(x: SpinCElement) -> Matrix:
+    """Spinor matrix of a Spin^c class: phase times the spin matrix."""
     return x.spin.spinor_mat.scaled(x.phase.as_gaussian())
+
+
+def gamma_c_act(x: SpinCElement, psi: Sequence) -> tuple:
+    """Spinor action of a Spin^c class."""
+    return gamma_c_mat(x).apply(psi)
 
 
 def is_in_u1_subgroup(x: SpinCElement) -> bool:
@@ -371,9 +375,9 @@ def hc_inverse(so2: CirclePoint, x: SpinCElement) -> PhaseTriple:
 
 # -- seeded samplers -----------------------------------------------------------
 
-def random_spin(rep: GammaRep, rng: Random, max_pairs: int = 3) -> SpinElement:
-    """Seeded word of 2k unit vectors, k <= max_pairs (bounded entry growth)."""
-    k = rng.randint(1, max_pairs)
+def random_spin(rep: GammaRep, rng: Random) -> SpinElement:
+    """Seeded word of 2k unit vectors, k <= MAX_PAIRS (bounded entry growth)."""
+    k = rng.randint(1, MAX_PAIRS)
     return spin_from_unit_vectors(rep, [unit_vector(rng, rep.n) for _ in range(2 * k)])
 
 

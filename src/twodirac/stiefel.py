@@ -15,6 +15,10 @@ these, with J = [[0, 1], [-1, 0]]:
   of U = [I; F] inside the split space R^2 + R^k, stored in the basis
   (f1, f2, e1, ..., e_k) where the form is S = diag(-1, -1, +1, ..., +1), so
   isotropy is U^T S U = 0 and all checks stay rational.
+
+The rotations A and B that act on frames and planes are certified by
+``spin.RationalRotation`` (R^T R = I and det R = 1), and an oriented plane by
+o^T = -o, o^3 = -o and tr(o^2) = -2, with no elimination.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ from fractions import Fraction
 from random import Random
 from typing import Tuple
 
-from .linalg import Matrix, det, identity, inverse, rank, submatrix, vstack
+from .linalg import Matrix, identity, inverse, submatrix, vstack
 from .sampling import rational_fraction, rotation
 from .scalars import CirclePoint
+from .spin import RationalRotation
 
 # the generator of the circle acting on a frame's two columns
 J = Matrix([[0, 1], [-1, 0]])
@@ -74,15 +79,17 @@ class OrientedPlane:
     """Oriented 2-plane, kept as its unit 2-vector o = v1 v2^T - v2 v1^T.
 
     A real skew matrix is the unit 2-vector of an orthonormal pair exactly
-    when o^3 = -o and rank o = 2; the orthogonal projector onto the plane is
-    then -o^2.
+    when o^3 = -o and rank o = 2.  Its eigenvalues are then 0 and conjugate
+    pairs +-i, so rank o = -tr(o^2), and the orthogonal projector onto the
+    plane is -o^2.
     """
 
     orientation: Matrix
 
     def __post_init__(self):
         o = self.orientation
-        if o.transpose() != -o or o @ o @ o != -o or rank(o) != 2:
+        o2 = o @ o
+        if o.transpose() != -o or o2 @ o != -o or o2.trace() != -2:
             raise ValueError("orientation is not the unit 2-vector of a plane")
 
     @property
@@ -118,19 +125,14 @@ def isotropic_to_frame(u: Matrix) -> Frame2:
     return Frame2(submatrix(u, 2, u.nrows, 0, 2) @ inv)
 
 
-def _check_special_orthogonal(m: Matrix, what: str) -> None:
-    if m.transpose() @ m != identity(m.nrows) or det(m) != 1:
-        raise ValueError(f"{what} is not special orthogonal")
-
-
 def ksharp_act(a: Matrix, b: Matrix, f: Frame2) -> Frame2:
     """Action (A, B).(v1|v2) = B (v1|v2) A^{-1} of SO(2) x SO(n+2)."""
     if a.shape != (2, 2):
         raise ValueError("A must be 2 x 2")
     if b.shape != (f.ambient_dim, f.ambient_dim):
         raise ValueError("B must match the ambient dimension")
-    _check_special_orthogonal(a, "A")
-    _check_special_orthogonal(b, "B")
+    RationalRotation(a)
+    RationalRotation(b)
     return Frame2(b @ f.mat @ a.transpose())  # A^{-1} = A^T in SO(2)
 
 
@@ -177,7 +179,7 @@ def quotient_q(f: Frame2) -> OrientedPlane:
 
 def plane_act(b: Matrix, plane: OrientedPlane) -> OrientedPlane:
     """Induced SO(n+2) action on oriented planes."""
-    _check_special_orthogonal(b, "B")
+    RationalRotation(b)
     return OrientedPlane(b @ plane.orientation @ b.transpose())
 
 

@@ -11,8 +11,10 @@ three symbols are
 are scalars; this is asserted on construction of every SymbolTriple.
 Ellipticity amounts to ranks (s, s, s) for every nonzero covector, checked
 here in exact arithmetic (fraction-free elimination) with an optional
-floating-point mirror.  The alternating sum of the fiber dimensions
-(s, 2s, 2s, s) telescopes to zero; that is the symbol-level index.
+floating-point mirror.  The weight table holds the four highest weights; each
+fiber dimension is derived from its weight as the gl(2) dimension
+lam1 - lam2 + 1 times the spinor dimension s, which gives (s, 2s, 2s, s), and
+their alternating sum, the symbol-level index, is zero.
 """
 
 from __future__ import annotations
@@ -227,17 +229,24 @@ def spinor_dim(n: int) -> int:
 
 @dataclass(frozen=True)
 class WeightTable:
-    """Highest weights, fiber dimensions, and operator orders of the complex."""
+    """Highest weights and operator orders of the complex; its fiber
+    dimensions and index are derived from the weights."""
 
     n: int
     lam: Tuple[Tuple[Fraction, Fraction], ...]
-    fiber_dims: Tuple[int, int, int, int]
     orders: Tuple[int, int, int]
 
-    def __post_init__(self):
-        d = self.fiber_dims
-        if d[0] - d[1] + d[2] - d[3] != 0:
-            raise AssertionError("fiber dimensions fail to telescope")
+    @property
+    def fiber_dims(self) -> Tuple[int, ...]:
+        """The gl(2) dimension lam1 - lam2 + 1 of each weight times the
+        spinor dimension."""
+        s = spinor_dim(self.n)
+        return tuple(s * int(a - b + 1) for a, b in self.lam)
+
+    @property
+    def index(self) -> int:
+        """The alternating sum of the fiber dimensions."""
+        return sum(d * (-1) ** i for i, d in enumerate(self.fiber_dims))
 
 
 def weight_table(n: int) -> WeightTable:
@@ -249,29 +258,9 @@ def weight_table(n: int) -> WeightTable:
            (half * (n + 1), half * (n - 1)),
            (half * (n + 3), half * (n + 1)),
            (half * (n + 3), half * (n + 3)))
-    s = spinor_dim(n)
-    return WeightTable(n=n, lam=lam, fiber_dims=(s, 2 * s, 2 * s, s),
-                       orders=(1, 2, 1))
+    return WeightTable(n=n, lam=lam, orders=(1, 2, 1))
 
 
 def symbol_index(n: int) -> int:
-    """Alternating sum of the fiber dimensions: s - 2s + 2s - s = 0."""
-    d = weight_table(n).fiber_dims
-    return d[0] - d[1] + d[2] - d[3]
-
-
-@dataclass(frozen=True)
-class IndexCertificate:
-    n: int
-    fiber_dims: Tuple[int, int, int, int]
-    index: int
-    end_modules_match: bool     # dim V0 == dim V3
-    middle_modules_match: bool  # dim V1 == dim V2
-
-
-def index_certificate(n: int) -> IndexCertificate:
-    """Index plus the duality pairings that force it to vanish."""
-    d = weight_table(n).fiber_dims
-    return IndexCertificate(n=n, fiber_dims=d, index=symbol_index(n),
-                            end_modules_match=d[0] == d[3],
-                            middle_modules_match=d[1] == d[2])
+    """The index of the complex: s - 2s + 2s - s = 0."""
+    return weight_table(n).index

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from twodirac import clifford
 from twodirac.clifford import (CLIFFORD_SIGN, GammaRep, _validate,
-                               basis_spinor, build_gamma_rep,
-                               clifford_act, clifford_mat, gamma_apply,
-                               times_gamma)
+                               build_gamma_rep, clifford_mat, gamma_apply,
+                               times_clifford)
 from twodirac.linalg import Matrix, identity, is_zero_vec, times_signed_perms, zeros
 from twodirac.sampling import unit_vector
 from twodirac.scalars import GR_I, GR_ONE, GR_ZERO, gr
@@ -167,13 +166,17 @@ def test_injectivity():
 
 def test_clifford_act():
     rep = build_gamma_rep(3)
-    psi = basis_spinor(rep, 0)
-    assert clifford_act(rep, (1, 0, 0), psi) == rep.gammas[0].apply(psi)
-    assert is_zero_vec(clifford_act(rep, (1, 1, 1), (GR_ZERO, GR_ZERO)))
+    psi = identity(rep.s).col(0)
+
+    def act(v, p):
+        return clifford_mat(rep, v).apply(p)
+
+    assert act((1, 0, 0), psi) == rep.gammas[0].apply(psi)
+    assert is_zero_vec(act((1, 1, 1), (GR_ZERO, GR_ZERO)))
     with pytest.raises(ValueError):
-        clifford_act(rep, (1, 0, 0), (GR_ONE,))
+        act((1, 0, 0), (GR_ONE,))
     # v.(v.psi) = sign * psi for a unit vector
-    out = clifford_act(rep, (0, 1, 0), clifford_act(rep, (0, 1, 0), psi))
+    out = act((0, 1, 0), act((0, 1, 0), psi))
     assert out == tuple(CLIFFORD_SIGN * c for c in psi)
 
 
@@ -220,11 +223,31 @@ def test_gamma_actions_match_dense_products(data):
     alpha = data.draw(st.integers(0, n - 1))
     spinors = st.lists(gaussians, min_size=rep.s, max_size=rep.s)
     psi = tuple(data.draw(spinors))
-    m = Matrix(data.draw(st.lists(spinors, min_size=rep.s, max_size=rep.s)))
     assert gamma_apply(rep, alpha, psi) == rep.gammas[alpha].apply(psi)
-    assert times_gamma(m, rep, alpha) == m @ rep.gammas[alpha]
     v = tuple(data.draw(st.lists(gaussians, min_size=n, max_size=n)))
     assert clifford_mat(rep, v) == _dense_sum(n, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_times_clifford_matches_dense_product(data):
+    """m @ sum v_a gamma_a against the dense sum, for square and rectangular
+    m and for int, Fraction, Gaussian and zero vectors v; v = e_alpha is the
+    product with one gamma."""
+    n = data.draw(st.integers(2, 8))
+    rep = build_gamma_rep(n)
+    v = tuple(data.draw(st.one_of(
+        st.lists(st.one_of(coefficients, gaussians), min_size=n, max_size=n),
+        st.just([0] * n),
+        st.integers(0, n - 1).map(lambda k: [int(a == k) for a in range(n)]))))
+    rows = data.draw(st.one_of(st.just(rep.s), st.integers(1, rep.s + 2)))
+    entries = st.one_of(st.just(0), st.integers(-5, 5), gaussians)
+    m = Matrix(data.draw(st.lists(st.lists(entries, min_size=rep.s, max_size=rep.s),
+                                  min_size=rows, max_size=rows)))
+    dense = zeros(rep.s, rep.s)
+    for c, g in zip(v, rep.gammas):
+        dense = dense + g.scaled(c)
+    assert times_clifford(m, rep, v) == m @ dense
 
 
 def _dense_combination(n, terms):

@@ -3,13 +3,15 @@ from random import Random
 
 import pytest
 
-from twodirac.clifford import basis_spinor, build_gamma_rep
+from twodirac.clifford import build_gamma_rep
 from twodirac.flat import (PairField, PolySpinorField, apply_flat_2dirac,
                            linear_power_field, symbol_cross_check)
+from twodirac.linalg import identity
+from twodirac.scalars import GaussianRational
 from twodirac.symbols import Covector, random_covector, sigma1
 
 REP3 = build_gamma_rep(3)
-PSI0 = basis_spinor(REP3, 0)
+PSI0 = identity(REP3.s).col(0)
 
 
 def test_field_construction_and_normalization():
@@ -121,14 +123,35 @@ def test_cross_check_seeded():
             k = rng.randint(1, 5)
             psi = tuple(rng.randint(-4, 4) for _ in range(rep.s))
             if not any(psi):
-                psi = basis_spinor(rep, 0)
+                psi = identity(rep.s).col(0)
             assert symbol_cross_check(rep, xi, k, psi)
 
 
 def test_pair_field_validation():
     f = PolySpinorField.constant(3, PSI0)
-    g = PolySpinorField.constant(4, basis_spinor(build_gamma_rep(4), 0))
+    g = PolySpinorField.constant(4, identity(4).col(0))
     with pytest.raises(ValueError):
         PairField(f, g)
     with pytest.raises(ValueError):
         apply_flat_2dirac(build_gamma_rep(4), f)
+
+
+def _entries(f):
+    return [x for v in f.coeffs.values() for x in v]
+
+
+def test_integer_fields_stay_integral():
+    # an integer field meets a GaussianRational only through an odd-phase gamma
+    rep = build_gamma_rep(4)
+    psi = (3, 0, -2, 1)
+    f = linear_power_field(rep, Covector((1, 2, 0, 1), (0, -1, 1, 3)), 3, psi)
+    for g in (f, f.diff(0), f.diff(5), f.scaled(-2), f.mul_linear((1,) * 8)):
+        assert g.coeffs and all(type(x) is int for x in _entries(g))
+    for alpha in range(rep.n):
+        turned = f.gamma_apply(rep, alpha)
+        odd = any(k % 2 for k in rep.phases[alpha])
+        assert any(type(x) is GaussianRational for x in _entries(turned)) == odd
+        if not odd:
+            assert all(type(x) is int for x in _entries(turned))
+    # some gamma at n = 4 has only even phases, so the integral branch ran
+    assert any(not any(k % 2 for k in p) for p in rep.phases)

@@ -178,19 +178,6 @@ def test_heisenberg_gram_structure():
     assert det(heisenberg_gram(3)) == 1
 
 
-def test_heisenberg_gram_custom_basis_and_errors():
-    n = 3
-    basis = standard_neg1_basis(n)
-    basis[0] = basis[0] + basis[1]  # still spanning
-    g = heisenberg_gram(n, basis)
-    assert det(g) != 0
-    bad = [basis[0]] * (2 * n)
-    with pytest.raises(ValueError):
-        heisenberg_gram(n, bad)
-    with pytest.raises(ValueError):
-        heisenberg_gram(n, basis[:3])
-
-
 def test_grade_minus_two_is_spanned_by_levi_brackets():
     n = 3
     vals = [levi_bracket(b1, b2)[0, 1] for b1 in standard_neg1_basis(n)

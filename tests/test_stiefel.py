@@ -363,6 +363,19 @@ def test_oriented_plane_validation():
         OrientedPlane(pl.orientation.scaled(0))  # o^3 = -o, but rank 0
 
 
+def test_oriented_plane_refuses_two_orthogonal_planes():
+    # the sum of the unit 2-vectors of the planes (e1, e2) and (e3, e4) is
+    # skew with o^3 = -o, but it has rank 4 and tr(o^2) = -4
+    o = quotient_q(standard_frame(N)).orientation
+    swap = Matrix([[int(j == (i + 2) % (N + 2)) for j in range(N + 2)]
+                   for i in range(N + 2)])
+    both = o + swap @ o @ swap.transpose()
+    assert both.transpose() == -both and both @ both @ both == -both
+    assert rank(both) == 4
+    with pytest.raises(ValueError):
+        OrientedPlane(both)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(3, 5), st.integers(0, 2 ** 32 - 1))
 def test_oriented_plane_is_its_unit_two_vector(n, seed):

@@ -12,6 +12,7 @@ in how entries render shows as a changed report, not as a silent one.
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -90,6 +91,26 @@ def test_failure_records_render_as_pinned(suite, monkeypatch):
     records = list(run_check(suite, 3, 2, 0, "exact").failures)
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
     assert (len(records), digest) == FAULT_RECORDS[suite]
+
+
+def _e1_weight_shifted(orig):
+    """weight_table with the first weight of E1 raised by 1."""
+    def shifted(n):
+        wt = orig(n)
+        a, b = wt.lam[1]
+        return replace(wt, lam=(wt.lam[0], (a + 1, b)) + wt.lam[2:])
+    return shifted
+
+
+@pytest.mark.parametrize("suite", ["index", "dims"])
+def test_a_shifted_weight_fails_the_index_claim(suite, monkeypatch):
+    monkeypatch.setattr(report, "weight_table", _e1_weight_shifted(report.weight_table))
+    rpt = run_check(suite, 3, 2, 0, "exact")
+    assert rpt.passed is False and rpt.failures
+    assert all(f["expected"] != "no exception" for f in rpt.failures)
+    if suite == "index":
+        # E1 has dimension 3s = 6 at n = 3, so the index is 2 - 6 + 4 - 2
+        assert rpt.failures[0] == {"input": "n=3", "expected": "index 0", "got": "-2"}
 
 
 def test_symbols_refuses_a_scan_that_checked_too_few(monkeypatch):

@@ -8,10 +8,9 @@ from twodirac.linalg import block, hstack, identity, rank, rank_bareiss, vstack,
 from twodirac.spin import gamma_c_mat, random_spinc, rho_n_c
 from twodirac.symbols import (Covector, ScanReport,
                               degenerate_family, ellipticity_scan,
-                              exactness_report, index_certificate,
-                              random_covector, sigma1, sigma2, sigma3,
-                              spinor_dim, symbol_index, symbol_triple,
-                              weight_table)
+                              exactness_report, random_covector, sigma1,
+                              sigma2, sigma3, spinor_dim, symbol_index,
+                              symbol_triple, weight_table)
 
 import reference_elimination as field
 
@@ -172,10 +171,12 @@ def test_weight_table_values():
 def test_symbol_index_zero():
     for n in range(3, 13):
         assert symbol_index(n) == 0
-        cert = index_certificate(n)
-        assert cert.index == 0
-        assert cert.end_modules_match and cert.middle_modules_match
+        wt = weight_table(n)
+        assert wt.index == 0
+        d = wt.fiber_dims
+        assert d[0] == d[3] and d[1] == d[2]
         s = spinor_dim(n)
-        assert cert.fiber_dims == (s, 2 * s, 2 * s, s)
+        assert d == (s, 2 * s, 2 * s, s)
+        assert all(type(x) is int for x in d)
     assert symbol_index(3) == 2 - 4 + 4 - 2
     assert symbol_index(6) == 8 - 16 + 16 - 8
