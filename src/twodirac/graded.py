@@ -3,8 +3,10 @@
 The split bilinear form h of signature (n+2, 2) has as Gram matrix H the
 permutation matrix of the involution sigma that swaps the indices 0, 1 with
 n+2, n+3 and fixes the rest.  An element of so(h) is kept as its
-(n+4) x (n+4) matrix M; M^T H + H M = 0 reads entrywise
-M[c][r] = -M[sigma(r)][sigma(c)].  Split 2 | n | 2, M has the blocks
+(n+4) x (n+4) matrix M; as H^2 = I, M^T H + H M = 0 is the identity
+M = -H M^T H, entrywise M[r][c] = -M[sigma(c)][sigma(r)], which every
+element certifies by one ``linalg.mirrored`` on its numerators.  Split
+2 | n | 2, M has the blocks
 
     [ A    Z^T    W   ]
     [ X     B    -Z   ]
@@ -12,18 +14,23 @@ M[c][r] = -M[sigma(r)][sigma(c)].  Split 2 | n | 2, M has the blocks
 
 with B, Y, W skew.  The grading element E = diag(w), w = (1, 1, 0, ..., 0,
 -1, -1), splits so(h) into the eigenspaces of ad(E): entry (r, c) has grade
-w(r) - w(c), so Y <-> -2, X <-> -1, (A, B) <-> 0, Z <-> +1, W <-> +2.  The
-grade (-1, -1) -> -2 component of the commutator is the Heisenberg bracket;
-its nondegeneracy is the contact condition checked here.
+w(r) - w(c), so Y <-> -2, X <-> -1, (A, B) <-> 0, Z <-> +1, W <-> +2.
+Projecting to grade i keeps the entries of one 0/1 mask per (n, i)
+(``linalg.masked``); as sigma reverses w, the grade of (r, c) is that of
+(sigma(c), sigma(r)), so each mask is mirror-symmetric and a projection
+stays in so(h).  The grade (-1, -1) -> -2 component of the commutator is
+the Heisenberg bracket; its nondegeneracy is the contact condition checked
+here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 from typing import Callable, List, Optional, Tuple
 
-from .linalg import Matrix, block, det, submatrix, zeros
+from .linalg import Matrix, block, det, masked, mirrored, submatrix, zeros
 
 GRADES = (-2, -1, 0, 1, 2)
 
@@ -54,8 +61,7 @@ class GradedElement:
             raise ValueError(f"need n >= 3, got {n}")
         if m.shape != (k, k):
             raise ValueError(f"matrix has shape {m.shape}, expected {(k, k)}")
-        rows, s = m.rows, _mirror(n)
-        if any(rows[c][r] + rows[s[r]][s[c]] for r in range(k) for c in range(k)):
+        if mirrored(m, _mirror(n)) != m:
             raise ValueError("matrix is not in the orthogonal algebra")
 
     @property
@@ -108,14 +114,18 @@ def h_gram(n: int) -> Matrix:
                   for r in range(n + 4))
 
 
-def grade_project(e: GradedElement, i: int) -> GradedElement:
-    """Keep only the entries of grade i."""
+@lru_cache(maxsize=None)
+def grade_mask(n: int, i: int) -> Matrix:
+    """The 0/1 matrix marking the entries (r, c) of grade w(r) - w(c) = i."""
     if i not in GRADES:
         raise ValueError(f"grade {i} outside {GRADES}")
-    w = _weights(e.n)
-    return GradedElement(e.n, Matrix(
-        tuple(x if w[r] - w[c] == i else 0 for c, x in enumerate(row))
-        for r, row in enumerate(e.mat.rows)))
+    w = _weights(n)
+    return Matrix(tuple(int(w[r] - w[c] == i) for c in range(n + 4)) for r in range(n + 4))
+
+
+def grade_project(e: GradedElement, i: int) -> GradedElement:
+    """Keep only the entries of grade i."""
+    return GradedElement(e.n, masked(e.mat, grade_mask(e.n, i)))
 
 
 def bracket(e: GradedElement, f: GradedElement) -> GradedElement:
@@ -216,11 +226,6 @@ def is_parabolic_member(g: Matrix, n: int) -> bool:
 def is_levi_member(g: Matrix, n: int) -> bool:
     """Does conjugation by g preserve each grade summand on the nose?"""
     return _conjugation_keeps_grades(g, n, lambda i, j: j != i)
-
-
-def trace_form(e: GradedElement, f: GradedElement):
-    """Trace form pairing; puts grade -2 in duality with +2 and -1 with +1."""
-    return (e.mat @ f.mat).trace()
 
 
 def random_element(n: int, rng: Random) -> GradedElement:

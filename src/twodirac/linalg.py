@@ -9,13 +9,17 @@ Entries become scalars only when read (``rows``, ``[i, j]``, ``col``,
 ``GaussianRational`` exactly when the imaginary part is nonzero, else an int
 when integral and a ``Fraction`` when not.
 
-Sums, stacks, scaling and products work on the numerators: a product is one
-integer kernel, summing only nonzero terms, over the parts that are not zero.
+Sums, differences, stacks, scaling and products work on the numerators: a
+sum or difference is one pass, and a product is one integer kernel, summing
+only nonzero terms, over the parts that are not zero.
 A product with a sum of signed permutations, m @ sum_k c_k P_k (Clifford
 matrices and spin words), is a second kernel, ``times_signed_perms``: it
 scatters m's columns to their permuted places, turning each by a power of i
 (a swap and negation of the real and imaginary numerators) and multiplying
-it by c_k's integer numerator, and forms no dense factor.  ``rank`` (also
+it by c_k's integer numerator, and forms no dense factor.  Two kernels only
+move or drop numerators: ``masked`` zeroes the entries where a 0/1 mask is
+zero, and ``mirrored`` forms -P m^T P^T for a permutation matrix P, whose
+entry (r, c) is -m[perm[c]][perm[r]].  ``rank`` (also
 ``rank_bareiss``) and ``det`` run one fraction-free (Bareiss) elimination on
 the numerators; ``inverse`` is the adjugate over the determinant.
 """
@@ -26,6 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
+from operator import add, mul, neg, sub
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .scalars import GaussianRational
@@ -83,17 +88,22 @@ class Matrix:
         return tuple(r[j] for r in self.rows)
 
     def __add__(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other for sign = +-1, in one pass over the numerators."""
         if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
+            op = "+" if sign == 1 else "-"
+            raise ValueError(f"shape mismatch {self.shape} {op} {other.shape}")
         den = lcm(self._den, other._den)
-        ka, kb = den // self._den, den // other._den
+        ka, kb = den // self._den, sign * (den // other._den)
         im = None
         if self._im is not None or other._im is not None:
             im = _lin(_imag(self), ka, _imag(other), kb)
         return _stored(_lin(self._re, ka, other._re, kb), im, den)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + -other
 
     def __neg__(self) -> "Matrix":
         return _stored(_times(self._re, -1), self._im and _times(self._im, -1), self._den)
@@ -182,6 +192,11 @@ def _times(rows: IntRows, k: int) -> IntRows:
 
 def _lin(a: IntRows, ka: int, b: IntRows, kb: int) -> IntRows:
     """ka a + kb b, entrywise."""
+    if ka == 1 and kb in (1, -1):
+        # sums and differences over one denominator, the common case: map
+        # runs the loop without a Python-level step per entry
+        op = add if kb == 1 else sub
+        return tuple(tuple(map(op, ra, rb)) for ra, rb in zip(a, b))
     return tuple(tuple(ka * x + kb * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
@@ -238,6 +253,33 @@ def submatrix(m: Matrix, r0: int, r1: int, c0: int, c1: int) -> Matrix:
     im = m._im
     return _stored(tuple(r[c0:c1] for r in m._re[r0:r1]),
                    im and tuple(r[c0:c1] for r in im[r0:r1]), m._den)
+
+
+def masked(m: Matrix, mask: Matrix) -> Matrix:
+    """m with zeros wherever the 0/1 matrix ``mask`` is zero."""
+    if m.shape != mask.shape:
+        raise ValueError(f"shape mismatch {m.shape} masked by {mask.shape}")
+    if mask._den != 1 or mask._im is not None or {*chain.from_iterable(mask._re)} - {0, 1}:
+        raise ValueError("mask must be a 0/1 matrix")
+
+    def keep(rows: IntRows) -> IntRows:
+        return tuple(tuple(map(mul, r, kr)) for r, kr in zip(rows, mask._re))
+
+    return _stored(keep(m._re), m._im and keep(m._im), m._den)
+
+
+def mirrored(m: Matrix, perm: Sequence[int]) -> Matrix:
+    """-P m^T P^T for the permutation matrix P with P[r][perm[r]] = 1: entry
+    (r, c) is -m[perm[c]][perm[r]].  For an involution P^T = P."""
+    if m.nrows != m.ncols or sorted(perm) != list(range(m.nrows)):
+        raise ValueError(f"{tuple(perm)} is not a permutation of the indices of {m.shape}")
+
+    def mirror(rows: IntRows) -> IntRows:
+        # cols[j][c] = m[perm[c]][j]
+        cols = tuple(zip(*[rows[p] for p in perm]))
+        return tuple(tuple(map(neg, cols[q])) for q in perm)
+
+    return _stored(mirror(m._re), m._im and mirror(m._im), m._den)
 
 
 # -- vectors ------------------------------------------------------------------

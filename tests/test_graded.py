@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twodirac.graded import (GRADES, GradedElement, bracket, element,
-                             grade_basis, grade_project, h_gram, heisenberg_gram,
-                             is_levi_member, is_parabolic_member, levi_bracket,
-                             random_element, standard_neg1_basis, trace_form,
+                             grade_basis, grade_mask, grade_project, h_gram,
+                             heisenberg_gram, is_levi_member, is_parabolic_member,
+                             levi_bracket, random_element, standard_neg1_basis,
                              zero_element)
-from twodirac.linalg import Matrix, block, det, identity, inverse, rank, zeros
+from twodirac.linalg import (Matrix, block, det, identity, inverse, masked, mirrored,
+                             rank, zeros)
 from twodirac.sampling import rotation
+from twodirac.scalars import gr
 
 import reference_graded as layout
 
@@ -236,6 +238,11 @@ def test_membership_checks_the_form_before_using_h_gt_h():
                 member(g, n)
 
 
+def trace_form(e, f):
+    """Trace form pairing; puts grade -2 in duality with +2 and -1 with +1."""
+    return (e.mat @ f.mat).trace()
+
+
 def test_trace_form_dual_pairing():
     n = 3
     y = grade_basis(n, -2)[0]
@@ -257,7 +264,11 @@ def _span_rank(mats):
 def test_grading_agrees_with_block_layout_oracle(n, seed):
     rng = Random(seed)
     e, f = random_element(n, rng), random_element(n, rng)
-    for g in (e, f, bracket(e, f)):
+    # a rational and a Gaussian multiple: numerators over a denominator != 1,
+    # with imaginary parts in the second
+    t = Fraction(rng.randint(1, 6), 7)
+    z = GradedElement(n, e.mat.scaled(gr(t, Fraction(rng.randint(1, 4), 5))))
+    for g in (e, f, bracket(e, f), GradedElement(n, f.mat.scaled(t)), z):
         for i in GRADES:
             assert grade_project(g, i).mat == layout.project(g.mat, n, i)
     dims = {-2: 1, -1: 2 * n, 0: 4 + n * (n - 1) // 2, 1: 2 * n, 2: 1}
@@ -266,14 +277,33 @@ def test_grading_agrees_with_block_layout_oracle(n, seed):
         oracle = layout.grade_space(n, i)
         assert len(basis) == len(oracle) == dims[i]
         assert _span_rank(basis) == _span_rank(oracle + basis) == dims[i]
-    # one perturbed entry breaks the mirror relation, wherever it sits
+    # one perturbed entry breaks the mirror relation, wherever it sits, also
+    # when only its imaginary part moves
     r, c = rng.randrange(n + 4), rng.randrange(n + 4)
-    bad = Matrix([[x + (a == r and b == c) for b, x in enumerate(row)]
-                for a, row in enumerate(e.mat.rows)])
-    with pytest.raises(ValueError):
-        layout.split(bad, n)
-    with pytest.raises(ValueError):
-        GradedElement(n, bad)
+    for g, unit in ((e, 1), (z, gr(0, 1))):
+        bad = Matrix([[x + unit * (a == r and b == c) for b, x in enumerate(row)]
+                      for a, row in enumerate(g.mat.rows)])
+        with pytest.raises(ValueError):
+            layout.split(bad, n)
+        with pytest.raises(ValueError):
+            GradedElement(n, bad)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_grade_masks_partition_the_entries_mirror_symmetrically(n):
+    # disjoint 0/1 masks summing to all ones, each fixed by (r, c) -> (sigma c,
+    # sigma r): so a projection of an element of so(h) stays in so(h)
+    k = n + 4
+    sigma = tuple(row.index(1) for row in h_gram(n).rows)
+    masks = [grade_mask(n, i) for i in GRADES]
+    total = zeros(k, k)
+    for a, mask in enumerate(masks):
+        assert {x for row in mask.rows for x in row} <= {0, 1}
+        assert mirrored(mask, sigma) == -mask
+        for other in masks[a + 1:]:
+            assert masked(mask, other).is_zero()
+        total = total + mask
+    assert total == Matrix([[1] * k] * k)
 
 
 def _unipotent(n, **blocks):

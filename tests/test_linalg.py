@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twodirac.linalg import (Matrix, block, det, hstack, identity, inverse, rank,
-                             rank_bareiss, submatrix, vstack, zeros)
+from twodirac.linalg import (Matrix, block, det, hstack, identity, inverse, masked,
+                             mirrored, rank, rank_bareiss, submatrix, vstack, zeros)
 from twodirac.scalars import GaussianRational, gr
 
 import reference_elimination as field
@@ -34,10 +34,19 @@ def test_shape_errors():
         Matrix([[1, 2]]) @ Matrix([[1, 2]])
     with pytest.raises(ValueError):
         Matrix([[1, 2]]).apply((1, 2, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(1, 2\) \+ \(1, 1\)"):
         Matrix([[1, 2]]) + Matrix([[1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(2, 2\) - \(1, 2\)"):
         Matrix([[1, 2], [3, 4]]) - Matrix([[1, 2]])
+    with pytest.raises(ValueError):
+        masked(Matrix([[1, 2]]), Matrix([[1], [0]]))
+    for not_a_mask in (Matrix([[Fraction(1, 2), 1]]), Matrix([[gr(0, 1), 1]])):
+        with pytest.raises(ValueError):
+            masked(Matrix([[1, 2]]), not_a_mask)
+    with pytest.raises(ValueError):
+        mirrored(Matrix([[1, 2]]), (0,))
+    with pytest.raises(ValueError):
+        mirrored(identity(2), (0, 0))
 
 
 def test_det_and_inverse():
@@ -240,4 +249,34 @@ def test_scaling_agrees_with_the_product_by_a_scalar_matrix(ab, t):
     scalar = Matrix(tuple(t if i == j else 0 for j in range(n)) for i in range(n))
     got = a.scaled(t)
     assert got == reference_matmul.matmul(a, scalar)
+    _assert_read([e for r in got.rows for e in r])
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_operands(), st.data())
+def test_difference_mask_and_mirror_agree_with_their_entrywise_reading(ab, data):
+    a, b = ab
+    q = min(a.nrows, b.ncols)
+    x, y = submatrix(a, 0, q, 0, a.ncols), submatrix(b.transpose(), 0, q, 0, a.ncols)
+    want = Matrix(tuple(u - v for u, v in zip(ru, rv)) for ru, rv in zip(x.rows, y.rows))
+    assert x - y == want == x + -y
+    _assert_read([e for r in (x - y).rows for e in r])
+
+    keep = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=x.ncols,
+                                       max_size=x.ncols), min_size=q, max_size=q))
+    mask = Matrix(keep)
+    got = masked(x, mask)
+    assert got == Matrix(tuple(u if k else 0 for u, k in zip(r, kr))
+                         for r, kr in zip(x.rows, keep))
+    assert got + masked(x, Matrix([[1] * x.ncols] * q) - mask) == x
+    _assert_read([e for r in got.rows for e in r])
+
+    # the sum-of-products oracle forms -P m^T P^T with P[r][perm[r]] = 1
+    k = min(x.shape)
+    m = submatrix(x, 0, k, 0, k)
+    perm = data.draw(st.permutations(range(k)))
+    p = Matrix(tuple(int(c == perm[r]) for c in range(k)) for r in range(k))
+    got = mirrored(m, perm)
+    assert got == -reference_matmul.matmul(reference_matmul.matmul(p, m.transpose()),
+                                           p.transpose())
     _assert_read([e for r in got.rows for e in r])
