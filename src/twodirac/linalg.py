@@ -19,9 +19,15 @@ scatters m's columns to their permuted places, turning each by a power of i
 it by c_k's integer numerator, and forms no dense factor.  Two kernels only
 move or drop numerators: ``masked`` zeroes the entries where a 0/1 mask is
 zero, and ``mirrored`` forms -P m^T P^T for a permutation matrix P, whose
-entry (r, c) is -m[perm[c]][perm[r]].  ``rank`` (also
-``rank_bareiss``) and ``det`` run one fraction-free (Bareiss) elimination on
-the numerators; ``inverse`` is the adjugate over the determinant.
+entry (r, c) is -m[perm[c]][perm[r]].
+
+``rank`` (also ``rank_bareiss``) eliminates over F_p, p = 10**9 + 9, with i
+sent to a square root of -1 mod p.  That reduction is a ring map, so the
+rank mod p is a lower bound; where it meets the upper bound (the shape, or
+a smaller bound the caller has proven) it is the rank.  A shortfall mod p
+proves nothing, and then the fraction-free (Bareiss) elimination on the
+numerators decides.  ``det`` runs the Bareiss elimination; ``inverse`` is
+the adjugate over the determinant.
 """
 
 from __future__ import annotations
@@ -410,8 +416,57 @@ def _bareiss(m: Matrix) -> Tuple[int, Tuple[int, int], int]:
     return rk, (pre, pim), sign
 
 
-def rank(m: Matrix) -> int:
-    """Exact rank."""
+# A prime with p = 1 (mod 4), so -1 has a square root _I mod p and Z[i] maps
+# onto F_p by i -> _I, a ring map.  For a quadratic nonresidue g (Euler's
+# criterion: g**((p - 1) / 2) = -1), g**((p - 1) / 4) squares to -1.
+_P = 10**9 + 9
+_I = next(pow(g, (_P - 1) // 4, _P) for g in range(2, _P)
+          if pow(g, (_P - 1) // 2, _P) == _P - 1)
+if _I * _I % _P != _P - 1:
+    raise ImportError(f"{_I} is not a square root of -1 mod {_P}")
+
+
+def _rank_mod_p(m: Matrix) -> int:
+    """The rank over F_p of m's numerators, each x + y i sent to x + y _I.
+
+    The reduction is a ring map, so every minor that vanishes over Q(i)
+    vanishes mod p and this is a lower bound on the exact rank; dropping the
+    common denominator does not change the rank.  Gaussian elimination
+    drops the pivot column after each step, so every row is read from its
+    first remaining column.
+    """
+    rows = [[(x + y * _I) % _P for x, y in zip(r, i)] for r, i in zip(m._re, _imag(m))]
+    rk = 0
+    while rows and rows[0]:
+        k = next((k for k, r in enumerate(rows) if r[0]), None)
+        if k is None:
+            rows = [r[1:] for r in rows]
+            continue
+        head, *tail = rows.pop(k)
+        inv = pow(head, -1, _P)
+        piv = [y * inv % _P for y in tail]
+        rows = [[(x - r[0] * y) % _P for x, y in zip(r[1:], piv)] if r[0] else r[1:]
+                for r in rows]
+        rk += 1
+    return rk
+
+
+def rank(m: Matrix, at_most: Optional[int] = None) -> int:
+    """Exact rank, certified by the rank mod p where it can be.
+
+    The rank mod p is a lower bound; the upper bound is min(at_most, *m.shape),
+    where ``at_most`` is a bound the caller has proven (for a complex,
+    s2 s1 = 0 gives rank s2 <= dim - rank s1).  A lower bound that meets the
+    upper bound is the rank.  One above it refutes the caller's bound and
+    raises; one below it proves nothing, and the fraction-free elimination
+    decides.
+    """
+    bound = min(m.shape) if at_most is None else min(at_most, *m.shape)
+    lower = _rank_mod_p(m)
+    if lower == bound:
+        return lower
+    if lower > bound:
+        raise ValueError(f"rank mod p is {lower}, above the bound {bound}")
     return _bareiss(m)[0]
 
 

@@ -95,8 +95,10 @@ def _check_grading(n: int, samples: int, seed: int, mode: str) -> List[Failure]:
             for ei in bases[i]:
                 for ej in bases[j]:
                     br = bracket(ei, ej)
-                    bad = [k for k in GRADES
-                           if k != i + j and not grade_project(br, k).is_zero()]
+                    # a projection is linear, so a zero bracket has none to test
+                    bad = [] if br.is_zero() else [
+                        k for k in GRADES
+                        if k != i + j and not grade_project(br, k).is_zero()]
                     if bad:
                         fails.append(_fail(f"[grade {i} basis, grade {j} basis]",
                                            f"components only in grade {i + j}",

@@ -38,20 +38,27 @@ def rational_fraction(rng: Random) -> Fraction:
 
 
 def unit_vector(rng: Random, n: int) -> tuple:
-    """Exact rational unit vector in R^n via stereographic projection."""
+    """Exact rational unit vector in R^n via stereographic projection.
+
+    The point z in R^(n-1) maps to (2z, |z|^2 - 1) / (|z|^2 + 1); with
+    z = a / b over one denominator b that is the integer form
+    (2ab, |a|^2 - b^2) / (|a|^2 + b^2), whose unit norm is an integer
+    identity.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
         return (rng.choice((-1, 1)),)
-    z = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n - 1)]
-    nz = sum(x * x for x in z)
-    den = nz + 1
-    v = [2 * x / den for x in z] + [(nz - 1) / den]
+    z = [(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n - 1)]
+    b = lcm(*(d for _, d in z))
+    a = [x * (b // d) for x, d in z]
+    na = sum(x * x for x in a)
+    den = na + b * b
+    v = [2 * x * b for x in a] + [na - b * b]
+    assert sum(x * x for x in v) == den * den
     # random signed permutation for coordinate coverage
     rng.shuffle(v)
-    v = [x if rng.random() < 0.5 else -x for x in v]
-    assert vdot(v, v) == 1
-    return tuple(v)
+    return tuple(Fraction(x if rng.random() < 0.5 else -x, den) for x in v)
 
 
 def circle_point(rng: Random) -> CirclePoint:

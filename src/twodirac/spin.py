@@ -133,7 +133,9 @@ def spin_from_unit_vectors(rep: GammaRep, vs: Sequence[Sequence]) -> SpinElement
     for v in word:
         if len(v) != rep.n:
             raise ValueError(f"vector length {len(v)} != n = {rep.n}")
-        if vdot(v, v) != 1:
+        # |v|^2 = 1 as an integer identity: with v = w / e, sum w_k^2 = e^2
+        e = lcm(*(x.denominator for x in v))
+        if sum((x.numerator * (e // x.denominator)) ** 2 for x in v) != e * e:
             raise ValueError(f"vector {v} has squared norm {vdot(v, v)} != 1")
     return SpinElement(rep, word)
 

@@ -10,11 +10,14 @@ three symbols are
 ``s2 s1 = 0`` and ``s3 s2 = 0`` hold identically because squares of vectors
 are scalars; this is asserted on construction of every SymbolTriple.
 Ellipticity amounts to ranks (s, s, s) for every nonzero covector, checked
-here in exact arithmetic (fraction-free elimination) with an optional
-floating-point mirror.  The weight table holds the four highest weights; each
-fiber dimension is derived from its weight as the gl(2) dimension
-lam1 - lam2 + 1 times the spinor dimension s, which gives (s, 2s, 2s, s), and
-their alternating sum, the symbol-level index, is zero.
+here in exact arithmetic with an optional floating-point mirror.  Each exact
+rank is a lower bound mod p (``linalg.rank``) that meets a proven upper
+bound: the shape, and for s2 the bound 2s - rank s1 that s2 s1 = 0 gives.
+The fraction-free (Bareiss) rank runs only on a shortfall mod p.  The
+weight table holds the four highest weights; each fiber dimension is derived
+from its weight as the gl(2) dimension lam1 - lam2 + 1 times the spinor
+dimension s, which gives (s, 2s, 2s, s), and their alternating sum, the
+symbol-level index, is zero.
 """
 
 from __future__ import annotations
@@ -134,11 +137,15 @@ def exactness_report(rep: GammaRep, x: Covector, mode: str = "exact") -> Exactne
     if x.is_zero():
         raise ValueError("exactness is only defined for nonzero covectors")
     triple = symbol_triple(rep, x)
-    rank_of = rank_bareiss if mode == "exact" else _rank_float
-    r1 = rank_of(triple.s1)
-    r2 = rank_of(triple.s2)
-    r3 = rank_of(triple.s3)
     s = rep.s
+    if mode == "exact":
+        r1 = rank_bareiss(triple.s1)
+        # SymbolTriple has just certified s2 s1 = 0 on these matrices, so the
+        # image of s1 lies in the kernel of s2 and rank s2 <= 2s - rank s1
+        r2 = rank_bareiss(triple.s2, at_most=2 * s - r1)
+        r3 = rank_bareiss(triple.s3)
+    else:
+        r1, r2, r3 = (_rank_float(m) for m in (triple.s1, triple.s2, triple.s3))
     return ExactnessReport(rank1=r1, rank2=r2, rank3=r3,
                            exact_at_0=r1 == s,
                            exact_at_1=r1 + r2 == 2 * s,

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twodirac.linalg import (Matrix, block, det, hstack, identity, inverse, masked,
-                             mirrored, rank, rank_bareiss, submatrix, vstack, zeros)
+from twodirac.linalg import (_I, _P, Matrix, _bareiss, _rank_mod_p, block, det, hstack,
+                             identity, inverse, masked, mirrored, rank, rank_bareiss,
+                             submatrix, vstack, zeros)
 from twodirac.scalars import GaussianRational, gr
 
 import reference_elimination as field
@@ -94,6 +95,56 @@ def gauss_matrices(draw):
 @given(gauss_matrices())
 def test_bareiss_agrees_with_field_elimination(m):
     assert rank_bareiss(m) == field.rank(m)
+    # the fallback on its own, which the modular certificate rarely reaches
+    assert _bareiss(m)[0] == field.rank(m)
+
+
+def test_modulus_is_a_prime_one_mod_four_with_a_root_of_minus_one():
+    assert _P > 2 and all(_P % d for d in range(2, int(_P ** 0.5) + 1))
+    assert _P % 4 == 1
+    assert _I * _I % _P == _P - 1
+
+
+def test_a_shortfall_mod_p_falls_back_to_bareiss():
+    # each entry vanishes mod p but not over Q(i)
+    for m in (Matrix([[_P]]), Matrix([[gr(_P - _I, 1)]])):
+        assert _rank_mod_p(m) == 0
+        assert rank(m) == 1
+    two = Matrix([[_P, 0], [0, 1]])
+    assert _rank_mod_p(two) == 1 and rank(two) == rank(two, at_most=2) == 2
+    # a shortfall below the bound is not the bound either
+    one = Matrix([[_P, 0], [0, 0]])
+    assert _rank_mod_p(one) == 0 and rank(one) == rank(one, at_most=2) == 1
+
+
+@st.composite
+def low_rank_gauss_matrices(draw):
+    """Products of an r x k and a k x c Gaussian matrix, k = 1..3, so that
+    many have rank below min(r, c)."""
+    k = draw(st.integers(1, 3))
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+    def factor(rows: int, cols: int) -> Matrix:
+        entries = draw(st.lists(gauss_entries, min_size=rows * cols, max_size=rows * cols))
+        return Matrix(tuple(gr(a, b) for a, b in entries[i * cols:(i + 1) * cols])
+                      for i in range(rows))
+
+    return factor(r, k) @ factor(k, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(gauss_matrices(), low_rank_gauss_matrices()))
+@example(identity(3))
+@example(Matrix([[1, gr(0, 1)], [gr(0, 1), 1]]))
+def test_a_bounded_rank_is_the_rank_for_every_true_bound(m):
+    true = field.rank(m)
+    assert rank(m) == true
+    for k in range(true, max(m.shape) + 2):
+        assert rank(m, at_most=k) == true
+    # a bound below the rank mod p is refuted, not trusted
+    for k in range(_rank_mod_p(m)):
+        with pytest.raises(ValueError, match="above the bound"):
+            rank(m, at_most=k)
 
 
 def test_bareiss_handles_fractional_entries():

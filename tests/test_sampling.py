@@ -1,8 +1,12 @@
 from fractions import Fraction
 from random import Random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from twodirac.linalg import det, identity
-from twodirac.sampling import circle_point, deterministic_circle_points, givens, rotation
+from twodirac.sampling import (circle_point, deterministic_circle_points, givens, rotation,
+                               unit_vector)
 from twodirac.scalars import CirclePoint
 
 
@@ -52,3 +56,29 @@ def test_circle_point_matches_the_fraction_formula():
     assert deterministic_circle_points(5) == [
         CirclePoint((1 - f * f) / (1 + f * f), 2 * f / (1 + f * f))
         for f in (Fraction(t, 6) for t in range(1, 6))]
+
+
+def fraction_unit_vector(rng: Random, n: int) -> tuple:
+    """The inverse stereographic projection (2z, |z|^2 - 1) / (|z|^2 + 1) by
+    Fraction arithmetic on z, drawing exactly what ``unit_vector`` draws."""
+    if n == 1:
+        return (rng.choice((-1, 1)),)
+    z = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n - 1)]
+    nz = sum(x * x for x in z)
+    den = nz + 1
+    v = [2 * x / den for x in z] + [(nz - 1) / den]
+    rng.shuffle(v)
+    return tuple(x if rng.random() < 0.5 else -x for x in v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_unit_vector_matches_the_fraction_formula(n, seed):
+    """The integer form gives the Fraction formula's values in its types,
+    drawn from two copies of one seeded generator that end in the same state."""
+    rng, ref_rng = Random(seed), Random(seed)
+    for _ in range(3):
+        v, want = unit_vector(rng, n), fraction_unit_vector(ref_rng, n)
+        assert v == want and list(map(type, v)) == list(map(type, want))
+        assert sum(x * x for x in v) == 1
+    assert rng.random() == ref_rng.random()

@@ -113,6 +113,40 @@ def test_a_shifted_weight_fails_the_index_claim(suite, monkeypatch):
         assert rpt.failures[0] == {"input": "n=3", "expected": "index 0", "got": "-2"}
 
 
+def _four_projection_closure(n: int) -> list:
+    """The grading suite's closure records by the sweep that projects every
+    basis bracket [e_i, e_j] onto each of the four grades k != i + j."""
+    bases = {i: report.grade_basis(n, i) for i in report.GRADES}
+    out = []
+    for i in report.GRADES:
+        for j in report.GRADES:
+            for ei in bases[i]:
+                for ej in bases[j]:
+                    br = report.bracket(ei, ej)
+                    bad = [k for k in report.GRADES
+                           if k != i + j and not report.grade_project(br, k).is_zero()]
+                    if bad:
+                        out.append({"input": f"[grade {i} basis, grade {j} basis]",
+                                    "expected": f"components only in grade {i + j}",
+                                    "got": f"leaked into grades {bad}"})
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_grading_closure_skips_only_what_no_projection_flags(n, monkeypatch):
+    """Zero brackets are not projected; under a bracket that leaks the grade-1
+    part of its first argument, the closure records are the four-projection
+    sweep's, and zero brackets (every pair without a grade-1 first basis
+    element) still occur."""
+    orig = report.bracket
+    monkeypatch.setattr(report, "bracket",
+                        lambda a, b: orig(a, b) + report.grade_project(a, 1))
+    records = [f for f in report._check_grading(n, 1, 0, "exact")
+               if f["input"].startswith("[grade ")]
+    want = _four_projection_closure(n)
+    assert records == want and want
+
+
 def test_symbols_refuses_a_scan_that_checked_too_few(monkeypatch):
     def vacuous(n, samples, seed, mode="exact"):
         return symbols.ScanReport(n, samples, seed, mode, checked=0, passed=True)

@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from twodirac.clifford import CLIFFORD_SIGN, build_gamma_rep
-from twodirac.linalg import block, hstack, identity, rank, rank_bareiss, vstack, zeros
+from twodirac.linalg import _bareiss, block, hstack, identity, rank, vstack, zeros
 from twodirac.spin import gamma_c_mat, random_spinc, rho_n_c
 from twodirac.symbols import (Covector, ScanReport,
                               degenerate_family, ellipticity_scan,
@@ -92,9 +92,11 @@ def test_exact_and_float_modes_agree():
 
 
 def test_three_rank_routes_agree_on_symbol_matrices():
-    # the ellipticity certificates lean on the fraction-free rank, so pin it
-    # against the field-elimination oracle and the SVD route on the matrices
-    # that actually occur, at the largest spinor dimensions in scope
+    # the ellipticity certificates lean on the rank mod p bounded by
+    # s2 s1 = 0, with the fraction-free rank as its fallback, so pin the
+    # report's ranks and the fallback against the field-elimination oracle
+    # and the SVD route on the matrices that actually occur, at the largest
+    # spinor dimensions in scope
     from twodirac.symbols import _rank_float
     rng = Random(7)
     for n in (5, 6):
@@ -102,10 +104,9 @@ def test_three_rank_routes_agree_on_symbol_matrices():
         for x in [random_covector(n, rng) for _ in range(6)] + \
                 degenerate_family(n)[:8]:
             t = symbol_triple(rep, x)
-            for m in (t.s1, t.s2, t.s3):
-                exact = rank_bareiss(m)
-                assert exact == field.rank(m)
-                assert exact == _rank_float(m)
+            rpt = exactness_report(rep, x, "exact")
+            for m, certified in zip((t.s1, t.s2, t.s3), (rpt.rank1, rpt.rank2, rpt.rank3)):
+                assert certified == _bareiss(m)[0] == field.rank(m) == _rank_float(m)
 
 
 def test_degenerate_family_contents():
