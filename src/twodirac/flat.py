@@ -116,9 +116,6 @@ class PolySpinorField:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def total_degrees(self) -> set:
-        return {sum(mi) for mi in self.coeffs}
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolySpinorField):
             return NotImplemented

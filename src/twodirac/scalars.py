@@ -99,9 +99,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def norm_sq(self) -> Rational:
-        return self.re * self.re + self.im * self.im
-
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 

@@ -7,8 +7,20 @@ three symbols are
     s2 = [[-M2 M1, M1 M1], [-M2 M2, M1 M2]]  (pairs -> pairs, order 2)
     s3 = [-M2, M1]                          (pairs -> spinors, order 1)
 
-``s2 s1 = 0`` and ``s3 s2 = 0`` hold identically because squares of vectors
-are scalars; this is asserted on construction of every SymbolTriple.
+All three are built from the one letter pair M1, M2 (``symbol_triple``
+builds it once).  s2 takes a single scatter product, P = M2 M1, and scalar
+blocks: with q_i = <X_i, X_i> and b = <X1, X2>, the Clifford relations
+gamma_a^2 = -1 and gamma_a gamma_b = -gamma_b gamma_a that
+``build_gamma_rep`` certifies give, by bilinearity, M_i M_i = -q_i I and
+M1 M2 = -P - 2b I, so
+
+    s2 = [[-P, -q1 I], [q2 I, -P - 2b I]].
+
+Every SymbolTriple checks ``s2 s1 = 0`` and ``s3 s2 = 0`` by dense products
+of the assembled matrices.  For the literal products both hold identically.
+For s2 built from the relations, the blocks of s2 s1 are -M2 (M1 M1 + q1 I)
+and (M2 M2 + q2 I) M1 - M2 (M1 M2 + M2 M1 + 2b I), so ``s2 s1 = 0`` tests
+the Clifford relations on each covector's own letters.
 Ellipticity amounts to ranks (s, s, s) for every nonzero covector, checked
 here in exact arithmetic with an optional floating-point mirror.  Each exact
 rank is a lower bound mod p (``linalg.rank``) that meets a proven upper
@@ -27,8 +39,10 @@ from fractions import Fraction
 from random import Random
 from typing import List, Optional, Tuple
 
-from .clifford import GammaRep, build_gamma_rep, clifford_mat
-from .linalg import Matrix, block, hstack, is_zero_vec, rank_bareiss, vstack
+from .clifford import (CLIFFORD_SIGN, GammaRep, build_gamma_rep, clifford_mat,
+                       times_clifford)
+from .linalg import (Matrix, block, hstack, identity, is_zero_vec, rank_bareiss, vdot,
+                     vstack)
 from .sampling import integer_vector, perpendicular_integer_vector
 
 FLOAT_RANK_RTOL = 1e-9
@@ -57,28 +71,46 @@ class Covector:
         return Covector(tuple(t * a for a in self.x1), tuple(t * a for a in self.x2))
 
 
-def sigma1(rep: GammaRep, x: Covector) -> Matrix:
-    """First symbol: psi -> (X1.psi, X2.psi), stacked as a 2s x s matrix."""
+def _check_dimension(rep: GammaRep, x: Covector) -> None:
     if x.n != rep.n:
         raise ValueError(f"covector dimension {x.n} != n = {rep.n}")
-    return vstack(clifford_mat(rep, x.x1), clifford_mat(rep, x.x2))
+
+
+def _letters(rep: GammaRep, x: Covector) -> Tuple[Matrix, Matrix]:
+    """The pair M1, M2: the Clifford actions of X1 and X2."""
+    _check_dimension(rep, x)
+    return clifford_mat(rep, x.x1), clifford_mat(rep, x.x2)
+
+
+def _first(m1: Matrix, m2: Matrix) -> Matrix:
+    return vstack(m1, m2)
+
+
+def _third(m1: Matrix, m2: Matrix) -> Matrix:
+    return hstack(-m2, m1)
+
+
+def sigma1(rep: GammaRep, x: Covector) -> Matrix:
+    """First symbol: psi -> (X1.psi, X2.psi), stacked as a 2s x s matrix."""
+    return _first(*_letters(rep, x))
 
 
 def sigma2(rep: GammaRep, x: Covector) -> Matrix:
-    """Second symbol: (p1, p2) -> (-X2.X1.p1 + X1.X1.p2, -X2.X2.p1 + X1.X2.p2)."""
-    if x.n != rep.n:
-        raise ValueError(f"covector dimension {x.n} != n = {rep.n}")
-    m1 = clifford_mat(rep, x.x1)
-    m2 = clifford_mat(rep, x.x2)
-    return block([[-(m2 @ m1), m1 @ m1],
-                  [-(m2 @ m2), m1 @ m2]])
+    """Second symbol: (p1, p2) -> (-X2.X1.p1 + X1.X1.p2, -X2.X2.p1 + X1.X2.p2),
+    from the one product P = M2 M1 and scalar blocks."""
+    _check_dimension(rep, x)
+    p = times_clifford(clifford_mat(rep, x.x2), rep, x.x1)
+    q1, q2, b = vdot(x.x1, x.x1), vdot(x.x2, x.x2), vdot(x.x1, x.x2)
+    eye, c = identity(rep.s), CLIFFORD_SIGN
+    # M_i M_i = c q_i and M1 M2 = -M2 M1 + 2 c b, by bilinearity from
+    # gamma_a^2 = c and gamma_a gamma_b = -gamma_b gamma_a
+    return block([[-p, eye.scaled(c * q1)],
+                  [eye.scaled(-c * q2), eye.scaled(2 * c * b) - p]])
 
 
 def sigma3(rep: GammaRep, x: Covector) -> Matrix:
     """Third symbol: (q1, q2) -> -X2.q1 + X1.q2, an s x 2s block row."""
-    if x.n != rep.n:
-        raise ValueError(f"covector dimension {x.n} != n = {rep.n}")
-    return hstack(-clifford_mat(rep, x.x2), clifford_mat(rep, x.x1))
+    return _third(*_letters(rep, x))
 
 
 @dataclass(frozen=True)
@@ -97,7 +129,10 @@ class SymbolTriple:
 
 
 def symbol_triple(rep: GammaRep, x: Covector) -> SymbolTriple:
-    return SymbolTriple(sigma1(rep, x), sigma2(rep, x), sigma3(rep, x))
+    """The three symbols of x: s1 and s3 share one letter pair, and s2 is
+    ``sigma2``'s, which needs only the product M2 M1."""
+    m1, m2 = _letters(rep, x)
+    return SymbolTriple(_first(m1, m2), sigma2(rep, x), _third(m1, m2))
 
 
 def _rank_float(m: Matrix) -> int:

@@ -2,17 +2,21 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twodirac.clifford import CLIFFORD_SIGN, build_gamma_rep
-from twodirac.linalg import _bareiss, block, hstack, identity, rank, vstack, zeros
+from twodirac.linalg import (_bareiss, block, hstack, identity, rank, submatrix,
+                             vdot, vstack, zeros)
 from twodirac.spin import gamma_c_mat, random_spinc, rho_n_c
-from twodirac.symbols import (Covector, ScanReport,
+from twodirac.symbols import (Covector, ScanReport, SymbolTriple,
                               degenerate_family, ellipticity_scan,
                               exactness_report, random_covector, sigma1,
                               sigma2, sigma3, spinor_dim, symbol_index,
                               symbol_triple, weight_table)
 
 import reference_elimination as field
+import reference_symbols
 
 REP3 = build_gamma_rep(3)
 REP4 = build_gamma_rep(4)
@@ -37,6 +41,72 @@ def test_sigma_frozen_forms():
          [zeros(2, 2), zeros(2, 2)]])
     x01 = Covector((0, 0, 0), (1, 0, 0))
     assert sigma3(REP3, x01) == hstack(-g1, zeros(2, 2))
+
+
+def _vectors(n: int):
+    entries = st.one_of(st.integers(-9, 9),
+                        st.fractions(min_value=-6, max_value=6, max_denominator=7))
+    return st.lists(entries, min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def covectors(draw):
+    """(n, X) for n = 3..8 with int or Fraction entries: X1 = 0, X2 = 0,
+    X1 parallel to X2, X1 perpendicular to X2, or a random pair."""
+    n = draw(st.integers(3, 8))
+    v, w = draw(_vectors(n)), draw(_vectors(n))
+    t = draw(st.fractions(min_value=-4, max_value=4, max_denominator=5))
+    zero = (0,) * n
+    # w minus its component along v, scaled by |v|^2 to stay exact
+    perp = tuple(vdot(v, v) * b - vdot(v, w) * a for a, b in zip(v, w))
+    pairs = {"x1 zero": (zero, w), "x2 zero": (v, zero),
+             "parallel": (v, tuple(t * a for a in v)),
+             "perpendicular": (v, perp), "random": (v, w)}
+    return n, Covector(*pairs[draw(st.sampled_from(sorted(pairs)))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(covectors())
+def test_sigma2_matches_the_literal_products(case):
+    n, x = case
+    rep = build_gamma_rep(n)
+    assert sigma2(rep, x) == reference_symbols.sigma2(n, x)
+    t = symbol_triple(rep, x)
+    assert (t.s1, t.s2, t.s3) == (sigma1(rep, x), sigma2(rep, x), sigma3(rep, x))
+
+
+def _mutated_sigma2(rep, x, mutant: str):
+    """sigma2 with one Clifford-relation block wrong."""
+    s, eye = rep.s, identity(rep.s)
+    p = -submatrix(sigma2(rep, x), 0, s, 0, s)  # M2 M1
+    q1, q2, b = vdot(x.x1, x.x1), vdot(x.x2, x.x2), vdot(x.x1, x.x2)
+    top_right = eye.scaled(q1 if mutant == "+q1" else -q1)
+    bottom_left = eye.scaled(-q2 if mutant == "-q2" else q2)
+    bottom_right = -p if mutant == "no 2b" else -p - eye.scaled(2 * b)
+    return block([[-p, top_right], [bottom_left, bottom_right]])
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("mutant", ["+q1", "-q2", "no 2b"])
+def test_complex_check_certifies_the_clifford_relations(n, mutant):
+    # X1, X2 and <X1, X2> all nonzero, so each mutant changes s2 s1
+    x = Covector((1, 2) + (0,) * (n - 2), (0, 1, 3) + (0,) * (n - 3))
+    assert vdot(x.x1, x.x2) != 0
+    rep = build_gamma_rep(n)
+    s1, s3 = sigma1(rep, x), sigma3(rep, x)
+    assert _mutated_sigma2(rep, x, "none") == sigma2(rep, x)
+    SymbolTriple(s1, sigma2(rep, x), s3)
+    with pytest.raises(AssertionError, match="s2 @ s1 != 0"):
+        SymbolTriple(s1, _mutated_sigma2(rep, x, mutant), s3)
+
+
+@pytest.mark.parametrize("build", [sigma1, sigma2, sigma3, symbol_triple,
+                                   exactness_report])
+def test_covector_of_the_wrong_dimension_is_refused(build):
+    for rep, x in ((REP3, Covector((1, 0, 0, 2), (0, 1, 0, 0))),
+                   (REP4, Covector((1, 0, 0), (0, 1, 0)))):
+        with pytest.raises(ValueError, match=rf"^covector dimension {x.n} != n = {rep.n}$"):
+            build(rep, x)
 
 
 def test_complex_property_identically():
