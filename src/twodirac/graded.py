@@ -21,16 +21,29 @@ Projecting to grade i keeps the entries of one 0/1 mask per (n, i)
 stays in so(h).  The grade (-1, -1) -> -2 component of the commutator is
 the Heisenberg bracket; its nondegeneracy is the contact condition checked
 here.
+
+The closure [g_i, g_j] in g_{i+j} is certified by one exact product per
+grade pair, not one commutator per pair of basis elements
+(``closure_flags``): block (a, b) of L_ij = vstack(grade-i basis) @
+hstack(grade-j basis) is E_a E_b.  L_ij masked off grade i + j must vanish,
+so each E_a E_b has grade i + j.  And L_ji = (I x H) L_ij^T (I x H) says
+E_b E_a = H (E_a E_b)^T H, so with X = E_a E_b the bracket is
+X - H X^T H = X + mirror(X), where mirror(X) = -H X^T H is an involution:
+the bracket is its own mirror image, i.e. lies in so(h).  Both tests work
+on the products' numerators and form no bracket; a pair that fails either
+is handed to the per-pair sweep, whose records name the grades leaked into.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from random import Random
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .linalg import Matrix, block, det, masked, mirrored, submatrix, zeros
+from .linalg import (Matrix, block, det, hstack, masked, mirrored, submatrix,
+                     vstack, zeros)
 
 GRADES = (-2, -1, 0, 1, 2)
 
@@ -160,7 +173,7 @@ def heisenberg_gram(n: int) -> Matrix:
     return Matrix(tuple(levi_bracket(bi, bj)[0, 1] for bj in basis) for bi in basis)
 
 
-# -- group membership tests ----------------------------------------------------
+# -- grade bases and the closure of the grading --------------------------------
 
 def _grade_positions(n: int, i: int) -> List[Tuple[int, int]]:
     """The position (r, c) of the +1 entry of each grade-i basis element
@@ -181,6 +194,41 @@ def grade_basis(n: int, i: int) -> List[GradedElement]:
               else 0 for b in range(k)) for a in range(k)))
         for r, c in _grade_positions(n, i)]
 
+
+def closure_flags(n: int, bases: Mapping[int, Sequence[GradedElement]]
+                  ) -> FrozenSet[Tuple[int, int]]:
+    """The grade pairs (i, j) for which the stacked products of the grade-i and
+    grade-j basis do not certify that every bracket [E_a, E_b] lies in grade
+    i + j of so(h); with (i, j) flagged, (j, i) is flagged too.
+
+    Block (a, b) of L_ij = vstack(grade-i basis) @ hstack(grade-j basis) is
+    E_a E_b.  For i <= j the pair is clean when L_ij has no entry off grade
+    i + j (no nonzero entry at all when |i + j| > 2) and L_ji = (I x H)
+    L_ij^T (I x H), blockwise E_b E_a = H (E_a E_b)^T H.  The identity carries
+    the first test over to L_ji, as the grade masks are mirror-symmetric.
+    """
+    k, sigma = n + 4, _mirror(n)
+    ones = Matrix([[1] * k] * k)
+    dims = {i: len(bases[i]) for i in GRADES}
+    stacked = {i: vstack(*(e.mat for e in bases[i])) for i in GRADES}
+    sided = {j: hstack(*(e.mat for e in bases[j])) for j in GRADES}
+
+    def block_mirror(d: int) -> Tuple[int, ...]:
+        """The involution whose permutation matrix is I_d x H."""
+        return tuple(a * k + s for a in range(d) for s in sigma)
+
+    flagged = set()
+    for i, j in combinations_with_replacement(GRADES, 2):
+        prod = stacked[i] @ sided[j]
+        off = ones - grade_mask(n, i + j) if i + j in GRADES else ones
+        if (not masked(prod, block([[off] * dims[j]] * dims[i])).is_zero()
+                or mirrored(prod, block_mirror(dims[j]), block_mirror(dims[i]))
+                != -(prod if i == j else stacked[j] @ sided[i])):
+            flagged |= {(i, j), (j, i)}
+    return frozenset(flagged)
+
+
+# -- group membership tests ----------------------------------------------------
 
 def _check_h_orthogonal(g: Matrix, n: int) -> Matrix:
     """Check g^T H g = H and det g = 1; return g^-1, which is H g^T H as H^2 = I."""

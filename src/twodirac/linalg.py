@@ -18,8 +18,9 @@ scatters m's columns to their permuted places, turning each by a power of i
 (a swap and negation of the real and imaginary numerators) and multiplying
 it by c_k's integer numerator, and forms no dense factor.  Two kernels only
 move or drop numerators: ``masked`` zeroes the entries where a 0/1 mask is
-zero, and ``mirrored`` forms -P m^T P^T for a permutation matrix P, whose
-entry (r, c) is -m[perm[c]][perm[r]].
+zero, and ``mirrored`` forms -P m^T Q^T for permutation matrices P and Q
+(one per side, so m may be rectangular), whose entry (r, c) is
+-m[col_perm[c]][perm[r]].
 
 ``rank`` (also ``rank_bareiss``) eliminates over F_p, p = 10**9 + 9, with i
 sent to a square root of -1 mod p.  That reduction is a ring map, so the
@@ -274,15 +275,21 @@ def masked(m: Matrix, mask: Matrix) -> Matrix:
     return _stored(keep(m._re), m._im and keep(m._im), m._den)
 
 
-def mirrored(m: Matrix, perm: Sequence[int]) -> Matrix:
-    """-P m^T P^T for the permutation matrix P with P[r][perm[r]] = 1: entry
-    (r, c) is -m[perm[c]][perm[r]].  For an involution P^T = P."""
-    if m.nrows != m.ncols or sorted(perm) != list(range(m.nrows)):
-        raise ValueError(f"{tuple(perm)} is not a permutation of the indices of {m.shape}")
+def mirrored(m: Matrix, perm: Sequence[int],
+             col_perm: Optional[Sequence[int]] = None) -> Matrix:
+    """-P m^T Q^T for the permutation matrices P with P[r][perm[r]] = 1, of
+    order m.ncols, and Q with Q[c][col_perm[c]] = 1, of order m.nrows (Q = P
+    by default, for a square m): entry (r, c) is -m[col_perm[c]][perm[r]].
+    For an involution P^T = P."""
+    col_perm = perm if col_perm is None else col_perm
+    for p, size in ((perm, m.ncols), (col_perm, m.nrows)):
+        if sorted(p) != list(range(size)):
+            raise ValueError(f"{tuple(p)} is not a permutation of range({size}) "
+                             f"for a matrix of shape {m.shape}")
 
     def mirror(rows: IntRows) -> IntRows:
-        # cols[j][c] = m[perm[c]][j]
-        cols = tuple(zip(*[rows[p] for p in perm]))
+        # cols[j][c] = m[col_perm[c]][j]
+        cols = tuple(zip(*[rows[p] for p in col_perm]))
         return tuple(tuple(map(neg, cols[q])) for q in perm)
 
     return _stored(mirror(m._re), m._im and mirror(m._im), m._den)

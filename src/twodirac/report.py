@@ -19,10 +19,10 @@ from typing import Callable, Dict, List, Sequence, Tuple
 from . import __version__
 from .clifford import build_gamma_rep
 from .flat import PolySpinorField, apply_flat_2dirac, linear_power_field, symbol_cross_check
-from .graded import (GRADES, bracket, grade_basis, grade_project,
-                     heisenberg_gram, is_levi_member, is_parabolic_member,
-                     levi_bracket, random_element, standard_neg1_basis,
-                     zero_element)
+from .graded import (GRADES, bracket, closure_flags, grade_basis,
+                     grade_project, heisenberg_gram, is_levi_member,
+                     is_parabolic_member, levi_bracket, random_element,
+                     standard_neg1_basis, zero_element)
 from .linalg import Matrix, block, det, identity, inverse, rank, submatrix, zeros
 from .sampling import circle_point, deterministic_circle_points, rotation
 from .scalars import CIRCLE_MINUS_ONE, CIRCLE_ONE, CirclePoint
@@ -90,8 +90,13 @@ def _check_grading(n: int, samples: int, seed: int, mode: str) -> List[Failure]:
     fails: List[Failure] = []
     rng = _rng(seed, "grading", n)
     bases = {i: grade_basis(n, i) for i in GRADES}
+    # the stacked products certify every other grade pair: none of its
+    # brackets leaves so(h) or grade i + j, so none is formed
+    flagged = closure_flags(n, bases)
     for i in GRADES:
         for j in GRADES:
+            if (i, j) not in flagged:
+                continue
             for ei in bases[i]:
                 for ej in bases[j]:
                     br = bracket(ei, ej)

@@ -53,10 +53,6 @@ class Frame2:
         return self.mat.nrows
 
 
-def standard_frame(n: int) -> Frame2:
-    return Frame2(submatrix(identity(n + 2), 0, n + 2, 0, 2))
-
-
 @dataclass(frozen=True)
 class StiefelTangent:
     """Tangent (w1 | w2) at a frame F: the linearized orthonormality
@@ -181,28 +177,6 @@ def plane_act(b: Matrix, plane: OrientedPlane) -> OrientedPlane:
     """Induced SO(n+2) action on oriented planes."""
     RationalRotation(b)
     return OrientedPlane(b @ plane.orientation @ b.transpose())
-
-
-def tangent_from_skew(f: Frame2, psi: Matrix) -> StiefelTangent:
-    """Tangent psi F generated by an infinitesimal rotation psi (skew matrix)."""
-    if psi.transpose() != -psi:
-        raise ValueError("generator must be skew")
-    return StiefelTangent(f, psi @ f.mat)
-
-
-def infinitesimal_rotation(t: StiefelTangent) -> Matrix:
-    """A skew matrix psi with psi F = W.
-
-    psi = W F^T - F W^T + c F J F^T with c = <w1, v2> = -<w2, v1>; the last
-    term corrects the part of W F^T - F W^T inside the plane, so the formula
-    holds for any tangent satisfying the linearized constraints.
-    """
-    f, w = t.base.mat, t.mat
-    c = (w.transpose() @ f)[0, 1]
-    psi = w @ f.transpose() - f @ w.transpose() + f @ J.scaled(c) @ f.transpose()
-    if psi @ f != w:
-        raise AssertionError("infinitesimal rotation reconstruction failed")
-    return psi
 
 
 # -- seeded samplers ------------------------------------------------------------

@@ -1,13 +1,14 @@
 from fractions import Fraction
 from itertools import product
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twodirac.graded import (GRADES, GradedElement, bracket, element,
-                             grade_basis, grade_mask, grade_project, h_gram,
+from twodirac.graded import (GRADES, GradedElement, bracket, closure_flags,
+                             element, grade_basis, grade_mask, grade_project, h_gram,
                              heisenberg_gram, is_levi_member, is_parabolic_member,
                              levi_bracket, random_element, standard_neg1_basis,
                              zero_element)
@@ -81,7 +82,7 @@ def test_grade_projections():
         grade_project(e, 3)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_grading_closure_all_pairs(n):
     bases = {i: grade_basis(n, i) for i in GRADES}
     for i, j in product(GRADES, repeat=2):
@@ -91,6 +92,52 @@ def test_grading_closure_all_pairs(n):
                 for k in GRADES:
                     if k != i + j:
                         assert grade_project(br, k).is_zero(), (i, j, k)
+    # the stacked products flag the grade pairs this sweep flags: none
+    assert closure_flags(n, bases) == frozenset()
+
+
+def _sweep_flags(bases):
+    """The grade pairs (i, j) in which the per-pair sweep finds a basis
+    bracket with a component off grade i + j."""
+    return {(i, j) for i, j in product(GRADES, repeat=2)
+            if any(not grade_project(bracket(a, b), k).is_zero()
+                   for a in bases[i] for b in bases[j] for k in GRADES if k != i + j)}
+
+
+@pytest.mark.parametrize("i, j", [(-2, 1), (-1, 0), (0, 1), (1, -1), (2, 0)])
+def test_closure_flags_agree_with_the_sweep_on_a_leaking_basis(i, j):
+    # the first grade-i element gains a grade-j basis element: still in so(h),
+    # but no longer of one grade
+    n = 3
+    bases = {g: grade_basis(n, g) for g in GRADES}
+    bases[i] = [bases[i][0] + bases[j][0]] + bases[i][1:]
+    flags, swept = closure_flags(n, bases), _sweep_flags(bases)
+    assert swept and swept <= flags
+    # a grade with one element has one self-bracket [e, e] = 0, which the
+    # sweep passes and the leaking product e e flags
+    assert flags - swept == ({(i, i)} if len(bases[i]) == 1 else set())
+
+
+@pytest.mark.parametrize("i", GRADES)
+def test_closure_flags_refuse_a_basis_element_outside_so_h(i):
+    # E_rc without its mirror term -E_sigma(c)sigma(r): of grade i, so no
+    # product leaks, but brackets with it leave so(h).  No GradedElement can
+    # hold it, so the oracle is the matrix commutator.
+    n = 3
+    k = n + 4
+    sigma = tuple(row.index(1) for row in h_gram(n).rows)
+    ones = Matrix([[1] * k] * k)
+    bases = {g: grade_basis(n, g) for g in GRADES}
+    half = Matrix([[max(x, 0) for x in row] for row in bases[i][0].mat.rows])
+    bases[i] = [SimpleNamespace(mat=half)] + bases[i][1:]
+    want = set()
+    for a, b in product(GRADES, repeat=2):
+        off = ones - grade_mask(n, a + b) if a + b in GRADES else ones
+        for x, y in product(bases[a], bases[b]):
+            c = x.mat @ y.mat - y.mat @ x.mat
+            if not masked(c, off).is_zero() or mirrored(c, sigma) != c:
+                want.add((a, b))
+    assert want and closure_flags(n, bases) == want
 
 
 def test_bracket_self_and_pure_grade():

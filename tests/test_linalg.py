@@ -48,6 +48,12 @@ def test_shape_errors():
         mirrored(Matrix([[1, 2]]), (0,))
     with pytest.raises(ValueError):
         mirrored(identity(2), (0, 0))
+    # a rectangular m takes a permutation of its columns and one of its rows
+    assert mirrored(Matrix([[1, 2]]), (1, 0), (0,)) == Matrix([[-2], [-1]])
+    for perm, col_perm in (((0,), (0,)), ((1, 0), (0, 1)), ((0, 0), (0,)),
+                           ((1, 0), (1,))):
+        with pytest.raises(ValueError):
+            mirrored(Matrix([[1, 2]]), perm, col_perm)
 
 
 def test_det_and_inverse():
@@ -322,12 +328,25 @@ def test_difference_mask_and_mirror_agree_with_their_entrywise_reading(ab, data)
     assert got + masked(x, Matrix([[1] * x.ncols] * q) - mask) == x
     _assert_read([e for r in got.rows for e in r])
 
-    # the sum-of-products oracle forms -P m^T P^T with P[r][perm[r]] = 1
+    # the sum-of-products oracle forms -P m^T Q^T with P[r][perm[r]] = 1 and
+    # Q[c][col_perm[c]] = 1, for a square m with Q = P and for the
+    # rectangular x with one permutation per side
+    def perm_matrix(perm):
+        return Matrix(tuple(int(c == perm[r]) for c in range(len(perm)))
+                      for r in range(len(perm)))
+
+    def oracle(m, perm, col_perm):
+        return -reference_matmul.matmul(
+            reference_matmul.matmul(perm_matrix(perm), m.transpose()),
+            perm_matrix(col_perm).transpose())
+
     k = min(x.shape)
     m = submatrix(x, 0, k, 0, k)
     perm = data.draw(st.permutations(range(k)))
-    p = Matrix(tuple(int(c == perm[r]) for c in range(k)) for r in range(k))
     got = mirrored(m, perm)
-    assert got == -reference_matmul.matmul(reference_matmul.matmul(p, m.transpose()),
-                                           p.transpose())
+    assert got == oracle(m, perm, perm)
+    _assert_read([e for r in got.rows for e in r])
+    perm, col_perm = (data.draw(st.permutations(range(d))) for d in (x.ncols, x.nrows))
+    got = mirrored(x, perm, col_perm)
+    assert got == oracle(x, perm, col_perm)
     _assert_read([e for r in got.rows for e in r])

@@ -11,15 +11,14 @@ from twodirac.linalg import (Matrix, block, hstack, identity, rank, submatrix,
                              vstack, zeros)
 from twodirac.sampling import circle_point, rotation
 from twodirac.scalars import CirclePoint
-from twodirac.stiefel import (Frame2, OrientedPlane, StiefelTangent,
+from twodirac.stiefel import (J, Frame2, OrientedPlane, StiefelTangent,
                               center_rotate, contact_alpha, frame_to_isotropic,
-                              in_contact_distribution, infinitesimal_rotation,
-                              is_isotropic, isotropic_to_frame, ksharp_act,
-                              levi_form_H, levi_witness, plane_act, quotient_q,
+                              in_contact_distribution, is_isotropic,
+                              isotropic_to_frame, ksharp_act, levi_form_H,
+                              levi_witness, plane_act, quotient_q,
                               random_contact_tangent,
                               random_frame_with_complement, random_tangent,
-                              reeb_field, standard_frame, tangent_coordinates,
-                              tangent_from_skew)
+                              reeb_field, tangent_coordinates)
 
 import reference_stiefel as ref
 
@@ -37,6 +36,32 @@ def e(i, k=N + 2):
 
 def column(m: Matrix, j: int) -> Matrix:
     return submatrix(m, 0, m.nrows, j, j + 1)
+
+
+def standard_frame(n: int) -> Frame2:
+    return Frame2(submatrix(identity(n + 2), 0, n + 2, 0, 2))
+
+
+def tangent_from_skew(f: Frame2, psi: Matrix) -> StiefelTangent:
+    """Tangent psi F generated by an infinitesimal rotation psi (skew matrix)."""
+    if psi.transpose() != -psi:
+        raise ValueError("generator must be skew")
+    return StiefelTangent(f, psi @ f.mat)
+
+
+def infinitesimal_rotation(t: StiefelTangent) -> Matrix:
+    """A skew matrix psi with psi F = W.
+
+    psi = W F^T - F W^T + c F J F^T with c = <w1, v2> = -<w2, v1>; the last
+    term corrects the part of W F^T - F W^T inside the plane, so the formula
+    holds for any tangent satisfying the linearized constraints.
+    """
+    f, w = t.base.mat, t.mat
+    c = (w.transpose() @ f)[0, 1]
+    psi = w @ f.transpose() - f @ w.transpose() + f @ J.scaled(c) @ f.transpose()
+    if psi @ f != w:
+        raise AssertionError("infinitesimal rotation reconstruction failed")
+    return psi
 
 
 def test_frame_validation():

@@ -55,9 +55,12 @@ FAULTS = {
 
 
 # suite -> (record count, SHA-256 of the records as JSON with sorted keys)
-# under its fault at n = 3, samples 2, seed 0
+# under its fault at n = 3, samples 2, seed 0.  The grading fault makes each
+# projection the identity; the closure projects only on grade pairs its
+# stacked products do not certify, so its records come from the two
+# "projections sum" checks alone.
 FAULT_RECORDS = {
-    "grading": (208, "f7eafc2a4c4e05a5be46f320588ed2cd5cb533d1b49729b1a0665d51323bbf06"),
+    "grading": (2, "a2393e4ccbe5a079940331091fcb64273fca63489d2f5f9c4bb54ef78178d16f"),
     "heisenberg": (4, "e05b35f7a748b0da5d2618fae49168a5c19e601f1c824f336d9457de64498680"),
     "spin": (20, "c3f9f8399320704713376b79ded099695ef7dbd759a882204f7cf25f7ea3008e"),
     "spinc": (4, "9da65a8fad7a7ab8fd5d0ae8e114f9d2fe5fe9b73a53932b0453deb7ff49c5a0"),
@@ -132,19 +135,37 @@ def _four_projection_closure(n: int) -> list:
     return out
 
 
+def _grade_one_leaks_into_grade_zero(orig):
+    """grade_basis with the grade-0 basis element E_01 - E_sigma(1)sigma(0)
+    added to the first grade-1 element N.  The sum still has N^3 = 0, so the
+    suite's unipotent I + N + N^2/2 stays in the group; with any other
+    grade-0 element it leaves the group and the suite raises."""
+    def leaking(n, i):
+        basis = orig(n, i)
+        return [basis[0] + orig(n, 0)[1]] + basis[1:] if i == 1 else basis
+    return leaking
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_grading_closure_skips_only_what_no_projection_flags(n, monkeypatch):
-    """Zero brackets are not projected; under a bracket that leaks the grade-1
-    part of its first argument, the closure records are the four-projection
-    sweep's, and zero brackets (every pair without a grade-1 first basis
-    element) still occur."""
-    orig = report.bracket
-    monkeypatch.setattr(report, "bracket",
-                        lambda a, b: orig(a, b) + report.grade_project(a, 1))
-    records = [f for f in report._check_grading(n, 1, 0, "exact")
-               if f["input"].startswith("[grade ")]
+    """Under a grade-1 basis element that leaks into grade 0, the closure
+    records are the four-projection sweep's, and the brackets of at least
+    one grade pair, certified by the stacked products, are never formed."""
+    monkeypatch.setattr(report, "grade_basis",
+                        _grade_one_leaks_into_grade_zero(report.grade_basis))
     want = _four_projection_closure(n)
+    calls = []
+    orig = report.bracket
+    monkeypatch.setattr(report, "bracket", lambda a, b: calls.append(1) or orig(a, b))
+    samples = 1
+    records = [f for f in report._check_grading(n, samples, 0, "exact")
+               if f["input"].startswith("[grade ")]
     assert records == want and want
+    dims = {i: len(report.grade_basis(n, i)) for i in report.GRADES}
+    # outside the closure: three double brackets per Jacobi sample and one
+    # bracket per pair of grade-0 and grade-(-1) basis elements
+    closure_calls = len(calls) - 6 * samples - dims[0] * dims[-1]
+    assert closure_calls < sum(dims.values()) ** 2
 
 
 def test_symbols_refuses_a_scan_that_checked_too_few(monkeypatch):
