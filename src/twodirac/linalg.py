@@ -20,7 +20,9 @@ it by c_k's integer numerator, and forms no dense factor.  Two kernels only
 move or drop numerators: ``masked`` zeroes the entries where a 0/1 mask is
 zero, and ``mirrored`` forms -P m^T Q^T for permutation matrices P and Q
 (one per side, so m may be rectangular), whose entry (r, c) is
--m[col_perm[c]][perm[r]].
+-m[col_perm[c]][perm[r]].  ``is_unit_two_vector`` reads the numerators
+once to certify an oriented plane's unit 2-vector, by one pivot Plucker
+identity and a norm, with no product.
 
 ``rank`` (also ``rank_bareiss``) eliminates over F_p, p = 10**9 + 9, with i
 sent to a square root of -1 mod p.  That reduction is a ring map, so the
@@ -293,6 +295,51 @@ def mirrored(m: Matrix, perm: Sequence[int],
         return tuple(tuple(map(neg, cols[q])) for q in perm)
 
     return _stored(mirror(m._re), m._im and mirror(m._im), m._den)
+
+
+def is_unit_two_vector(m: Matrix) -> bool:
+    """Whether m = e1 e2^T - e2 e1^T for an orthonormal pair (e1, e2), the
+    unit 2-vector of an oriented plane, by one pivot Plucker identity.
+
+    With o = m's integer numerators over the denominator e, the test is:
+    m is real and skew; a pivot exists, the first o_pq != 0 with p < q;
+    o_pq o_ij = o_ip o_jq - o_iq o_jp for all i < j; and
+    sum_{i<j} o_ij^2 = e^2.  The common factor e^2 cancels from the
+    identity, so it holds for m's entries exactly when for the numerators.
+
+    Why this is the unit 2-vector of an orthonormal pair: both sides of the
+    identity are skew in (i, j), so it holds for all i, j and reads
+    o_pq o = u v^T - v u^T for the columns u = o[:, p] and v = o[:, q].
+    Hence o = (u ^ v) / o_pq, and u, v are independent (their rows p and q
+    are (0, o_pq) and (-o_pq, 0)).  An orthonormal basis (e1, e2) of their
+    span gives m = lambda e1 ^ e2 for a real lambda, and
+    sum_{i<j} m_ij^2 = lambda^2, so the norm test leaves lambda = +-1; swap
+    e1 and e2 for -1.  Conversely e1 ^ e2 is skew and nonzero, so it has a
+    pivot, every decomposable 2-vector satisfies the three-term Plucker
+    relations (of which the identity is the one through the pivot), and
+    its squared norm is |e1|^2 |e2|^2 - <e1, e2>^2 = 1.  On real matrices
+    this is the predicate o^T = -o, o^3 = -o, tr(o^2) = -2; a complex
+    matrix is refused.  O(k^2) integer operations, no product.
+    """
+    o, k = m._re, m.nrows
+    if m._im is not None or m.ncols != k:
+        return False
+    if any(a != -b for r, c in zip(o, zip(*o)) for a, b in zip(r, c)):
+        return False
+    pivot = next(((p, q) for p, r in enumerate(o) for q in range(p + 1, k) if r[q]),
+                 None)
+    if pivot is None:
+        return False
+    p, q = pivot
+    w = o[p][q]
+    u = [r[p] for r in o]
+    v = [r[q] for r in o]
+    for i, r in enumerate(o):
+        ui, vi = u[i], v[i]
+        for j in range(i + 1, k):
+            if w * r[j] != ui * v[j] - vi * u[j]:
+                return False
+    return sum(x * x for r in o for x in r) == 2 * m._den ** 2
 
 
 # -- vectors ------------------------------------------------------------------

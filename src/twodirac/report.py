@@ -26,12 +26,12 @@ from .graded import (GRADES, bracket, closure_flags, grade_basis,
 from .linalg import Matrix, block, det, identity, inverse, rank, submatrix, zeros
 from .sampling import circle_point, deterministic_circle_points, rotation
 from .scalars import CIRCLE_MINUS_ONE, CIRCLE_ONE, CirclePoint
-from .spin import (SpinCElement, SpinElement, gamma_c_act, gamma_c_mat,
-                   hc_forward, hc_inverse, hsharp_forward, hsharp_inverse,
-                   iota_embed, is_in_spin_subgroup, is_in_u1_subgroup,
-                   random_phase_triple, random_spin, random_spinc, rho_n,
-                   rho_n_c, so2_block, spin_rotation_generator, spinc_equal,
-                   varsigma_n)
+from .spin import (RationalRotation, SpinCElement, SpinElement, gamma_c_act,
+                   gamma_c_mat, hc_forward, hc_inverse, hsharp_forward,
+                   hsharp_inverse, iota_embed, is_in_spin_subgroup,
+                   is_in_u1_subgroup, random_phase_triple, random_spin,
+                   random_spinc, rho_n, rho_n_c, so2_block,
+                   spin_rotation_generator, spinc_equal, varsigma_n)
 from .stiefel import (center_rotate, contact_alpha, frame_to_isotropic,
                       in_contact_distribution, is_isotropic,
                       isotropic_to_frame, ksharp_act, levi_form_H,
@@ -352,8 +352,8 @@ def _check_contact(n: int, samples: int, seed: int, mode: str) -> List[Failure]:
             if quotient_q(center_rotate(f, p)) != plane:
                 fails.append(_fail(f"frame {idx}", "plane constant on orbit",
                                    "moved"))
-        a = rotation(rng, 2)
-        b = rotation(rng, n + 2)
+        a = RationalRotation(rotation(rng, 2))
+        b = RationalRotation(rotation(rng, n + 2))
         if quotient_q(ksharp_act(a, b, f)) != plane_act(b, plane):
             fails.append(_fail(f"frame {idx}", "quotient equivariance", "differs"))
     return fails

@@ -11,7 +11,7 @@ fail.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from random import Random
 from typing import List, Tuple
 
@@ -62,13 +62,32 @@ def unit_vector(rng: Random, n: int) -> tuple:
 
 
 def circle_point(rng: Random) -> CirclePoint:
-    """Exact rational point on the unit circle."""
+    """Exact rational point on the unit circle: one of the four axis points
+    (int components) with probability 0.1, else +-((1 - t^2), 2t) / (1 + t^2)
+    at a seeded rational t (``Fraction`` components)."""
+    c, d, e, axis = _circle_numerators(rng)
+    if axis:
+        return CirclePoint(c, d)
+    return CirclePoint(Fraction(c, e), Fraction(d, e))
+
+
+_AXIS_POINTS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def _circle_numerators(rng: Random) -> Tuple[int, int, int, bool]:
+    """The point ``circle_point`` draws, with exactly its draws, as integer
+    numerators (c, d) over one positive denominator e in lowest terms, and
+    whether it is an axis point.  At t = a / b the point is
+    ((b^2 - a^2), 2ab) / (a^2 + b^2), negated when the roll says so."""
     roll = rng.random()
     if roll < 0.1:
-        return rng.choice((CirclePoint(1, 0), CirclePoint(-1, 0),
-                           CirclePoint(0, 1), CirclePoint(0, -1)))
-    p = _circle_at(*_ratio(rng))
-    return -p if roll < 0.55 else p
+        return (*rng.choice(_AXIS_POINTS), 1, True)
+    a, b = _ratio(rng)
+    c, d, e = b * b - a * a, 2 * a * b, a * a + b * b
+    if roll < 0.55:
+        c, d = -c, -d
+    g = gcd(c, d, e)
+    return c // g, d // g, e // g, False
 
 
 def _circle_at(a: int, b: int) -> CirclePoint:
@@ -97,9 +116,11 @@ def rotation(rng: Random, k: int) -> Matrix:
     """Exact element of SO(k): a product of 2k seeded Givens rotations.
 
     Each factor ``givens(k, i, j, p)`` changes only rows i and j of the
-    running product, kept as integer numerators r over one denominator: with
-    p = (a, b) / e, the denominator gains the factor e, the other rows are
-    multiplied by e, and rows i and j become a r_i - b r_j and b r_i + a r_j.
+    running product, kept as integer numerators r over one denominator.  The
+    point p is drawn as ``circle_point`` draws it, but straight as its
+    integer numerators p = (c, d) / e: the denominator gains the factor e,
+    the other rows are multiplied by e, and rows i and j become
+    c r_i - d r_j and d r_i + c r_j.
     """
     if k < 2:
         return identity(k)
@@ -110,14 +131,12 @@ def rotation(rng: Random, k: int) -> Matrix:
         j = rng.randrange(k)
         if i == j:
             continue
-        p = circle_point(rng)
-        e = lcm(p.c.denominator, p.d.denominator)
-        a, b = int(p.c * e), int(p.d * e)
+        c, d, e, _ = _circle_numerators(rng)
         ri, rj = rows[i], rows[j]
         if e != 1:
             rows = [[e * x for x in r] for r in rows]
-        rows[i] = [a * x - b * y for x, y in zip(ri, rj)]
-        rows[j] = [b * x + a * y for x, y in zip(ri, rj)]
+        rows[i] = [c * x - d * y for x, y in zip(ri, rj)]
+        rows[j] = [d * x + c * y for x, y in zip(ri, rj)]
         den *= e
     return Matrix(rows).scaled(Fraction(1, den))
 

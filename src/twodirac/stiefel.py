@@ -16,9 +16,12 @@ these, with J = [[0, 1], [-1, 0]]:
   (f1, f2, e1, ..., e_k) where the form is S = diag(-1, -1, +1, ..., +1), so
   isotropy is U^T S U = 0 and all checks stay rational.
 
-The rotations A and B that act on frames and planes are certified by
-``spin.RationalRotation`` (R^T R = I and det R = 1), and an oriented plane by
-o^T = -o, o^3 = -o and tr(o^2) = -2, with no elimination.
+The rotations A and B that act on frames and planes arrive certified, as
+``spin.RationalRotation``s (R^T R = I and det R = 1), and the actions check
+only their orders.  An oriented plane is certified as a point of the Plucker
+embedding by ``linalg.is_unit_two_vector``: one identity through a pivot
+entry makes o decomposable, and a norm makes it the unit 2-vector of an
+orthonormal pair, with no matrix product and no elimination.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from fractions import Fraction
 from random import Random
 from typing import Tuple
 
-from .linalg import Matrix, identity, inverse, submatrix, vstack
+from .linalg import Matrix, identity, inverse, is_unit_two_vector, submatrix, vstack
 from .sampling import rational_fraction, rotation
 from .scalars import CirclePoint
 from .spin import RationalRotation
@@ -74,18 +77,18 @@ class StiefelTangent:
 class OrientedPlane:
     """Oriented 2-plane, kept as its unit 2-vector o = v1 v2^T - v2 v1^T.
 
-    A real skew matrix is the unit 2-vector of an orthonormal pair exactly
-    when o^3 = -o and rank o = 2.  Its eigenvalues are then 0 and conjugate
-    pairs +-i, so rank o = -tr(o^2), and the orthogonal projector onto the
-    plane is -o^2.
+    The constructor accepts o exactly when ``linalg.is_unit_two_vector``
+    does: o is real and skew, satisfies the Plucker identity through its
+    first nonzero entry above the diagonal, and has unit norm.  That is the
+    unit 2-vector of an orthonormal pair (the proof is in its docstring), so
+    o e1 = -e2, o e2 = e1 and o vanishes on the plane's complement, and the
+    orthogonal projector onto the plane is -o^2.
     """
 
     orientation: Matrix
 
     def __post_init__(self):
-        o = self.orientation
-        o2 = o @ o
-        if o.transpose() != -o or o2 @ o != -o or o2.trace() != -2:
+        if not is_unit_two_vector(self.orientation):
             raise ValueError("orientation is not the unit 2-vector of a plane")
 
     @property
@@ -121,15 +124,13 @@ def isotropic_to_frame(u: Matrix) -> Frame2:
     return Frame2(submatrix(u, 2, u.nrows, 0, 2) @ inv)
 
 
-def ksharp_act(a: Matrix, b: Matrix, f: Frame2) -> Frame2:
+def ksharp_act(a: RationalRotation, b: RationalRotation, f: Frame2) -> Frame2:
     """Action (A, B).(v1|v2) = B (v1|v2) A^{-1} of SO(2) x SO(n+2)."""
-    if a.shape != (2, 2):
+    if a.mat.shape != (2, 2):
         raise ValueError("A must be 2 x 2")
-    if b.shape != (f.ambient_dim, f.ambient_dim):
+    if b.mat.nrows != f.ambient_dim:
         raise ValueError("B must match the ambient dimension")
-    RationalRotation(a)
-    RationalRotation(b)
-    return Frame2(b @ f.mat @ a.transpose())  # A^{-1} = A^T in SO(2)
+    return Frame2(b.mat @ f.mat @ a.mat.transpose())  # A^{-1} = A^T in SO(2)
 
 
 def center_rotate(f: Frame2, p: CirclePoint) -> Frame2:
@@ -173,10 +174,11 @@ def quotient_q(f: Frame2) -> OrientedPlane:
     return OrientedPlane(f.mat @ J @ f.mat.transpose())
 
 
-def plane_act(b: Matrix, plane: OrientedPlane) -> OrientedPlane:
-    """Induced SO(n+2) action on oriented planes."""
-    RationalRotation(b)
-    return OrientedPlane(b @ plane.orientation @ b.transpose())
+def plane_act(b: RationalRotation, plane: OrientedPlane) -> OrientedPlane:
+    """Induced SO(n+2) action on oriented planes: o -> B o B^T."""
+    if b.mat.nrows != plane.orientation.nrows:
+        raise ValueError("B must match the ambient dimension")
+    return OrientedPlane(b.mat @ plane.orientation @ b.mat.transpose())
 
 
 # -- seeded samplers ------------------------------------------------------------

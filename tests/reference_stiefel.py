@@ -7,7 +7,9 @@ over the coordinates, with its own small vector algebra.  It never forms the
 k x 2 matrices or the identities ``stiefel`` computes with, so it shares no
 route with them beyond ``sampling.rotation`` and the scalar samplers.  Each
 sampler draws the same random numbers in the same order as its matrix
-counterpart.
+counterpart.  ``is_oriented_plane`` is the spectral predicate o^T = -o,
+o^3 = -o, tr(o^2) = -2 on an oriented plane's rows, the oracle for the
+Plucker kernel ``linalg.is_unit_two_vector``.
 """
 
 from twodirac.sampling import rational_fraction, rotation
@@ -86,3 +88,24 @@ def quotient_q(v1, v2):
     """Rows of the unit 2-vector v1 v2^T - v2 v1^T."""
     k = len(v1)
     return [[v1[i] * v2[j] - v2[i] * v1[j] for j in range(k)] for i in range(k)]
+
+
+def times(a, b):
+    """Rows of the product of two matrices given by their rows."""
+    return [[sum(x * y for x, y in zip(r, c)) for c in zip(*b)] for r in a]
+
+
+def is_oriented_plane(o):
+    """o^T = -o, o^3 = -o and tr(o^2) = -2 for the rows o of a square matrix.
+
+    A real skew o has eigenvalues 0 and pairs +-i lambda; o^3 = -o leaves
+    lambda = 1 and then -tr(o^2) counts them, so the rows are the unit
+    2-vector of an orthonormal pair.  It reads transposes, not adjoints, so
+    it does not refuse a complex matrix.
+    """
+    k = len(o)
+    if any(o[i][j] != -o[j][i] for i in range(k) for j in range(k)):
+        return False
+    o2 = times(o, o)
+    return (times(o2, o) == [[-x for x in r] for r in o]
+            and sum(o2[i][i] for i in range(k)) == -2)

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twodirac.graded import levi_bracket
-from twodirac.linalg import (Matrix, block, hstack, identity, rank, submatrix,
-                             vstack, zeros)
+from twodirac.linalg import (Matrix, block, hstack, identity, is_unit_two_vector, rank,
+                             submatrix, vstack, zeros)
 from twodirac.sampling import circle_point, rotation
-from twodirac.scalars import CirclePoint
+from twodirac.scalars import CirclePoint, GaussianRational
+from twodirac.spin import RationalRotation
 from twodirac.stiefel import (J, Frame2, OrientedPlane, StiefelTangent,
                               center_rotate, contact_alpha, frame_to_isotropic,
                               in_contact_distribution, is_isotropic,
@@ -128,7 +129,8 @@ def test_isotropic_round_trip_under_split_isometries():
         isometry = block([[a, zeros(2, N + 2)], [zeros(N + 2, 2), b]])
         moved = isometry @ frame_to_isotropic(f)
         assert is_isotropic(moved)
-        assert isotropic_to_frame(moved) == ksharp_act(a, b, f)
+        assert (isotropic_to_frame(moved)
+                == ksharp_act(RationalRotation(a), RationalRotation(b), f))
 
 
 def test_isotropic_to_frame_rejects_bad_input():
@@ -141,7 +143,7 @@ def test_isotropic_to_frame_rejects_bad_input():
 def test_ksharp_action_properties():
     rng = Random(2)
     f = standard_frame(N)
-    eye2, eyebig = identity(2), identity(N + 2)
+    eye2, eyebig = RationalRotation(identity(2)), RationalRotation(identity(N + 2))
     assert ksharp_act(eye2, eyebig, f) == f
     # stabilizer of the standard frame: A acting on both the frame slot and
     # the first two ambient coordinates cancels out
@@ -149,16 +151,35 @@ def test_ksharp_action_properties():
     a = Matrix([[p.c, -p.d], [p.d, p.c]])
     b = Matrix([[a[i, j] if i < 2 and j < 2 else (1 if i == j else 0)
                for j in range(N + 2)] for i in range(N + 2)])
-    assert ksharp_act(a, b, f) == f
+    assert ksharp_act(RationalRotation(a), RationalRotation(b), f) == f
     # group action: acting twice equals acting by the product
     for _ in range(10):
-        a1, a2 = rotation(rng, 2), rotation(rng, 2)
-        b1, b2 = rotation(rng, N + 2), rotation(rng, N + 2)
+        a1, a2 = RationalRotation(rotation(rng, 2)), RationalRotation(rotation(rng, 2))
+        b1, b2 = (RationalRotation(rotation(rng, N + 2)),
+                  RationalRotation(rotation(rng, N + 2)))
         g = random_frame_with_complement(N, rng)[0]
         assert (ksharp_act(a2, b2, ksharp_act(a1, b1, g))
                 == ksharp_act(a2 @ a1, b2 @ b1, g))
+    # an action takes only certified rotations
     with pytest.raises(ValueError):
-        ksharp_act(Matrix([[1, 1], [0, 1]]), eyebig, f)
+        RationalRotation(Matrix([[1, 1], [0, 1]]))
+
+
+def test_actions_refuse_rotations_of_the_wrong_order():
+    rng = Random(15)
+    f = random_frame_with_complement(N, rng)[0]
+    pl = quotient_q(f)
+    a, b = RationalRotation(rotation(rng, 2)), RationalRotation(rotation(rng, N + 2))
+    assert ksharp_act(a, b, f).ambient_dim == N + 2
+    for k in (N + 1, N + 3):
+        wrong = RationalRotation(rotation(rng, k))
+        with pytest.raises(ValueError, match="ambient dimension"):
+            ksharp_act(a, wrong, f)
+        with pytest.raises(ValueError, match="ambient dimension"):
+            plane_act(wrong, pl)
+    for k in (1, 3):
+        with pytest.raises(ValueError, match="2 x 2"):
+            ksharp_act(RationalRotation(rotation(rng, k)), b, f)
 
 
 def test_center_action_moves_frame_not_plane():
@@ -254,7 +275,7 @@ def test_alpha_invariance_under_ksharp():
         t = random_tangent(f, rng)
         a = rotation(rng, 2)
         b = rotation(rng, N + 2)
-        g = ksharp_act(a, b, f)
+        g = ksharp_act(RationalRotation(a), RationalRotation(b), f)
         t2 = StiefelTangent(g, b @ t.mat @ a.transpose())
         assert contact_alpha(t2) == contact_alpha(t)
 
@@ -373,8 +394,8 @@ def test_quotient_constant_on_center_orbits_and_equivariant():
         pl = quotient_q(f)
         for _ in range(3):
             assert quotient_q(center_rotate(f, circle_point(rng))) == pl
-        a = rotation(rng, 2)
-        b = rotation(rng, N + 2)
+        a = RationalRotation(rotation(rng, 2))
+        b = RationalRotation(rotation(rng, N + 2))
         assert quotient_q(ksharp_act(a, b, f)) == plane_act(b, pl)
 
 
@@ -385,7 +406,7 @@ def test_oriented_plane_validation():
     with pytest.raises(ValueError):
         OrientedPlane(identity(N + 2))  # not skew
     with pytest.raises(ValueError):
-        OrientedPlane(pl.orientation.scaled(0))  # o^3 = -o, but rank 0
+        OrientedPlane(pl.orientation.scaled(0))  # o^3 = -o, but no pivot
 
 
 def test_oriented_plane_refuses_two_orthogonal_planes():
@@ -409,6 +430,70 @@ def test_oriented_plane_is_its_unit_two_vector(n, seed):
     assert pl.projector == f.mat @ f.mat.transpose()
     with pytest.raises(ValueError):
         OrientedPlane(pl.orientation.scaled(2))
+
+
+def two_vector(k, i, j) -> Matrix:
+    """e_i e_j^T - e_j e_i^T in R^k."""
+    return Matrix([[int((r, c) == (i, j)) - int((r, c) == (j, i)) for c in range(k)]
+                   for r in range(k)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 6), st.integers(0, 2 ** 32 - 1),
+       st.fractions(-3, 3, max_denominator=7).filter(bool),
+       st.fractions(-2, 2, max_denominator=5).filter(bool), st.data())
+def test_plane_kernel_agrees_with_the_spectral_oracle(n, seed, t, delta, data):
+    """``is_unit_two_vector`` (one pivot Plucker identity and a norm) and the
+    oracle o^T = -o, o^3 = -o, tr(o^2) = -2 give the same verdict on planes
+    and on near misses, and ``OrientedPlane`` follows the kernel."""
+    k = n + 2
+    rng = Random(seed)
+    o = quotient_q(random_frame_with_complement(n, rng)[0]).orientation
+    p = circle_point(rng)
+    while not (p.c and p.d):  # a point off the axes
+        p = circle_point(rng)
+    i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+    bump = Matrix([[delta * ((r, c) == (i, j)) for c in range(k)] for r in range(k)])
+    cases = [
+        (o, True),
+        (o.scaled(-1), True),  # the opposite orientation
+        (o.scaled(t), t in (1, -1)),
+        # skew with unit norm, but rank 4: only the identity refuses it, and
+        # on the last four coordinates the first entry above the diagonal is 0
+        (two_vector(k, 0, 1).scaled(p.c) + two_vector(k, 2, 3).scaled(p.d), False),
+        (two_vector(k, k - 4, k - 3).scaled(p.c)
+         + two_vector(k, k - 2, k - 1).scaled(p.d), False),
+        # the pivot search runs to its last pair
+        (two_vector(k, k - 2, k - 1), True),
+        (two_vector(k, k - 1, k - 2), True),
+        (o + bump, False),  # one perturbed entry
+        (o + bump - bump.transpose(), None),  # a skew perturbation
+        (o + identity(k), False),  # not skew
+        (zeros(k, k), False),
+    ]
+    for m, want in cases:
+        got = is_unit_two_vector(m)
+        assert got == ref.is_oriented_plane(m.rows)
+        if want is not None:
+            assert got == want
+        if got:
+            assert OrientedPlane(m).orientation == m
+        else:
+            with pytest.raises(ValueError):
+                OrientedPlane(m)
+
+
+def test_plane_kernel_refuses_a_complex_plane():
+    # a = (5/4, 3i/4, 0, ...) has a^T a = 1 and a^T e3 = 0, so a e3^T - e3 a^T
+    # passes the transpose-based predicate, but it is no real plane
+    k = N + 2
+    a = [Fraction(5, 4), GaussianRational(0, Fraction(3, 4))] + [0] * (k - 2)
+    o = Matrix([[a[r] * (c == 2) - a[c] * (r == 2) for c in range(k)]
+                for r in range(k)])
+    assert o.transpose() == -o and ref.is_oriented_plane(o.rows)
+    assert not is_unit_two_vector(o)
+    with pytest.raises(ValueError):
+        OrientedPlane(o)
 
 
 @settings(max_examples=40, deadline=None)
