@@ -16,7 +16,10 @@ row by row, in O(n^2 s).  Every product with a Clifford action goes through
 ``times_clifford``, m @ sum v_a gamma_a, which is the scatter kernel
 ``linalg.times_signed_perms``: it moves each column of m to its permuted
 place and turns its integer numerators by a power of i, so it forms no dense
-product.  ``clifford_mat`` is the identity times that sum, and a spinor is
+product.  The product on the other side, (sum v_a gamma_a) @ m, is
+``clifford_times``: the same kernel on m^T with the generators' transposes,
+which keep their ``cols`` and take ``GammaRep.transposed_phases``.
+``clifford_mat`` is the identity times sum v_a gamma_a, and a spinor is
 acted on by ``clifford_mat(rep, v).apply(psi)``.  ``gamma_apply`` permutes
 one generator's entries of a spinor and turns them, leaving an entry's type
 alone for a real phase.  Only this module and the kernel read the
@@ -63,6 +66,16 @@ class GammaRep:
     def gammas(self) -> Tuple[Matrix, ...]:
         """The generators as dense s x s matrices, derived on first use."""
         return tuple(times_signed_perms(identity(self.s), ((1, cols, phases),))
+                     for cols, phases in zip(self.cols, self.phases))
+
+    @cached_property
+    def transposed_phases(self) -> Tuple[Tuple[int, ...], ...]:
+        """The phase exponents of the generators' transposes, whose columns
+        are again ``cols``: row j of gamma^T has its entry in the column i
+        with cols[i] = j, and gamma^2 = -Id (certified by the build) makes
+        cols an involution, so i = cols[j] and the exponent is
+        phases[cols[j]]."""
+        return tuple(tuple(phases[i] for i in cols)
                      for cols, phases in zip(self.cols, self.phases))
 
 
@@ -163,6 +176,13 @@ def times_clifford(m: Matrix, rep: GammaRep, v: Sequence) -> Matrix:
     """m times the Clifford action of the vector v, m @ sum_a v_a gamma_a,
     by scatter on m's numerators."""
     return times_signed_perms(m, zip(v, rep.cols, rep.phases))
+
+
+def clifford_times(rep: GammaRep, v: Sequence, m: Matrix) -> Matrix:
+    """The Clifford action of the vector v times m, (sum_a v_a gamma_a) @ m,
+    by scatter on m's rows: its transpose is m^T @ sum_a v_a gamma_a^T."""
+    terms = zip(v, rep.cols, rep.transposed_phases)
+    return times_signed_perms(m.transpose(), terms).transpose()
 
 
 def clifford_mat(rep: GammaRep, v: Sequence) -> Matrix:

@@ -22,7 +22,8 @@ zero, and ``mirrored`` forms -P m^T Q^T for permutation matrices P and Q
 (one per side, so m may be rectangular), whose entry (r, c) is
 -m[col_perm[c]][perm[r]].  ``is_unit_two_vector`` reads the numerators
 once to certify an oriented plane's unit 2-vector, by one pivot Plucker
-identity and a norm, with no product.
+identity and a norm, with no product; ``frobenius_sq`` sums the squared
+numerators once.
 
 ``rank`` (also ``rank_bareiss``) eliminates over F_p, p = 10**9 + 9, with i
 sent to a square root of -1 mod p.  That reduction is a ring map, so the
@@ -340,6 +341,13 @@ def is_unit_two_vector(m: Matrix) -> bool:
             if w * r[j] != ui * v[j] - vi * u[j]:
                 return False
     return sum(x * x for r in o for x in r) == 2 * m._den ** 2
+
+
+def frobenius_sq(m: Matrix):
+    """The squared Frobenius norm sum |m_ij|^2, read by the module's rule:
+    one pass over the numerators, over the squared denominator."""
+    total = sum(x * x for r in chain(m._re, m._im or ()) for x in r)
+    return _scalar(total, 0, m._den ** 2)
 
 
 # -- vectors ------------------------------------------------------------------

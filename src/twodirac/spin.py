@@ -2,15 +2,17 @@
 
 Group elements are stored as exact spinor matrices together with the
 generating word of rational unit vectors; the spinor matrix is always the
-product of the word's Clifford matrices, never taken from a caller.  Each
-letter v is applied as mat <- mat (sum_a v_a gamma_a) by
-``clifford.times_clifford``, a scatter over the gammas' signed permutations,
-so no Clifford matrix or product is formed.  The induced rotation is
-composed from the word's line reflections on integer numerators, with no
-reflection matrix, and certified by conjugating the Clifford generators with
-the spinor matrix; S gamma_alpha is ``times_clifford`` at e_alpha, a column
-permutation of S with phases, and only the product with S^dagger is a matrix
-product.  Rotations are certified once, by ``RationalRotation``: R^T R = I
+product of the word's Clifford matrices, never taken from a caller.  The
+first letter's matrix is ``clifford.clifford_mat``, and each later letter v
+is applied as mat <- mat (sum_a v_a gamma_a) by ``clifford.times_clifford``;
+both are scatters over the gammas' signed permutations, so no product is
+formed.  The induced rotation R is composed from the word's line reflections
+on integer numerators, with no reflection matrix, and certified against the
+spinor matrix S with no matrix product either: S intertwines the generators
+with their images, S gamma_alpha = C_alpha S with C_alpha the Clifford action
+of column alpha of R (a column scatter of S against a row scatter), and
+||S||_F^2 = s; ``rho_n`` proves that the two give S gamma_alpha S^dagger =
+C_alpha.  Rotations are certified once, by ``RationalRotation``: R^T R = I
 and det R = 1.  A Spin^c class acts on spinors by its one matrix,
 ``gamma_c_mat``.
 The gammas are anti-hermitian (the gamma build certifies it), so the spinor
@@ -33,8 +35,8 @@ from operator import mul
 from random import Random
 from typing import Sequence, Tuple
 
-from .clifford import GammaRep, clifford_mat, times_clifford
-from .linalg import Matrix, det, identity, vdot
+from .clifford import GammaRep, clifford_mat, clifford_times, times_clifford
+from .linalg import Matrix, det, frobenius_sq, identity, vdot
 from .scalars import CIRCLE_ONE, CirclePoint
 from .sampling import circle_point, circle_point_with_half, givens, unit_vector
 
@@ -69,8 +71,8 @@ class SpinElement:
     def __init__(self, rep: GammaRep, word: Sequence[tuple]):
         self.rep = rep
         self.word = tuple(tuple(v) for v in word)
-        mat = identity(rep.s)
-        for v in self.word:
+        mat = clifford_mat(rep, self.word[0]) if self.word else identity(rep.s)
+        for v in self.word[1:]:
             mat = times_clifford(mat, rep, v)
         self.spinor_mat = mat
 
@@ -143,25 +145,43 @@ def spin_from_unit_vectors(rep: GammaRep, vs: Sequence[Sequence]) -> SpinElement
 def rho_n(a: SpinElement) -> RationalRotation:
     """The rotation induced by conjugation on vectors (the 2:1 covering).
 
-    Conjugation by a unit vector v is w -> 2<v, w> v - w, so the rotation of
-    the word v1..vk is the product of the reflections 2 v v^T - I in word
+    Conjugation by a unit vector v is w -> 2<v, w> v - w, so the rotation R
+    of the word v1..vk is the product of the reflections 2 v v^T - I in word
     order, composed on integer numerators by ``_reflections``.  It is
-    certified against the spinor matrix S: S gamma_alpha S^dagger must
-    be the Clifford action of column alpha for every alpha.  The gammas are
-    linearly independent, so this is the equation that determines the
-    rotation from S alone.  Each gamma is a signed permutation, so
-    S gamma_alpha is S with its columns permuted and turned by phases; one
-    exact product, with S^dagger, remains per alpha.
+    certified against the spinor matrix S by two identities, neither of
+    which forms a matrix product:
+
+    * intertwining, S gamma_alpha = C_alpha S for every alpha, where
+      C_alpha = sum_beta R_beta,alpha gamma_beta is the Clifford action of
+      column alpha: the left side is ``times_clifford`` at e_alpha, a column
+      scatter of S, and the right side is ``clifford_times``, a row scatter;
+    * the norm, ||S||_F^2 = s, one pass over S's numerators.
+
+    Together they give S gamma_alpha S^dagger = C_alpha for every alpha.
+    ``RationalRotation`` certifies R^T R = I and det R = 1.  The C_alpha then
+    satisfy the Clifford relations, so alpha -> C_alpha extends to an
+    automorphism of the Clifford algebra, and it fixes the volume element
+    because det R = 1.  Spin(n) covers SO(n), so R has a spin lift whose
+    spinor matrix U is unitary with U gamma_alpha U^dagger = C_alpha.  If S
+    intertwines, then U^dagger S commutes with every gamma_alpha; the gammas
+    generate all of End(C^s) (the spinor module is irreducible), so by
+    Schur's lemma U^dagger S = lambda Id and S = lambda U.  The intertwining
+    alone accepts S = 2U and S = 0; the norm gives
+    s = ||lambda U||_F^2 = |lambda|^2 s, so |lambda| = 1, S is unitary and
+    S gamma_alpha S^dagger = |lambda|^2 U gamma_alpha U^dagger = C_alpha.
+    Conversely the spinor matrix of the word is such a U, so a true element
+    passes both.  Each alpha costs O(n s^2) integer operations where the
+    product with S^dagger cost O(s^3).
     """
     rep = a.rep
     mat = _reflections(a.word, rep.n)
-    s_adj = a.spinor_mat.adjoint()
-    for alpha in range(rep.n):
-        e_alpha = tuple(int(b == alpha) for b in range(rep.n))
-        conj = times_clifford(a.spinor_mat, rep, e_alpha) @ s_adj
-        if conj != clifford_mat(rep, mat.col(alpha)):
-            raise ValueError("spinor matrix does not conjugate the gammas by "
-                             "the rotation of its word")
+    s_mat = a.spinor_mat
+    # row alpha of the identity is e_alpha, row alpha of R^T is column alpha
+    if frobenius_sq(s_mat) != rep.s or any(
+            times_clifford(s_mat, rep, e) != clifford_times(rep, col, s_mat)
+            for e, col in zip(identity(rep.n).rows, mat.transpose().rows)):
+        raise ValueError("spinor matrix does not conjugate the gammas by "
+                         "the rotation of its word")
     return RationalRotation(mat)
 
 

@@ -31,7 +31,8 @@ from fractions import Fraction
 from random import Random
 from typing import Tuple
 
-from .linalg import Matrix, identity, inverse, is_unit_two_vector, submatrix, vstack
+from .linalg import (Matrix, identity, inverse, is_unit_two_vector, submatrix,
+                     times_signed_perms, vstack)
 from .sampling import rational_fraction, rotation
 from .scalars import CirclePoint
 from .spin import RationalRotation
@@ -143,9 +144,15 @@ def contact_alpha(t: StiefelTangent):
     return -(t.base.mat.transpose() @ t.mat)[1, 0]
 
 
+def _reeb_mat(f: Frame2) -> Matrix:
+    """F J = (-v2 | v1), by scatter: J is the signed permutation whose row 0
+    has 1 in column 1 and whose row 1 has -1 = i**2 in column 0."""
+    return times_signed_perms(f.mat, ((1, (1, 0), (0, 2)),))
+
+
 def reeb_field(f: Frame2) -> StiefelTangent:
     """Velocity (-v2 | v1) of the circle action; alpha(reeb) = 1."""
-    return StiefelTangent(f, f.mat @ J)
+    return StiefelTangent(f, _reeb_mat(f))
 
 
 def in_contact_distribution(t: StiefelTangent) -> bool:
@@ -171,7 +178,7 @@ def levi_witness(t: StiefelTangent) -> StiefelTangent:
 
 def quotient_q(f: Frame2) -> OrientedPlane:
     """Oriented span F J F^T of the frame; constant along circle orbits."""
-    return OrientedPlane(f.mat @ J @ f.mat.transpose())
+    return OrientedPlane(_reeb_mat(f) @ f.mat.transpose())
 
 
 def plane_act(b: RationalRotation, plane: OrientedPlane) -> OrientedPlane:

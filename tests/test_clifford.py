@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from twodirac import clifford
 from twodirac.clifford import (CLIFFORD_SIGN, GammaRep, _validate,
-                               build_gamma_rep, clifford_mat, gamma_apply,
-                               times_clifford)
+                               build_gamma_rep, clifford_mat, clifford_times,
+                               gamma_apply, times_clifford)
 from twodirac.linalg import Matrix, identity, is_zero_vec, times_signed_perms, zeros
 from twodirac.sampling import unit_vector
 from twodirac.scalars import GR_I, GR_ONE, GR_ZERO, gr
@@ -231,9 +231,9 @@ def test_gamma_actions_match_dense_products(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_times_clifford_matches_dense_product(data):
-    """m @ sum v_a gamma_a against the dense sum, for square and rectangular
-    m and for int, Fraction, Gaussian and zero vectors v; v = e_alpha is the
-    product with one gamma."""
+    """m @ sum v_a gamma_a and (sum v_a gamma_a) @ m^T against the dense
+    sum, for square and rectangular m and for int, Fraction, Gaussian and
+    zero vectors v; v = e_alpha is the product with one gamma."""
     n = data.draw(st.integers(2, 8))
     rep = build_gamma_rep(n)
     v = tuple(data.draw(st.one_of(
@@ -248,6 +248,7 @@ def test_times_clifford_matches_dense_product(data):
     for c, g in zip(v, rep.gammas):
         dense = dense + g.scaled(c)
     assert times_clifford(m, rep, v) == m @ dense
+    assert clifford_times(rep, v, m.transpose()) == dense @ m.transpose()
 
 
 def _dense_combination(n, terms):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twodirac.linalg import (_I, _P, Matrix, _bareiss, _rank_mod_p, block, det, hstack,
-                             identity, inverse, masked, mirrored, rank, rank_bareiss,
+from twodirac.linalg import (_I, _P, Matrix, _bareiss, _rank_mod_p, block, det,
+                             frobenius_sq, hstack, identity, inverse, masked, mirrored, rank, rank_bareiss,
                              submatrix, vstack, zeros)
 from twodirac.scalars import GaussianRational, gr
 
@@ -307,6 +307,13 @@ def test_scaling_agrees_with_the_product_by_a_scalar_matrix(ab, t):
     got = a.scaled(t)
     assert got == reference_matmul.matmul(a, scalar)
     _assert_read([e for r in got.rows for e in r])
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_operands())
+def test_frobenius_norm_is_the_trace_of_m_times_its_adjoint(ab):
+    a, _ = ab
+    assert frobenius_sq(a) == reference_matmul.matmul(a, a.adjoint()).trace()
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twodirac.clifford import build_gamma_rep
-from twodirac.linalg import Matrix, identity, submatrix, vdot
+from twodirac.clifford import build_gamma_rep, clifford_times, times_clifford
+from twodirac.linalg import Matrix, frobenius_sq, identity, submatrix, zeros
 from twodirac.sampling import circle_point, deterministic_circle_points, unit_vector
-from twodirac.scalars import CIRCLE_MINUS_ONE, CIRCLE_ONE, CirclePoint
+from twodirac.scalars import CIRCLE_MINUS_ONE, CIRCLE_ONE, CirclePoint, GaussianRational
 from twodirac.spin import (PhaseTriple, RationalRotation, SpinCElement,
                            SpinElement, gamma_c_act, hc_forward, hc_inverse,
                            hsharp_forward, hsharp_inverse, iota_embed,
@@ -17,27 +17,10 @@ from twodirac.spin import (PhaseTriple, RationalRotation, SpinCElement,
                            rho_n, rho_n_c, so2_block, spin_from_unit_vectors,
                            spin_rotation_generator, spinc_equal, varsigma_n)
 
-import reference_rho as trace
+import reference_rho as ref
 import reference_words as words
 
 REP3 = build_gamma_rep(3)
-
-
-def reflection_word_rotation(word, n):
-    """Independent oracle for the covering map.
-
-    Conjugation by a single unit vector v fixes v and negates its orthogonal
-    complement, i.e. w -> 2<v, w>v - w; for a word the maps compose with the
-    last letter acting first.
-    """
-    cols = []
-    for k in range(n):
-        w = tuple(Fraction(1) if i == k else Fraction(0) for i in range(n))
-        for v in reversed(word):
-            c = 2 * vdot(v, w)
-            w = tuple(c * a - b for a, b in zip(v, w))
-        cols.append(w)
-    return Matrix(cols).transpose()
 
 
 def test_word_validation():
@@ -71,7 +54,7 @@ def test_rho_against_reflection_oracle():
         for _ in range(30):
             a = random_spin(rep, rng)
             for elt in (a, a.inverse()):
-                assert rho_n(elt).mat == reflection_word_rotation(elt.word, n)
+                assert rho_n(elt).mat == ref.word_rotation(elt.word, n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,13 +123,64 @@ def test_rational_rotation_validation():
 
 def test_rho_rejects_corrupted_element():
     # a hand-corrupted spinor matrix whose conjugation leaves the gamma span;
-    # the word route and the trace oracle must both refuse it
-    bad = Matrix([[1, 0], [0, 2]])
+    # the word route and both oracles must refuse it
     elt = SpinElement(REP3, ())
-    elt.spinor_mat = Matrix(bad.rows)
-    for route in (rho_n, trace.rho_n):
+    elt.spinor_mat = Matrix([[1, 0], [0, 2]])
+    for route in (rho_n, ref.rho_by_trace, ref.rho_by_products):
         with pytest.raises(ValueError):
             route(elt)
+    # the spinor matrix U of a word, scaled off the unit circle, zeroed or
+    # replaced by that of a word of another rotation: the intertwining
+    # identity is linear in S, so it holds for the three multiples of U and
+    # only the norm refuses them
+    for n in range(2, 7):
+        rep = build_gamma_rep(n)
+        rng = Random(60 + n)
+        a = random_spin(rep, rng)
+        b = random_spin(rep, rng)
+        while rho_n(b).mat == rho_n(a).mat:
+            b = random_spin(rep, rng)
+        u = a.spinor_mat
+        for bad in (u.scaled(2), zeros(rep.s, rep.s), u.scaled(GaussianRational(1, 1)),
+                    b.spinor_mat):
+            with pytest.raises(ValueError, match="does not conjugate"):
+                rho_n(SpinElement._derived(rep, a.word, bad))
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_intertwining_alone_accepts_a_scaled_lift(n):
+    # S gamma_alpha = C_alpha S is linear in S, so 2U satisfies it; rho_n
+    # refuses 2U only through the norm ||S||_F^2 = s
+    rep = build_gamma_rep(n)
+    a = random_spin(rep, Random(70 + n))
+    rot = rho_n(a).mat
+    two_u = a.spinor_mat.scaled(2)
+    for alpha in range(n):
+        e_alpha = tuple(int(b == alpha) for b in range(n))
+        assert times_clifford(two_u, rep, e_alpha) == clifford_times(rep, rot.col(alpha),
+                                                                     two_u)
+    assert frobenius_sq(two_u) == 4 * rep.s
+    with pytest.raises(ValueError, match="does not conjugate"):
+        rho_n(SpinElement._derived(rep, a.word, two_u))
+
+
+def test_rho_forms_no_spinor_sized_product(monkeypatch):
+    # at n = 6 the spinor dimension s = 8 differs from n, so an s x s operand
+    # can only come from a product on the spinor side
+    rep = build_gamma_rep(6)
+    a = random_spin(rep, Random(18))
+    shapes = []
+    matmul = Matrix.__matmul__
+
+    def record(x, y):
+        shapes.append((x.shape, y.shape))
+        return matmul(x, y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Matrix, "__matmul__", record)
+        rot = rho_n(a)
+    assert rot.mat == ref.word_rotation(a.word, 6)
+    assert shapes and (8, 8) not in {shape for pair in shapes for shape in pair}
 
 
 def test_spin_element_refuses_a_passed_spinor_matrix():
@@ -155,13 +189,19 @@ def test_spin_element_refuses_a_passed_spinor_matrix():
         SpinElement(REP3, (), spinor_mat=identity(REP3.s))
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1))
-def test_word_rho_agrees_with_trace_oracle(n, seed):
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2 ** 32 - 1))
+def test_word_rho_agrees_with_trace_and_product_oracles(n, seed):
     rep = build_gamma_rep(n)
-    a = random_spin(rep, Random(seed))
-    for elt in (a, a.inverse(), SpinElement.identity(rep), SpinElement.minus_one(rep)):
-        assert rho_n(elt).mat == trace.rho_n(elt).mat
+    rng = Random(seed)
+    a = random_spin(rep, rng)
+    elts = [a, a.inverse(), SpinElement.identity(rep), SpinElement.minus_one(rep)]
+    if n >= 4:
+        elts.append(iota_embed(random_spinc(build_gamma_rep(n - 2), rng), rep))
+    for elt in elts:
+        rot = rho_n(elt).mat
+        assert rot == ref.rho_by_trace(elt).mat
+        assert rot == ref.rho_by_products(elt).mat
 
 
 def test_spinc_equality_cases():
