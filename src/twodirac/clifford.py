@@ -20,10 +20,10 @@ product.  The product on the other side, (sum v_a gamma_a) @ m, is
 ``clifford_times``: the same kernel on m^T with the generators' transposes,
 which keep their ``cols`` and take ``GammaRep.transposed_phases``.
 ``clifford_mat`` is the identity times sum v_a gamma_a, and a spinor is
-acted on by ``clifford_mat(rep, v).apply(psi)``.  ``gamma_apply`` permutes
-one generator's entries of a spinor and turns them, leaving an entry's type
-alone for a real phase.  Only this module and the kernel read the
-permutations and phases; the dense generators are derived on demand.
+acted on by ``clifford_mat(rep, v).apply(psi)``.  Only this module, the
+kernel and ``flat`` (which turns a stack of spinor rows C into C gamma^T)
+read the permutations and phases; the dense generators are derived on
+demand.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from functools import cached_property, lru_cache, reduce
 from typing import Sequence, Tuple
 
 from .linalg import Matrix, identity, times_signed_perms
-from .scalars import GaussianRational
 
 # v.v = CLIFFORD_SIGN * |v|^2 throughout the package.
 CLIFFORD_SIGN = -1
@@ -158,20 +157,6 @@ def build_gamma_rep(n: int) -> GammaRep:
     return rep
 
 
-def _turn(x, k: int):
-    """x * i**k for a phase exponent k in 0..3: x or -x unchanged for even k,
-    a ``GaussianRational`` with swapped and negated components for odd k."""
-    if k == 0:
-        return x
-    if k == 2:
-        return -x
-    if type(x) is not GaussianRational:
-        x = GaussianRational(x)
-    if k == 1:
-        return GaussianRational(-x.im, x.re)
-    return GaussianRational(x.im, -x.re)
-
-
 def times_clifford(m: Matrix, rep: GammaRep, v: Sequence) -> Matrix:
     """m times the Clifford action of the vector v, m @ sum_a v_a gamma_a,
     by scatter on m's numerators."""
@@ -191,8 +176,3 @@ def clifford_mat(rep: GammaRep, v: Sequence) -> Matrix:
         raise ValueError(f"vector length {len(v)} != n = {rep.n}")
     return times_clifford(identity(rep.s), rep, v)
 
-
-def gamma_apply(rep: GammaRep, alpha: int, psi: Sequence) -> tuple:
-    """gamma_{alpha+1} acting on the spinor psi: entry i is psi[cols[i]]
-    turned by its phase."""
-    return tuple(_turn(psi[j], k) for j, k in zip(rep.cols[alpha], rep.phases[alpha]))

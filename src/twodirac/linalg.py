@@ -23,7 +23,10 @@ zero, and ``mirrored`` forms -P m^T Q^T for permutation matrices P and Q
 -m[col_perm[c]][perm[r]].  ``is_unit_two_vector`` reads the numerators
 once to certify an oriented plane's unit 2-vector, by one pivot Plucker
 identity and a norm, with no product; ``frobenius_sq`` sums the squared
-numerators once.
+numerators once.  ``row_map`` is the row-side partner of the scatter: S @ m
+for an integer S given row by row as (source row, weight) lists, combining
+m's numerator rows without forming S (the flat operator's derivatives and
+merges of equal monomials).
 
 ``rank`` (also ``rank_bareiss``) eliminates over F_p, p = 10**9 + 9, with i
 sent to a square root of -1 mod p.  That reduction is a ring map, so the
@@ -426,6 +429,28 @@ def times_signed_perms(m: Matrix, terms: Iterable[Tuple[object, Sequence[int], S
         out_re.append(tuple(re))
         out_im.append(tuple(im))
     return _stored(tuple(out_re), tuple(out_im), m._den * den)
+
+
+def row_map(m: Matrix, rows: Sequence[Sequence[Tuple[int, int]]]) -> Matrix:
+    """S @ m for the integer matrix S given row by row: row r of S lists the
+    ``(source row, weight)`` pairs of its nonzero entries, so row r of the
+    result is sum weight * m[source], and an empty list is a zero row.  It
+    combines m's numerator rows and forms no dense S."""
+    zero = (0,) * m.ncols
+
+    def combine(num: IntRows) -> IntRows:
+        out = []
+        for terms in rows:
+            if len(terms) == 1 and terms[0][1] == 1:  # a moved row keeps its tuple
+                out.append(num[terms[0][0]])
+                continue
+            acc = zero
+            for src, w in terms:
+                acc = tuple(map(add, acc, map(w.__mul__, num[src])))
+            out.append(acc)
+        return tuple(out)
+
+    return _stored(combine(m._re), m._im and combine(m._im), m._den)
 
 
 def _bareiss(m: Matrix) -> Tuple[int, Tuple[int, int], int]:

@@ -101,7 +101,10 @@ class SpinElement:
                                     self.spinor_mat @ other.spinor_mat)
 
     def __neg__(self) -> "SpinElement":
-        return self * SpinElement.minus_one(self.rep)
+        """self * minus_one: the word gains (e1, e1), whose matrix is
+        gamma_1 gamma_1 = -I (certified by ``build_gamma_rep``)."""
+        e1 = (1,) + (0,) * (self.rep.n - 1)
+        return SpinElement._derived(self.rep, self.word + (e1, e1), -self.spinor_mat)
 
     def inverse(self) -> "SpinElement":
         # (v1..vk)^-1 = (-vk)..(-v1) for unit v, and the spinor matrix of -v

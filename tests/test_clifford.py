@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from twodirac import clifford
 from twodirac.clifford import (CLIFFORD_SIGN, GammaRep, _validate,
                                build_gamma_rep, clifford_mat, clifford_times,
-                               gamma_apply, times_clifford)
+                               times_clifford)
 from twodirac.linalg import Matrix, identity, is_zero_vec, times_signed_perms, zeros
 from twodirac.sampling import unit_vector
 from twodirac.scalars import GR_I, GR_ONE, GR_ZERO, gr
@@ -213,19 +213,6 @@ def test_clifford_mat_matches_dense_sum(data):
 
 gaussians = st.builds(gr, st.fractions(min_value=-4, max_value=4, max_denominator=5),
                       st.fractions(min_value=-4, max_value=4, max_denominator=5))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_gamma_actions_match_dense_products(data):
-    n = data.draw(st.integers(2, 7))
-    rep = build_gamma_rep(n)
-    alpha = data.draw(st.integers(0, n - 1))
-    spinors = st.lists(gaussians, min_size=rep.s, max_size=rep.s)
-    psi = tuple(data.draw(spinors))
-    assert gamma_apply(rep, alpha, psi) == rep.gammas[alpha].apply(psi)
-    v = tuple(data.draw(st.lists(gaussians, min_size=n, max_size=n)))
-    assert clifford_mat(rep, v) == _dense_sum(n, v)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,29 +2,44 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twodirac.clifford import build_gamma_rep
 from twodirac.flat import (PairField, PolySpinorField, apply_flat_2dirac,
                            linear_power_field, symbol_cross_check)
-from twodirac.linalg import identity
-from twodirac.scalars import GaussianRational
+from twodirac.linalg import Matrix, identity
+from twodirac.report import run_check
+from twodirac.scalars import GaussianRational, gr
 from twodirac.symbols import Covector, random_covector, sigma1
+
+import reference_flat
 
 REP3 = build_gamma_rep(3)
 PSI0 = identity(REP3.s).col(0)
+E11 = (1, 0, 0, 0, 0, 0)
 
 
 def total_degrees(f: PolySpinorField) -> set:
-    return {sum(mi) for mi in f.coeffs}
+    return {sum(mi) for mi in reference_flat.terms(f)}
 
 
 def test_field_construction_and_normalization():
-    f = PolySpinorField(3, 2, {(0,) * 6: (0, 0), (1, 0, 0, 0, 0, 0): (1, 0)})
-    assert len(f.coeffs) == 1  # zero terms dropped
+    f = PolySpinorField(3, [(0,) * 6, E11], Matrix([[0, 0], [1, 0]]))
+    assert f.s == 2 and not f.is_zero()
+    # a zero row is kept, and the field equals the one without it
+    assert f == PolySpinorField(3, [E11], Matrix([[1, 0]]))
+    assert PolySpinorField(3, [E11], Matrix([[0, 0]])).is_zero()
     with pytest.raises(ValueError):
-        PolySpinorField(3, 2, {(0, 0, 0): (1, 0)})  # arity mismatch
+        PolySpinorField(3, [(0, 0, 0)], Matrix([[1, 0]]))  # arity mismatch
     with pytest.raises(ValueError):
-        PolySpinorField(3, 2, {(0,) * 6: (1, 0, 0)})  # spinor length
+        PolySpinorField(3, [(-1, 0, 0, 0, 0, 1)], Matrix([[1, 0]]))  # negative exponent
+    with pytest.raises(ValueError):
+        PolySpinorField(3, [E11], Matrix([[1, 0], [0, 1]]))  # rows != monomials
+    with pytest.raises(ValueError):
+        PolySpinorField(3, [E11, E11], Matrix([[1, 0], [0, 1]]))  # repeated monomial
+    with pytest.raises(ValueError):
+        linear_power_field(REP3, Covector((1, 0, 0), (0, 0, 0)), 1, (1, 0, 0))  # spinor length
 
 
 def test_field_algebra():
@@ -33,9 +48,10 @@ def test_field_algebra():
     assert (f + f) == g
     assert (g - f) == f
     assert (f - f).is_zero()
-    h = f.mul_linear((1, 0, 0, 0, 0, 0))
-    assert h.diff(0) == f
-    assert h.diff(1).is_zero()
+    assert f.scaled(-1) + f == f - f and f.scaled(-1) != f
+    h = linear_power_field(REP3, Covector((1, 0, 0), (0, 0, 0)), 1, PSI0)
+    assert h == PolySpinorField(3, [E11], Matrix([PSI0]))
+    assert h != f and not (h - f).is_zero()
 
 
 def test_constant_fields_are_killed():
@@ -45,12 +61,12 @@ def test_constant_fields_are_killed():
 
 def test_single_monomial_example():
     # f = x_{1,1} psi0 differentiates to (gamma_1 psi0, 0)
-    f = PolySpinorField(3, 2, {(1, 0, 0, 0, 0, 0): PSI0})
+    f = PolySpinorField(3, [E11], Matrix([PSI0]))
     out = apply_flat_2dirac(REP3, f)
     assert out.p1 == PolySpinorField.constant(3, REP3.gammas[0].apply(PSI0))
     assert out.p2.is_zero()
     # the second slot sees the second coordinate block
-    g = PolySpinorField(3, 2, {(0, 0, 0, 1, 0, 0): PSI0})
+    g = PolySpinorField(3, [(0, 0, 0, 1, 0, 0)], Matrix([PSI0]))
     out = apply_flat_2dirac(REP3, g)
     assert out.p1.is_zero()
     assert out.p2 == PolySpinorField.constant(3, REP3.gammas[0].apply(PSI0))
@@ -84,12 +100,8 @@ def test_degree_one_kernel_is_trivial():
     rng = Random(1)
     for _ in range(25):
         coeffs = [rng.randint(-5, 5) for _ in range(6)]
-        terms = {}
-        for j, c in enumerate(coeffs):
-            if c:
-                mi = tuple(1 if i == j else 0 for i in range(6))
-                terms[mi] = tuple(c * p for p in PSI0)
-        f = PolySpinorField(3, 2, terms)
+        f = PolySpinorField(3, identity(6).rows,
+                            Matrix((c,) for c in coeffs) @ Matrix([PSI0]))
         out = apply_flat_2dirac(REP3, f)
         if any(coeffs):
             assert not (out.p1.is_zero() and out.p2.is_zero())
@@ -140,22 +152,58 @@ def test_pair_field_validation():
         apply_flat_2dirac(build_gamma_rep(4), f)
 
 
-def _entries(f):
-    return [x for v in f.coeffs.values() for x in v]
+small = st.integers(-3, 3)
+gaussian_integers = st.builds(gr, small, small)
 
 
-def test_integer_fields_stay_integral():
-    # an integer field meets a GaussianRational only through an odd-phase gamma
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_field_operations_match_dict_oracle(data):
+    """Power fields, sums, scalings and the operator against the
+    dict-of-tuples oracle, monomial by monomial, zero rows ignored."""
+    n = data.draw(st.integers(3, 5))
+    rep = build_gamma_rep(n)
+    entries = data.draw(st.sampled_from((small, gaussian_integers)))
+
+    def power_fields():
+        xi = Covector(*(tuple(data.draw(st.lists(small, min_size=n, max_size=n)))
+                        for _ in range(2)))
+        k = data.draw(st.integers(0, 5))
+        psi = tuple(data.draw(st.lists(entries, min_size=rep.s, max_size=rep.s)))
+        got = linear_power_field(rep, xi, k, psi)
+        want = reference_flat.linear_power_field(rep, xi, k, psi)
+        assert reference_flat.terms(got) == want.coeffs
+        return got, want
+
+    (f, rf), (g, rg) = power_fields(), power_fields()
+    c = data.draw(st.one_of(small, gaussian_integers,
+                            st.fractions(min_value=-3, max_value=3, max_denominator=4)))
+    total, rtotal = f.scaled(c) + g, rf.scaled(c) + rg
+    assert reference_flat.terms(total) == rtotal.coeffs
+    got = apply_flat_2dirac(rep, total)
+    for part, want in zip((got.p1, got.p2), reference_flat.apply_flat_2dirac(rep, rtotal)):
+        assert reference_flat.terms(part) == want.coeffs
+
+
+def test_fields_build_no_gaussian_rational(monkeypatch):
+    """Fields work on numerators: powers, sums, scalings, comparisons and the
+    operator construct no GaussianRational, on Gaussian spinors too.  The
+    flat suite then reads back only sigma1(xi) psi0, 2s scalars per sample."""
     rep = build_gamma_rep(4)
-    psi = (3, 0, -2, 1)
-    f = linear_power_field(rep, Covector((1, 2, 0, 1), (0, -1, 1, 3)), 3, psi)
-    for g in (f, f.diff(0), f.diff(5), f.scaled(-2), f.mul_linear((1,) * 8)):
-        assert g.coeffs and all(type(x) is int for x in _entries(g))
-    for alpha in range(rep.n):
-        turned = f.gamma_apply(rep, alpha)
-        odd = any(k % 2 for k in rep.phases[alpha])
-        assert any(type(x) is GaussianRational for x in _entries(turned)) == odd
-        if not odd:
-            assert all(type(x) is int for x in _entries(turned))
-    # some gamma at n = 4 has only even phases, so the integral branch ran
-    assert any(not any(k % 2 for k in p) for p in rep.phases)
+    xi = Covector((1, -2, 0, 3), (0, 1, 1, -1))
+    psi, c = (gr(1, 2), 0, gr(-3), gr(0, 1)), gr(Fraction(1, 2), 1)
+    count = [0]
+    init = GaussianRational.__init__
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GaussianRational, "__init__", counted)
+    f = linear_power_field(rep, xi, 4, psi)
+    out = apply_flat_2dirac(rep, f.scaled(c) + f)
+    assert out.p1 == out.p1.scaled(2) - out.p1 and not (out.p2 - f).is_zero()
+    assert count[0] == 0
+    samples = 5
+    assert run_check("flat-dirac", 4, samples, 7, "exact").passed
+    assert count[0] <= samples * 2 * rep.s

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from twodirac.linalg import (_I, _P, Matrix, _bareiss, _rank_mod_p, block, det,
                              frobenius_sq, hstack, identity, inverse, masked, mirrored, rank, rank_bareiss,
-                             submatrix, vstack, zeros)
+                             row_map, submatrix, vstack, zeros)
 from twodirac.scalars import GaussianRational, gr
 
 import reference_elimination as field
@@ -314,6 +314,23 @@ def test_scaling_agrees_with_the_product_by_a_scalar_matrix(ab, t):
 def test_frobenius_norm_is_the_trace_of_m_times_its_adjoint(ab):
     a, _ = ab
     assert frobenius_sq(a) == reference_matmul.matmul(a, a.adjoint()).trace()
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_operands(), st.data())
+def test_row_map_agrees_with_the_dense_integer_product(ab, data):
+    """S @ m with S given row by row as (source row, weight) lists, against
+    the dense S: empty rows, repeated sources and zero weights included."""
+    m = ab[0]
+    term = st.tuples(st.integers(0, m.nrows - 1), st.integers(-3, 3))
+    rows = data.draw(st.lists(st.lists(term, max_size=4), min_size=1, max_size=6))
+    dense = [[0] * m.nrows for _ in rows]
+    for r, terms in enumerate(rows):
+        for src, w in terms:
+            dense[r][src] += w
+    got = row_map(m, rows)
+    assert got == Matrix(dense) @ m == reference_matmul.matmul(Matrix(dense), m)
+    _assert_read([e for r in got.rows for e in r])
 
 
 @settings(max_examples=150, deadline=None)

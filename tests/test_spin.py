@@ -42,6 +42,18 @@ def test_identity_and_center():
     assert rho_n(minus).mat == identity(3)
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_negation_is_the_product_with_minus_one(n):
+    rep = build_gamma_rep(n)
+    rng = Random(n)
+    for _ in range(4):
+        a = random_spin(rep, rng)
+        prod = a * SpinElement.minus_one(rep)
+        neg = -a
+        assert neg == prod and neg.word == prod.word
+        assert neg.spinor_mat == prod.spinor_mat == -a.spinor_mat
+
+
 def test_coordinate_plane_rotation():
     a = spin_from_unit_vectors(REP3, [(1, 0, 0), (0, 1, 0)])
     assert rho_n(a).mat == Matrix([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
