@@ -23,10 +23,11 @@ zero, and ``mirrored`` forms -P m^T Q^T for permutation matrices P and Q
 -m[col_perm[c]][perm[r]].  ``is_unit_two_vector`` reads the numerators
 once to certify an oriented plane's unit 2-vector, by one pivot Plucker
 identity and a norm, with no product; ``frobenius_sq`` sums the squared
-numerators once.  ``row_map`` is the row-side partner of the scatter: S @ m
-for an integer S given row by row as (source row, weight) lists, combining
-m's numerator rows without forming S (the flat operator's derivatives and
-merges of equal monomials).
+numerators once, and ``scalar_of`` reads the c of a scalar matrix c I.
+``row_map`` is the row-side partner of the scatter: S @ m for an integer S
+given row by row as (source row, weight) lists, combining m's numerator
+rows without forming S (the flat operator's derivatives and merges of
+equal monomials).
 
 ``rank`` (also ``rank_bareiss``) eliminates over F_p, p = 10**9 + 9, with i
 sent to a square root of -1 mod p.  That reduction is a ring map, so the
@@ -200,7 +201,11 @@ def _imag(m: Matrix) -> IntRows:
 
 
 def _times(rows: IntRows, k: int) -> IntRows:
-    return rows if k == 1 else tuple(tuple(k * x for x in r) for r in rows)
+    if k == 1:
+        return rows
+    if k == -1:  # negation and the adjoint's conjugation, with no Python step per entry
+        return tuple(tuple(map(neg, r)) for r in rows)
+    return tuple(tuple(k * x for x in r) for r in rows)
 
 
 def _lin(a: IntRows, ka: int, b: IntRows, kb: int) -> IntRows:
@@ -344,6 +349,16 @@ def is_unit_two_vector(m: Matrix) -> bool:
             if w * r[j] != ui * v[j] - vi * u[j]:
                 return False
     return sum(x * x for r in o for x in r) == 2 * m._den ** 2
+
+
+def scalar_of(m: Matrix):
+    """The scalar c with m = c I, read by the module's rule, or None when m
+    is not a scalar matrix: one scaling of the identity and one comparison
+    of the stored numerators."""
+    if m.nrows != m.ncols:
+        return None
+    c = _scalar(m._re[0][0], m._im[0][0] if m._im else 0, m._den)
+    return c if m == identity(m.nrows).scaled(c) else None
 
 
 def frobenius_sq(m: Matrix):

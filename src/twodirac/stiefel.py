@@ -26,7 +26,7 @@ orthonormal pair, with no matrix product and no elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import Tuple
@@ -60,10 +60,12 @@ class Frame2:
 @dataclass(frozen=True)
 class StiefelTangent:
     """Tangent (w1 | w2) at a frame F: the linearized orthonormality
-    F^T W + W^T F = 0 holds."""
+    F^T W + W^T F = 0 holds.  The 2 x 2 pairing G = F^T W that the check
+    forms is kept: the contact form and the contact distribution read it."""
 
     base: Frame2
     mat: Matrix
+    pairing: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f, w = self.base.mat, self.mat
@@ -72,6 +74,7 @@ class StiefelTangent:
         g = f.transpose() @ w
         if not (g + g.transpose()).is_zero():
             raise ValueError("tangent violates the linearized orthonormality")
+        object.__setattr__(self, "pairing", g)
 
 
 @dataclass(frozen=True)
@@ -140,8 +143,8 @@ def center_rotate(f: Frame2, p: CirclePoint) -> Frame2:
 
 
 def contact_alpha(t: StiefelTangent):
-    """Value of the contact form: -<w1, v2>."""
-    return -(t.base.mat.transpose() @ t.mat)[1, 0]
+    """Value of the contact form: -<w1, v2> = -(F^T W)[1, 0]."""
+    return -t.pairing[1, 0]
 
 
 def _reeb_mat(f: Frame2) -> Matrix:
@@ -157,7 +160,7 @@ def reeb_field(f: Frame2) -> StiefelTangent:
 
 def in_contact_distribution(t: StiefelTangent) -> bool:
     """Both components orthogonal to the frame's plane: F^T W = 0."""
-    return (t.base.mat.transpose() @ t.mat).is_zero()
+    return t.pairing.is_zero()
 
 
 def levi_form_H(f: Frame2, t1: StiefelTangent, t2: StiefelTangent):

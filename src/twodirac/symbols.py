@@ -16,20 +16,48 @@ M1 M2 = -P - 2b I, so
 
     s2 = [[-P, -q1 I], [q2 I, -P - 2b I]].
 
-Every SymbolTriple checks ``s2 s1 = 0`` and ``s3 s2 = 0`` by dense products
-of the assembled matrices.  For the literal products both hold identically.
-For s2 built from the relations, the blocks of s2 s1 are -M2 (M1 M1 + q1 I)
-and (M2 M2 + q2 I) M1 - M2 (M1 M2 + M2 M1 + 2b I), so ``s2 s1 = 0`` tests
-the Clifford relations on each covector's own letters.
+Every SymbolTriple checks ``s2 s1 = 0`` by a dense product of the assembled
+matrices.  For the literal products it holds identically.  For s2 built from
+the relations, the blocks of s2 s1 are -M2 (M1 M1 + q1 I) and
+(M2 M2 + q2 I) M1 - M2 (M1 M2 + M2 M1 + 2b I), so ``s2 s1 = 0`` tests the
+Clifford relations on each covector's own letters.
+
+``s3 s2 = 0`` then needs no product.  With K = [[0, -I], [I, 0]], so that
+K^dagger = -K = K^-1, the triple is checked, by moving and negating
+numerators of the assembled matrices, for two identities:
+
+    (a) s3 = s1^dagger K;
+    (b) K s2 is hermitian, K s2 = s2^dagger K^dagger.  Blockwise, for
+        s2 = [[A, B], [C, D]] this reads B = B^dagger, C = C^dagger and
+        A = -D^dagger.
+
+They give (s3 s2)^dagger = s2^dagger K^dagger s1 = K s2 s1 = 0.  Both hold
+for a real covector.  The generators are anti-hermitian, so M_i^dagger =
+-M_i and s1^dagger K = [M2^dagger, -M1^dagger] = [-M2, M1] = s3.  The blocks
+-q1 I and q2 I are real scalars, and -(-P - 2b I)^dagger = M1 M2 + 2b I =
+-P.  Where an identity fails (a faulted builder, or a covector with
+non-real entries), the product s3 s2 is formed and tested.
+
 Ellipticity amounts to ranks (s, s, s) for every nonzero covector, checked
-here in exact arithmetic with an optional floating-point mirror.  Each exact
-rank is a lower bound mod p (``linalg.rank``) that meets a proven upper
-bound: the shape, and for s2 the bound 2s - rank s1 that s2 s1 = 0 gives.
-The fraction-free (Bareiss) rank runs only on a shortfall mod p.  The
-weight table holds the four highest weights; each fiber dimension is derived
-from its weight as the gl(2) dimension lam1 - lam2 + 1 times the spinor
-dimension s, which gives (s, 2s, 2s, s), and their alternating sum, the
-symbol-level index, is zero.
+here in exact arithmetic with an optional floating-point mirror.  Only
+rank s1 is eliminated: a lower bound mod p (``linalg.rank``) that meets the
+shape bound s, with the fraction-free (Bareiss) rank only on a shortfall
+mod p.  The other two ranks follow from the triple:
+
+* rank s3 = rank s1 when (a) holds, because K is invertible and a matrix
+  and its adjoint have one rank;
+* rank s2 = s when rank s1 = s and an off-diagonal block of s2 is a
+  nonzero scalar c I (-q1 I, or q2 I when X1 = 0).  That block is an
+  invertible s x s submatrix, so rank s2 >= s.  And s2 s1 = 0 puts the
+  image of s1 in the kernel of s2, so rank s2 <= 2s - rank s1 = s.
+
+Where (a) fails, s3 is eliminated; where the scalar block or rank s1 = s
+fails, s2 is eliminated mod p against the bound 2s - rank s1.  So a real
+nonzero covector costs one product (s2 s1) and one elimination (s1).  The
+weight table holds the four highest weights; each fiber dimension is
+derived from its weight as the gl(2) dimension lam1 - lam2 + 1 times the
+spinor dimension s, which gives (s, 2s, 2s, s), and their alternating sum,
+the symbol-level index, is zero.
 """
 
 from __future__ import annotations
@@ -41,8 +69,8 @@ from typing import List, Optional, Tuple
 
 from .clifford import (CLIFFORD_SIGN, GammaRep, build_gamma_rep, clifford_mat,
                        times_clifford)
-from .linalg import (Matrix, block, hstack, identity, is_zero_vec, rank_bareiss, vdot,
-                     vstack)
+from .linalg import (Matrix, block, hstack, identity, is_zero_vec, rank_bareiss,
+                     scalar_of, submatrix, vdot, vstack)
 from .sampling import integer_vector, perpendicular_integer_vector
 
 FLOAT_RANK_RTOL = 1e-9
@@ -113,18 +141,45 @@ def sigma3(rep: GammaRep, x: Covector) -> Matrix:
     return _third(*_letters(rep, x))
 
 
+def _k_dagger(m: Matrix) -> Matrix:
+    """K^dagger m for K = [[0, -I], [I, 0]]: the lower half of m's rows over
+    the negated upper half."""
+    h, w = m.nrows // 2, m.ncols
+    return vstack(submatrix(m, h, 2 * h, 0, w), -submatrix(m, 0, h, 0, w))
+
+
 @dataclass(frozen=True)
 class SymbolTriple:
-    """The three symbol matrices of one covector; a complex by construction."""
+    """The three symbol matrices of one covector; a complex by construction.
+
+    ``s2 s1 = 0`` is checked by a product.  ``s3 s2 = 0`` is proven when the
+    two identities of the module docstring hold on the assembled matrices:
+    (a) s3 = s1^dagger K, read as s3^dagger = K^dagger s1, and (b) K s2
+    hermitian, read on K^dagger s2 = -K s2.  Then (s3 s2)^dagger =
+    s2^dagger K^dagger s1 = K s2 s1 = 0.  When either fails, the product
+    s3 s2 is formed and tested.  ``s3_from_s1`` records whether (a) held,
+    which makes rank s3 = rank s1 (K is invertible, and a matrix and its
+    adjoint have one rank).
+    """
 
     s1: Matrix
     s2: Matrix
     s3: Matrix
+    s3_from_s1: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.s2 @ self.s1).is_zero():
+        s1, s2, s3 = self.s1, self.s2, self.s3
+        if not (s2 @ s1).is_zero():
             raise AssertionError("s2 @ s1 != 0: complex property violated")
-        if not (self.s3 @ self.s2).is_zero():
+        s = s1.ncols
+        # both identities are read on the symbol shapes 2s x s and 2s x 2s
+        adjoint = s1.nrows == 2 * s and s3.adjoint() == _k_dagger(s1)
+        object.__setattr__(self, "s3_from_s1", adjoint)
+        if adjoint and s2.shape == (2 * s, 2 * s):
+            h = _k_dagger(s2)
+            if h == h.adjoint():
+                return
+        if not (s3 @ s2).is_zero():
             raise AssertionError("s3 @ s2 != 0: complex property violated")
 
 
@@ -161,11 +216,30 @@ class ExactnessReport:
                 and self.exact_at_2 and self.exact_at_3)
 
 
+def _has_scalar_block(s2: Matrix, s: int) -> bool:
+    """Whether an off-diagonal s x s block of s2 is a nonzero scalar c I."""
+    return bool(scalar_of(submatrix(s2, 0, s, s, 2 * s))
+                or scalar_of(submatrix(s2, s, 2 * s, 0, s)))
+
+
 def exactness_report(rep: GammaRep, x: Covector, mode: str = "exact") -> ExactnessReport:
     """Rank the three symbols of a nonzero covector and flag exactness.
 
-    Exact mode is the authority; float mode ranks by singular values with a
-    relative threshold and exists to cross-check the exact path.
+    Exact mode is the authority.  It eliminates s1 alone (``rank_bareiss``:
+    a rank mod p that meets the shape bound, Bareiss on a shortfall) and
+    derives the other two ranks from the triple, by the module docstring's
+    proofs:
+
+    * rank s3 = rank s1 when ``SymbolTriple`` found s3 = s1^dagger K;
+    * rank s2 = s when rank s1 = s and an off-diagonal block of s2 is a
+      nonzero scalar c I: that block gives rank s2 >= s, and s2 s1 = 0,
+      which ``SymbolTriple`` has just checked on these matrices, gives
+      rank s2 <= 2s - rank s1 = s.
+
+    Where a premise fails, that rank is eliminated: rank s3 with no bound,
+    rank s2 with the bound 2s - rank s1.  Float mode ranks all three by
+    singular values with a relative threshold and exists to cross-check the
+    exact path.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -175,10 +249,11 @@ def exactness_report(rep: GammaRep, x: Covector, mode: str = "exact") -> Exactne
     s = rep.s
     if mode == "exact":
         r1 = rank_bareiss(triple.s1)
-        # SymbolTriple has just certified s2 s1 = 0 on these matrices, so the
-        # image of s1 lies in the kernel of s2 and rank s2 <= 2s - rank s1
-        r2 = rank_bareiss(triple.s2, at_most=2 * s - r1)
-        r3 = rank_bareiss(triple.s3)
+        if r1 == s and _has_scalar_block(triple.s2, s):
+            r2 = s
+        else:
+            r2 = rank_bareiss(triple.s2, at_most=2 * s - r1)
+        r3 = r1 if triple.s3_from_s1 else rank_bareiss(triple.s3)
     else:
         r1, r2, r3 = (_rank_float(m) for m in (triple.s1, triple.s2, triple.s3))
     return ExactnessReport(rank1=r1, rank2=r2, rank3=r3,

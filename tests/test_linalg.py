@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from twodirac.linalg import (_I, _P, Matrix, _bareiss, _rank_mod_p, block, det,
                              frobenius_sq, hstack, identity, inverse, masked, mirrored, rank, rank_bareiss,
-                             row_map, submatrix, vstack, zeros)
+                             row_map, scalar_of, submatrix, vstack, zeros)
 from twodirac.scalars import GaussianRational, gr
 
 import reference_elimination as field
@@ -307,6 +307,20 @@ def test_scaling_agrees_with_the_product_by_a_scalar_matrix(ab, t):
     got = a.scaled(t)
     assert got == reference_matmul.matmul(a, scalar)
     _assert_read([e for r in got.rows for e in r])
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_operands(), st.one_of(fractions_, st.builds(gr, fractions_, fractions_),
+                                     st.just(0)))
+def test_scalar_of_reads_exactly_the_scalar_matrices(ab, t):
+    a, _ = ab
+    n = a.nrows
+    assert scalar_of(Matrix(tuple(t if i == j else 0 for j in range(n))
+                            for i in range(n))) == t
+    c = a[0, 0]
+    scalar = a.ncols == n and all(e == (c if i == j else 0)
+                                  for i, r in enumerate(a.rows) for j, e in enumerate(r))
+    assert scalar_of(a) == (c if scalar else None)
 
 
 @settings(max_examples=100, deadline=None)

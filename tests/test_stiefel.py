@@ -210,6 +210,21 @@ def test_contact_alpha_and_reeb():
         assert contact_alpha(shifted) == Fraction(5, 3)
 
 
+def test_contact_form_and_distribution_read_the_kept_pairing(monkeypatch):
+    rng = Random(19)
+    f, comp = random_frame_with_complement(N, rng)
+    tangents = [reeb_field(f), random_tangent(f, rng), random_contact_tangent(f, comp, rng)]
+    for t in tangents:
+        assert t.pairing == f.mat.transpose() @ t.mat
+    products = []
+    matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__",
+                        lambda x, y: products.append((x.shape, y.shape)) or matmul(x, y))
+    assert [(contact_alpha(t), in_contact_distribution(t)) for t in tangents] == \
+        [(1, False), (-tangents[1].pairing[1, 0], False), (0, True)]
+    assert not products
+
+
 def test_reeb_frozen_example_and_image():
     f = standard_frame(N)
     r = reeb_field(f)

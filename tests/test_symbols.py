@@ -2,12 +2,14 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twodirac import linalg, symbols
 from twodirac.clifford import CLIFFORD_SIGN, build_gamma_rep
 from twodirac.linalg import (_bareiss, block, hstack, identity, rank, submatrix,
                              vdot, vstack, zeros)
+from twodirac.scalars import GaussianRational
 from twodirac.spin import gamma_c_mat, random_spinc, rho_n_c
 from twodirac.symbols import (Covector, ScanReport, SymbolTriple,
                               degenerate_family, ellipticity_scan,
@@ -162,11 +164,11 @@ def test_exact_and_float_modes_agree():
 
 
 def test_three_rank_routes_agree_on_symbol_matrices():
-    # the ellipticity certificates lean on the rank mod p bounded by
-    # s2 s1 = 0, with the fraction-free rank as its fallback, so pin the
-    # report's ranks and the fallback against the field-elimination oracle
-    # and the SVD route on the matrices that actually occur, at the largest
-    # spinor dimensions in scope
+    # the report eliminates s1 alone (the rank mod p, with the fraction-free
+    # rank as its fallback) and reads rank s2 and rank s3 off the triple, so
+    # pin the report's ranks and the fallback against the field-elimination
+    # oracle and the SVD route on the matrices that actually occur, at the
+    # largest spinor dimensions in scope
     from twodirac.symbols import _rank_float
     rng = Random(7)
     for n in (5, 6):
@@ -177,6 +179,140 @@ def test_three_rank_routes_agree_on_symbol_matrices():
             rpt = exactness_report(rep, x, "exact")
             for m, certified in zip((t.s1, t.s2, t.s3), (rpt.rank1, rpt.rank2, rpt.rank3)):
                 assert certified == _bareiss(m)[0] == field.rank(m) == _rank_float(m)
+
+
+def _outcome(build, rep, x):
+    """What a build returns, or the type and message of what it raises."""
+    try:
+        return build(rep, x)
+    except (AssertionError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _agrees_with_the_oracle(rep, x):
+    """Equal reports, and the same triple accepted or the same refusal."""
+    assert _outcome(exactness_report, rep, x) == \
+        _outcome(reference_symbols.exactness_report, rep, x)
+    triple = _outcome(symbol_triple, rep, x)
+    if isinstance(triple, SymbolTriple):
+        triple = (triple.s1, triple.s2, triple.s3)
+    assert triple == _outcome(reference_symbols.triple, rep, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(covectors())
+def test_report_matches_the_product_and_elimination_oracle(case):
+    n, x = case
+    _agrees_with_the_oracle(build_gamma_rep(n), x)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(3, 7), st.integers(0, 2 ** 32 - 1))
+def test_report_matches_the_oracle_on_the_degenerate_family(n, seed):
+    rep = build_gamma_rep(n)
+    for x in degenerate_family(n, Random(seed)):
+        _agrees_with_the_oracle(rep, x)
+
+
+def _gaussian_vectors(n: int):
+    part = st.integers(-4, 4)
+    return st.lists(st.builds(GaussianRational, part, part), min_size=n,
+                    max_size=n).map(tuple)
+
+
+_NULL = (GaussianRational(1), GaussianRational(0, 1), GaussianRational(0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 6).flatmap(lambda n: st.tuples(_gaussian_vectors(n),
+                                                     _gaussian_vectors(n))))
+@example((_NULL, (0, 0, 0)))
+def test_report_matches_the_oracle_off_the_reals(pair):
+    # a non-real entry makes M_i^dagger != -M_i, so s3 = s1^dagger K fails
+    # and the report falls back to the product s3 s2 and the rank of s3;
+    # <X1, X1> = 0 for X1 = (1, i, 0) makes M1 nilpotent, and with X2 = 0
+    # the ranks are (1, 0, 1): no scalar block, and rank s1 < s
+    x = Covector(*pair)
+    rep = build_gamma_rep(x.n)
+    _agrees_with_the_oracle(rep, x)
+    real = all(not getattr(a, "im", 0) for a in x.x1 + x.x2)
+    assert symbol_triple(rep, x).s3_from_s1 == real
+
+
+@pytest.mark.parametrize("n", [3, 6, 7])
+def test_real_report_forms_one_product_and_one_elimination(n, monkeypatch):
+    calls = {"_product": 0, "_rank_mod_p": 0, "_bareiss": 0}
+    for name in calls:
+        def counted(*args, _name=name, _orig=getattr(linalg, name)):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    rep, rng = build_gamma_rep(n), Random(n)
+    covectors = degenerate_family(n, rng)[::5] + [random_covector(n, rng) for _ in range(5)]
+    for x in covectors:
+        assert exactness_report(rep, x).all_exact
+    # s2 @ s1, and the rank of s1 mod p meeting its shape bound
+    assert calls == {"_product": len(covectors), "_rank_mod_p": len(covectors),
+                     "_bareiss": 0}
+
+
+def _third_without_m1(m1, m2):
+    return hstack(-m2, m1.scaled(0))
+
+
+def _sigma2_without_bottom_left(orig):
+    def patched(rep, x):
+        m, s = orig(rep, x), rep.s
+        return block([[submatrix(m, 0, s, 0, s), submatrix(m, 0, s, s, 2 * s)],
+                      [zeros(s, s), submatrix(m, s, 2 * s, s, 2 * s)]])
+    return patched
+
+
+def _sigma2_gauged(orig):
+    """(D x I) sigma2 for D = [[1, 1], [0, 1]]: s2 s1 = 0 still holds."""
+    def patched(rep, x):
+        eye = identity(rep.s)
+        return block([[eye, eye], [zeros(rep.s, rep.s), eye]]) @ orig(rep, x)
+    return patched
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_a_third_symbol_off_the_adjoint_is_ranked_by_elimination(n, monkeypatch):
+    # at X2 = 0, s3 = [0, M1]; without its M1 block it is zero, which
+    # s3 = s1^dagger K refutes, so rank s3 is eliminated, not read off s1
+    monkeypatch.setattr(symbols, "_third", _third_without_m1)
+    rep = build_gamma_rep(n)
+    x = Covector((1, 2) + (0,) * (n - 2), (0,) * n)
+    assert not symbol_triple(rep, x).s3_from_s1
+    rpt = exactness_report(rep, x)
+    assert rpt == reference_symbols.exactness_report(rep, x)
+    assert (rpt.rank1, rpt.rank3) == (rep.s, 0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_sigma2_without_a_scalar_block_is_ranked_by_elimination(n, monkeypatch):
+    # at X1 = 0 the only nonzero block of s2 is the bottom-left q2 I; with
+    # it zeroed, no off-diagonal block is a nonzero scalar, so rank s2 is
+    # eliminated, not read off rank s1 = s
+    monkeypatch.setattr(symbols, "sigma2", _sigma2_without_bottom_left(symbols.sigma2))
+    rep = build_gamma_rep(n)
+    x = Covector((0,) * n, (0, 1, 3) + (0,) * (n - 3))
+    rpt = exactness_report(rep, x)
+    assert rpt == reference_symbols.exactness_report(rep, x)
+    assert (rpt.rank1, rpt.rank2) == (rep.s, 0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_a_gauged_sigma2_fails_the_complex_check(n, monkeypatch):
+    # (D x I) s2 keeps s2 s1 = 0 and s3 = s1^dagger K, but K (D x I) s2 is
+    # not hermitian, so s3 s2 is formed, and it is not zero
+    monkeypatch.setattr(symbols, "sigma2", _sigma2_gauged(symbols.sigma2))
+    rep = build_gamma_rep(n)
+    x = Covector((1, 2) + (0,) * (n - 2), (0, 1, 3) + (0,) * (n - 3))
+    raised = (AssertionError, "s3 @ s2 != 0: complex property violated")
+    assert _outcome(symbol_triple, rep, x) == raised
+    assert _outcome(exactness_report, rep, x) == raised
+    assert _outcome(reference_symbols.triple, rep, x) == raised
 
 
 def test_degenerate_family_contents():
