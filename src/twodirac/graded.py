@@ -25,13 +25,23 @@ here.
 The closure [g_i, g_j] in g_{i+j} is certified by one exact product per
 grade pair, not one commutator per pair of basis elements
 (``closure_flags``): block (a, b) of L_ij = vstack(grade-i basis) @
-hstack(grade-j basis) is E_a E_b.  L_ij masked off grade i + j must vanish,
-so each E_a E_b has grade i + j.  And L_ji = (I x H) L_ij^T (I x H) says
-E_b E_a = H (E_a E_b)^T H, so with X = E_a E_b the bracket is
+hstack(grade-j basis) is E_a E_b.  Each product's support is read once
+(``linalg.nonzeros``).  Every nonzero entry (r, c) of L_ij must have grade
+w(r mod k) - w(c mod k) = i + j, k = n + 4, so each E_a E_b has grade i + j.
+And L_ji = (I x H) L_ij^T (I x H): the support of L_ji is that of L_ij moved
+from (r, c) to the block mirrors (p(c), q(r)), blockwise
+E_b E_a = H (E_a E_b)^T H.  So with X = E_a E_b the bracket is
 X - H X^T H = X + mirror(X), where mirror(X) = -H X^T H is an involution:
-the bracket is its own mirror image, i.e. lies in so(h).  Both tests work
-on the products' numerators and form no bracket; a pair that fails either
-is handed to the per-pair sweep, whose records name the grades leaked into.
+the bracket is its own mirror image, i.e. lies in so(h).  Both tests read
+only the products' nonzero entries and form no bracket; a pair that fails
+either is handed to the per-pair sweep, whose records name the grades
+leaked into.
+
+The group membership tests conjugate each basis element by g, with
+g^-1 = H g^T H once g^T H g = H is checked, and compute only the entries
+that must vanish.  Both g and g^-1 are scaled to their integer numerators
+(``linalg.cleared``), which multiplies every such entry by one nonzero
+constant: the zero test is unchanged and every term is an integer product.
 """
 
 from __future__ import annotations
@@ -42,8 +52,8 @@ from itertools import combinations_with_replacement
 from random import Random
 from typing import Callable, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .linalg import (Matrix, block, det, hstack, masked, mirrored, submatrix,
-                     vstack, zeros)
+from .linalg import (Matrix, block, cleared, det, hstack, masked, mirrored,
+                     nonzeros, submatrix, vstack, zeros)
 
 GRADES = (-2, -1, 0, 1, 2)
 
@@ -120,6 +130,7 @@ def element(n: int, A: Optional[Matrix] = None, B: Optional[Matrix] = None,
         [z2 if Y is None else Y, -X.transpose(), -A.transpose()]]))
 
 
+@lru_cache(maxsize=None)
 def h_gram(n: int) -> Matrix:
     """Gram matrix of the defining bilinear form in the split basis."""
     s = _mirror(n)
@@ -202,28 +213,32 @@ def closure_flags(n: int, bases: Mapping[int, Sequence[GradedElement]]
     i + j of so(h); with (i, j) flagged, (j, i) is flagged too.
 
     Block (a, b) of L_ij = vstack(grade-i basis) @ hstack(grade-j basis) is
-    E_a E_b.  For i <= j the pair is clean when L_ij has no entry off grade
-    i + j (no nonzero entry at all when |i + j| > 2) and L_ji = (I x H)
-    L_ij^T (I x H), blockwise E_b E_a = H (E_a E_b)^T H.  The identity carries
-    the first test over to L_ji, as the grade masks are mirror-symmetric.
+    E_a E_b.  For i <= j the pair is clean when every nonzero entry (r, c) of
+    L_ij has grade w(r mod k) - w(c mod k) = i + j (so none passes when
+    |i + j| > 2), and L_ji = (I x H) L_ij^T (I x H), blockwise
+    E_b E_a = H (E_a E_b)^T H: L_ji's nonzero entries are L_ij's, each moved
+    from (r, c) to (p(c), q(r)) for the block mirrors p of L_ij's columns and
+    q of its rows.  The identity carries the grade test over to L_ji, as
+    sigma reverses w.
     """
-    k, sigma = n + 4, _mirror(n)
-    ones = Matrix([[1] * k] * k)
+    k, sigma, w = n + 4, _mirror(n), _weights(n)
     dims = {i: len(bases[i]) for i in GRADES}
     stacked = {i: vstack(*(e.mat for e in bases[i])) for i in GRADES}
     sided = {j: hstack(*(e.mat for e in bases[j])) for j in GRADES}
 
-    def block_mirror(d: int) -> Tuple[int, ...]:
-        """The involution whose permutation matrix is I_d x H."""
-        return tuple(a * k + s for a in range(d) for s in sigma)
+    # per grade, the weight of each row (column) of its stack, and the
+    # involution I_d x H of its d blocks
+    tiled = {i: w * dims[i] for i in GRADES}
+    block_mirror = {i: tuple(a * k + s for a in range(dims[i]) for s in sigma)
+                    for i in GRADES}
 
     flagged = set()
     for i, j in combinations_with_replacement(GRADES, 2):
-        prod = stacked[i] @ sided[j]
-        off = ones - grade_mask(n, i + j) if i + j in GRADES else ones
-        if (not masked(prod, block([[off] * dims[j]] * dims[i])).is_zero()
-                or mirrored(prod, block_mirror(dims[j]), block_mirror(dims[i]))
-                != -(prod if i == j else stacked[j] @ sided[i])):
+        support = nonzeros(stacked[i] @ sided[j])
+        wr, wc, p, q = tiled[i], tiled[j], block_mirror[j], block_mirror[i]
+        mirror = {(p[c], q[r]): v for (r, c), v in support.items()}
+        if (any(wr[r] - wc[c] != i + j for r, c in support)
+                or mirror != (support if i == j else nonzeros(stacked[j] @ sided[i]))):
             flagged |= {(i, j), (j, i)}
     return frozenset(flagged)
 
@@ -254,7 +269,9 @@ def _conjugation_keeps_grades(g: Matrix, n: int,
     """
     g_inv = _check_h_orthogonal(g, n)
     w, s, k = _weights(n), _mirror(n), n + 4
-    g_cols, inv_rows = g.transpose().rows, g_inv.rows
+    # e g and e' g^-1 for the denominators e, e': each watched entry is
+    # scaled by e e' != 0, so it vanishes exactly when it did before
+    g_cols, inv_rows = cleared(g).transpose().rows, cleared(g_inv).rows
     for i in GRADES:
         watched = [(p, q) for p in range(k) for q in range(k)
                    if must_vanish(i, w[p] - w[q])]
@@ -277,10 +294,15 @@ def is_levi_member(g: Matrix, n: int) -> bool:
 
 
 def random_element(n: int, rng: Random) -> GradedElement:
-    """Seeded element with integer entries in ENTRY_LO..ENTRY_HI."""
+    """Seeded element with integer entries in ENTRY_LO..ENTRY_HI.
+
+    The blocks are drawn in the order A, B, X, Y, Z, W, each row by row and a
+    skew block above its diagonal only, and written straight into the rows
+    of [[A, Z^T, W], [X, B, -Z], [Y, -X^T, -A^T]]; ``GradedElement``
+    certifies the result by its mirror identity.
+    """
     def rnd(r, c):
-        return Matrix([[rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(c)]
-                       for _ in range(r)])
+        return [[rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(c)] for _ in range(r)]
 
     def rnd_skew(k):
         rows = [[0] * k for _ in range(k)]
@@ -289,7 +311,10 @@ def random_element(n: int, rng: Random) -> GradedElement:
                 v = rng.randint(ENTRY_LO, ENTRY_HI)
                 rows[a][b] = v
                 rows[b][a] = -v
-        return Matrix(rows)
+        return rows
 
-    return element(n, A=rnd(2, 2), B=rnd_skew(n), X=rnd(n, 2), Y=rnd_skew(2),
-                   Z=rnd(n, 2), W=rnd_skew(2))
+    A, B, X, Y, Z, W = rnd(2, 2), rnd_skew(n), rnd(n, 2), rnd_skew(2), rnd(n, 2), rnd_skew(2)
+    top = [A[a] + [z[a] for z in Z] + W[a] for a in range(2)]
+    middle = [X[r] + B[r] + [-Z[r][0], -Z[r][1]] for r in range(n)]
+    bottom = [Y[a] + [-x[a] for x in X] + [-A[0][a], -A[1][a]] for a in range(2)]
+    return GradedElement(n, Matrix(top + middle + bottom))

@@ -24,6 +24,9 @@ zero, and ``mirrored`` forms -P m^T Q^T for permutation matrices P and Q
 once to certify an oriented plane's unit 2-vector, by one pivot Plucker
 identity and a norm, with no product; ``frobenius_sq`` sums the squared
 numerators once, and ``scalar_of`` reads the c of a scalar matrix c I.
+``nonzeros`` reads a matrix's support once, as a dict of its nonzero
+entries, and ``cleared`` is m times its common denominator, the matrix of
+its integer numerators.
 ``row_map`` is the row-side partner of the scatter: S @ m for an integer S
 given row by row as (source row, weight) lists, combining m's numerator
 rows without forming S (the flat operator's derivatives and merges of
@@ -42,9 +45,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
-from operator import add, mul, neg, sub
+from operator import add, mul, neg, or_, sub
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .scalars import GaussianRational
@@ -246,21 +249,37 @@ def zeros(r: int, c: int) -> Matrix:
     return Matrix((0,) * c for _ in range(r))
 
 
-def hstack(*ms: Matrix) -> Matrix:
-    if len({m.nrows for m in ms}) != 1:
-        raise ValueError("hstack: row counts differ")
-    return vstack(*(m.transpose() for m in ms)).transpose()
-
-
-def vstack(*ms: Matrix) -> Matrix:
-    if len({m.ncols for m in ms}) != 1:
-        raise ValueError("vstack: column counts differ")
+def _stack(ms: Sequence[Matrix], join) -> Matrix:
+    """The blocks' numerators brought over their common denominator and
+    joined by ``join``, which takes one numerator tuple per block."""
     den = lcm(*(m._den for m in ms))
     im = None
     if any(m._im is not None for m in ms):
-        im = tuple(chain.from_iterable(_times(_imag(m), den // m._den) for m in ms))
-    return _stored(tuple(chain.from_iterable(_times(m._re, den // m._den) for m in ms)),
-                   im, den)
+        im = join([_times(_imag(m), den // m._den) for m in ms])
+    return _stored(join([_times(m._re, den // m._den) for m in ms]), im, den)
+
+
+def _join_rows(parts: Sequence[IntRows]) -> IntRows:
+    return tuple(map(tuple, map(chain.from_iterable, zip(*parts))))
+
+
+def _join_cols(parts: Sequence[IntRows]) -> IntRows:
+    return tuple(chain.from_iterable(parts))
+
+
+def hstack(*ms: Matrix) -> Matrix:
+    """The blocks side by side: each row is the concatenation of the blocks'
+    rows, over their common denominator."""
+    if len({m.nrows for m in ms}) != 1:
+        raise ValueError("hstack: row counts differ")
+    return _stack(ms, _join_rows)
+
+
+def vstack(*ms: Matrix) -> Matrix:
+    """The blocks one above the other, over their common denominator."""
+    if len({m.ncols for m in ms}) != 1:
+        raise ValueError("vstack: column counts differ")
+    return _stack(ms, _join_cols)
 
 
 def block(grid: Sequence[Sequence[Matrix]]) -> Matrix:
@@ -271,6 +290,30 @@ def submatrix(m: Matrix, r0: int, r1: int, c0: int, c1: int) -> Matrix:
     im = m._im
     return _stored(tuple(r[c0:c1] for r in m._re[r0:r1]),
                    im and tuple(r[c0:c1] for r in im[r0:r1]), m._den)
+
+
+def cleared(m: Matrix) -> Matrix:
+    """m times its common denominator: the matrix of its integer (Gaussian
+    integer) numerators, formed without a pass over the entries."""
+    return _stored(m._re, m._im, 1)
+
+
+def nonzeros(m: Matrix) -> dict:
+    """The nonzero entries of m as ``{(r, c): entry}``, read by the module's
+    rule; a zero row is skipped whole."""
+    out = {}
+    re, den, cols = m._re, m._den, range(m.ncols)
+    if m._im is None and den == 1:  # an integer matrix: its numerators are its entries
+        for r, row in enumerate(re):
+            if any(row):
+                for c in compress(cols, row):
+                    out[r, c] = row[c]
+        return out
+    for r, (row, irow) in enumerate(zip(re, _imag(m))):
+        if any(row) or any(irow):
+            for c in compress(cols, map(or_, map(bool, row), map(bool, irow))):
+                out[r, c] = _scalar(row[c], irow[c], den)
+    return out
 
 
 def masked(m: Matrix, mask: Matrix) -> Matrix:

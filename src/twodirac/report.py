@@ -19,11 +19,12 @@ from typing import Callable, Dict, List, Sequence, Tuple
 from . import __version__
 from .clifford import build_gamma_rep
 from .flat import PolySpinorField, apply_flat_2dirac, linear_power_field, symbol_cross_check
-from .graded import (GRADES, bracket, closure_flags, grade_basis,
+from .graded import (GRADES, GradedElement, bracket, closure_flags, grade_basis,
                      grade_project, heisenberg_gram, is_levi_member,
                      is_parabolic_member, levi_bracket, random_element,
                      standard_neg1_basis, zero_element)
-from .linalg import Matrix, block, det, identity, inverse, rank, submatrix, zeros
+from .linalg import (Matrix, block, det, hstack, identity, inverse, rank, submatrix,
+                     vstack, zeros)
 from .sampling import circle_point, deterministic_circle_points, rotation
 from .scalars import CIRCLE_MINUS_ONE, CIRCLE_ONE, CirclePoint
 from .spin import (RationalRotation, SpinCElement, SpinElement, gamma_c_act,
@@ -126,10 +127,16 @@ def _check_grading(n: int, samples: int, seed: int, mode: str) -> List[Failure]:
                + bracket(c, bracket(a, b)))
         if not jac.is_zero():
             fails.append(_fail(f"jacobi sample {idx}", "0", "nonzero"))
-    # grade-0 action on grade -1 is X -> B X - X A
-    for e0 in bases[0]:
-        for em in bases[-1]:
-            br = bracket(e0, em)
+    # grade-0 action on grade -1 is X -> B X - X A.  Block (a, b) of the
+    # first stacked product is E0_a Em_b and block (b, a) of the second is
+    # Em_b E0_a, so every bracket [E0_a, Em_b] is read off two products
+    k = n + 4
+    zero_minus = vstack(*(e.mat for e in bases[0])) @ hstack(*(e.mat for e in bases[-1]))
+    minus_zero = vstack(*(e.mat for e in bases[-1])) @ hstack(*(e.mat for e in bases[0]))
+    for a, e0 in enumerate(bases[0]):
+        for b, em in enumerate(bases[-1]):
+            br = GradedElement(n, submatrix(zero_minus, a * k, a * k + k, b * k, b * k + k)
+                               - submatrix(minus_zero, b * k, b * k + k, a * k, a * k + k))
             want = e0.B @ em.X - em.X @ e0.A
             if br.X != want or grade_project(br, -1) != br:
                 fails.append(_fail("grade-0 action on grade -1",

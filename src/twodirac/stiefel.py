@@ -7,14 +7,16 @@ frame's plane is a k x n matrix C.  Each operation is one matrix identity on
 these, with J = [[0, 1], [-1, 0]]:
 
 * the circle acts by F -> F [[c, d], [-d, c]]; its velocity, the Reeb field,
-  is F J = (-v2 | v1), and the quotient sends F to the 2-vector F J F^T;
+  is the product F J = (-v2 | v1), and the quotient sends F to the 2-vector
+  F J F^T;
 * the contact form is alpha(W) = -(F^T W)[1, 0] = -<w1, v2>, normalized so
   alpha(reeb) = 1, and W lies in the contact distribution exactly when
   F^T W = 0, i.e. both columns are orthogonal to the frame's plane;
 * the frame corresponds to the totally isotropic plane spanned by the columns
   of U = [I; F] inside the split space R^2 + R^k, stored in the basis
   (f1, f2, e1, ..., e_k) where the form is S = diag(-1, -1, +1, ..., +1), so
-  isotropy is U^T S U = 0 and all checks stay rational.
+  isotropy is U^T S U = 0, i.e. U_top^T U_top = U_bottom^T U_bottom for the
+  first two rows and the rest, and all checks stay rational.
 
 The rotations A and B that act on frames and planes arrive certified, as
 ``spin.RationalRotation``s (R^T R = I and det R = 1), and the actions check
@@ -31,8 +33,7 @@ from fractions import Fraction
 from random import Random
 from typing import Tuple
 
-from .linalg import (Matrix, identity, inverse, is_unit_two_vector, submatrix,
-                     times_signed_perms, vstack)
+from .linalg import Matrix, identity, is_unit_two_vector, submatrix, vstack
 from .sampling import rational_fraction, rotation
 from .scalars import CirclePoint
 from .spin import RationalRotation
@@ -107,25 +108,28 @@ def frame_to_isotropic(f: Frame2) -> Matrix:
 
 
 def is_isotropic(u: Matrix) -> bool:
-    """U^T S U = 0 for the split form S = diag(-1, -1, +1, ..., +1)."""
-    k = u.nrows
-    s = Matrix(tuple((-1 if i < 2 else 1) * int(i == j) for j in range(k))
-               for i in range(k))
-    return (u.transpose() @ s @ u).is_zero()
+    """U^T S U = 0 for the split form S = diag(-1, -1, +1, ..., +1), read as
+    U_top^T U_top = U_bottom^T U_bottom for the first two rows U_top and the
+    others U_bottom: two products the size of the result, no S."""
+    top, bottom = submatrix(u, 0, 2, 0, u.ncols), submatrix(u, 2, u.nrows, 0, u.ncols)
+    return top.transpose() @ top == bottom.transpose() @ bottom
 
 
 def isotropic_to_frame(u: Matrix) -> Frame2:
     """Renormalize a basis (the columns of u) of an isotropic plane into the
     shape [I; F]: the negative-summand block becomes the identity, and the
     positive-summand block U_bottom U_top^{-1} is then an orthonormal frame.
+    U_top = [[a, b], [c, d]] is inverted as its adjugate
+    [[d, -b], [-c, a]] over ad - bc.
     """
     if u.ncols != 2:
         raise ValueError("a plane basis has two columns")
-    try:
-        inv = inverse(submatrix(u, 0, 2, 0, 2))
-    except ValueError:
-        raise ValueError("plane is not transverse to the positive summand") from None
-    return Frame2(submatrix(u, 2, u.nrows, 0, 2) @ inv)
+    (a, b), (c, d) = submatrix(u, 0, 2, 0, 2).rows
+    det = a * d - b * c
+    if not det:
+        raise ValueError("plane is not transverse to the positive summand")
+    adjugate = Matrix([[d, -b], [-c, a]])
+    return Frame2((submatrix(u, 2, u.nrows, 0, 2) @ adjugate).scaled(Fraction(1) / det))
 
 
 def ksharp_act(a: RationalRotation, b: RationalRotation, f: Frame2) -> Frame2:
@@ -148,9 +152,8 @@ def contact_alpha(t: StiefelTangent):
 
 
 def _reeb_mat(f: Frame2) -> Matrix:
-    """F J = (-v2 | v1), by scatter: J is the signed permutation whose row 0
-    has 1 in column 1 and whose row 1 has -1 = i**2 in column 0."""
-    return times_signed_perms(f.mat, ((1, (1, 0), (0, 2)),))
+    """F J = (-v2 | v1), one k x 2 by 2 x 2 product."""
+    return f.mat @ J
 
 
 def reeb_field(f: Frame2) -> StiefelTangent:

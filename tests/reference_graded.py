@@ -6,9 +6,20 @@ Slices an (n+4) x (n+4) matrix along 2 | n | 2 into the six named blocks of
 shares no route with the entrywise grading it checks.  Its membership test
 conjugates each block basis matrix by two dense products with g and the
 adjugate inverse of g, where ``graded`` uses outer products and H g^T H.
+Its sampler assembles the six drawn blocks with ``join``, where ``graded``
+writes the rows directly.
+
+``closure_flags`` is the dense form of the closure certificate that
+``graded.closure_flags`` evaluates on the products' supports: each stacked
+product is masked by its tiled off-grade mask and compared, mirrored, with
+its partner, all as full matrices.
 """
 
-from twodirac.linalg import Matrix, block, inverse, submatrix, zeros
+from itertools import combinations_with_replacement
+
+from twodirac.graded import ENTRY_HI, ENTRY_LO, GRADES, grade_mask, h_gram
+from twodirac.linalg import (Matrix, block, hstack, inverse, masked, mirrored,
+                             submatrix, vstack, zeros)
 
 GRADE = {"Y": -2, "X": -1, "A": 0, "B": 0, "Z": 1, "W": 2}
 SKEW = ("B", "Y", "W")
@@ -69,3 +80,50 @@ def conjugation_keeps_grades(g, n, must_vanish):
     return all(project(g @ e @ g_inv, n, j).is_zero()
                for i in grades for e in grade_space(n, i)
                for j in grades if must_vanish(i, j))
+
+
+def random_element(n, rng):
+    """The matrix of a seeded element: the blocks A, B, X, Y, Z, W drawn in
+    this order, row by row, a skew block above its diagonal only."""
+    def rnd(r, c):
+        return Matrix([[rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(c)]
+                       for _ in range(r)])
+
+    def rnd_skew(k):
+        rows = [[0] * k for _ in range(k)]
+        for a in range(k):
+            for b in range(a + 1, k):
+                v = rng.randint(ENTRY_LO, ENTRY_HI)
+                rows[a][b] = v
+                rows[b][a] = -v
+        return Matrix(rows)
+
+    return join(n, {"A": rnd(2, 2), "B": rnd_skew(n), "X": rnd(n, 2),
+                    "Y": rnd_skew(2), "Z": rnd(n, 2), "W": rnd_skew(2)})
+
+
+def closure_flags(n, bases):
+    """The grade pairs (i, j), i <= j, whose stacked product
+    L_ij = vstack(grade-i basis) @ hstack(grade-j basis) has a nonzero
+    entry off grade i + j (under the tiled mask of the other grades) or
+    fails L_ji = (I x H) L_ij^T (I x H) as full matrices; with (i, j)
+    flagged, (j, i) is flagged too."""
+    k = n + 4
+    sigma = tuple(row.index(1) for row in h_gram(n).rows)
+    ones = Matrix([[1] * k] * k)
+    dims = {i: len(bases[i]) for i in GRADES}
+    stacked = {i: vstack(*(e.mat for e in bases[i])) for i in GRADES}
+    sided = {j: hstack(*(e.mat for e in bases[j])) for j in GRADES}
+
+    def block_mirror(d):
+        return tuple(a * k + s for a in range(d) for s in sigma)
+
+    flagged = set()
+    for i, j in combinations_with_replacement(GRADES, 2):
+        prod = stacked[i] @ sided[j]
+        off = ones - grade_mask(n, i + j) if i + j in GRADES else ones
+        if (not masked(prod, block([[off] * dims[j]] * dims[i])).is_zero()
+                or mirrored(prod, block_mirror(dims[j]), block_mirror(dims[i]))
+                != -(prod if i == j else stacked[j] @ sided[i])):
+            flagged |= {(i, j), (j, i)}
+    return frozenset(flagged)

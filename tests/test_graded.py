@@ -140,6 +140,49 @@ def test_closure_flags_refuse_a_basis_element_outside_so_h(i):
     assert want and closure_flags(n, bases) == want
 
 
+def _leaking(n, i, j):
+    """The grade bases with the first grade-i element plus a grade-j one."""
+    bases = {g: grade_basis(n, g) for g in GRADES}
+    bases[i] = [bases[i][0] + bases[j][0]] + bases[i][1:]
+    return bases
+
+
+def _outside_so_h(n, i):
+    """The grade bases with the first grade-i element E_rc - E_sigma(c)sigma(r)
+    cut to E_rc: still of grade i, no longer in so(h)."""
+    bases = {g: grade_basis(n, g) for g in GRADES}
+    half = Matrix([[max(x, 0) for x in row] for row in bases[i][0].mat.rows])
+    bases[i] = [SimpleNamespace(mat=half)] + bases[i][1:]
+    return bases
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_closure_flags_agree_with_the_dense_certificate_on_clean_bases(n):
+    bases = {i: grade_basis(n, i) for i in GRADES}
+    assert closure_flags(n, bases) == layout.closure_flags(n, bases) == frozenset()
+
+
+@pytest.mark.parametrize("bases", [
+    *(pytest.param(_leaking(3, i, j), id=f"leak({i},{j})")
+      for i, j in [(-2, 1), (-1, 0), (0, 1), (1, -1), (2, 0)]),
+    *(pytest.param(_outside_so_h(3, i), id=f"cut({i})") for i in GRADES)])
+def test_closure_flags_agree_with_the_dense_certificate_on_planted_bases(bases):
+    # a leaking element stays in so(h), so only the grade test can flag it; a
+    # cut one keeps its grade, so only the mirror comparison can
+    flags = closure_flags(3, bases)
+    assert flags and flags == layout.closure_flags(3, bases)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_random_element_draws_as_the_block_assembled_sampler(n):
+    # two draws from one generator: the same entries in the same order, and
+    # the same number of draws per element
+    for seed in range(20):
+        rng, ref = Random(seed), Random(seed)
+        for _ in range(2):
+            assert random_element(n, rng).mat == layout.random_element(n, ref)
+
+
 def test_bracket_self_and_pure_grade():
     n = 3
     rng = Random(3)

@@ -1,13 +1,16 @@
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from random import Random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twodirac.linalg import (_I, _P, Matrix, _bareiss, _rank_mod_p, block, det,
-                             frobenius_sq, hstack, identity, inverse, masked, mirrored, rank, rank_bareiss,
-                             row_map, scalar_of, submatrix, vstack, zeros)
+from twodirac.linalg import (_I, _P, Matrix, _bareiss, _rank_mod_p, block, cleared, det,
+                             frobenius_sq, hstack, identity, inverse, masked, mirrored,
+                             nonzeros, rank, rank_bareiss, row_map, scalar_of, submatrix,
+                             vstack, zeros)
 from twodirac.scalars import GaussianRational, gr
 
 import reference_elimination as field
@@ -388,3 +391,53 @@ def test_difference_mask_and_mirror_agree_with_their_entrywise_reading(ab, data)
     got = mirrored(x, perm, col_perm)
     assert got == oracle(x, perm, col_perm)
     _assert_read([e for r in got.rows for e in r])
+
+
+@st.composite
+def row_blocks(draw):
+    """One to three blocks with a common row count, each of int, rational or
+    Gaussian entries, over their own denominators."""
+    r = draw(st.integers(1, 4))
+    fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    entries = {"int": st.integers(-4, 4), "rational": fraction,
+               "gaussian": st.builds(gr, fraction, fraction)}
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind, c = draw(st.sampled_from(sorted(entries))), draw(st.integers(1, 4))
+        blocks.append(Matrix(draw(st.lists(st.lists(entries[kind], min_size=c, max_size=c),
+                                           min_size=r, max_size=r))))
+    return blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_blocks())
+@example([Matrix([[Fraction(1, 2)], [1]]), Matrix([[gr(Fraction(1, 3), 1)], [0]]),
+          Matrix([[2, 3], [4, 5]])])
+def test_hstack_agrees_with_the_transpose_route(blocks):
+    got = hstack(*blocks)
+    assert got == vstack(*(m.transpose() for m in blocks)).transpose()
+    assert got == Matrix(tuple(chain.from_iterable(rows))
+                         for rows in zip(*(m.rows for m in blocks)))
+    assert block([blocks]) == got
+    _assert_read([e for r in got.rows for e in r])
+    with pytest.raises(ValueError):
+        hstack(*blocks, zeros(blocks[0].nrows + 1, 1))
+
+
+def _denominator(e) -> int:
+    re, im = (e.re, e.im) if type(e) is GaussianRational else (e, 0)
+    return lcm(Fraction(re).denominator, Fraction(im).denominator)
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_operands())
+def test_nonzeros_and_cleared_read_the_entries(ab):
+    a, b = ab
+    for m in (a, b, a @ b):
+        entries = {(r, c): e for r, row in enumerate(m.rows) for c, e in enumerate(row)}
+        got = nonzeros(m)
+        assert got == {rc: e for rc, e in entries.items() if e}
+        _assert_read(got.values())
+        den = lcm(*(_denominator(e) for e in entries.values()))
+        assert cleared(m) == m.scaled(den)
+        assert all(_denominator(e) == 1 for row in cleared(m).rows for e in row)

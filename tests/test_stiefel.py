@@ -3,12 +3,12 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twodirac.graded import levi_bracket
-from twodirac.linalg import (Matrix, block, hstack, identity, is_unit_two_vector, rank,
-                             submatrix, vstack, zeros)
+from twodirac.linalg import (Matrix, block, hstack, identity, inverse, is_unit_two_vector,
+                             rank, submatrix, vstack, zeros)
 from twodirac.sampling import circle_point, rotation
 from twodirac.scalars import CirclePoint, GaussianRational
 from twodirac.spin import RationalRotation
@@ -138,6 +138,33 @@ def test_isotropic_to_frame_rejects_bad_input():
         isotropic_to_frame(cols((0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0)))
     with pytest.raises(ValueError):
         isotropic_to_frame(cols((1, 0, 1, 0, 0, 0, 0)))
+
+
+fraction_entries = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 5), st.integers(0, 2 ** 32 - 1),
+       st.lists(fraction_entries, min_size=4, max_size=4))
+@example(3, 0, [1, 2, 2, 4])
+@example(4, 1, [Fraction(1, 2), 0, 0, Fraction(-2, 3)])
+def test_isotropic_to_frame_agrees_with_the_inverse_route(n, seed, c):
+    # any basis of a frame's isotropic plane is [I; F] times an invertible
+    # 2 x 2 matrix; a singular one leaves no basis and is refused
+    f = random_frame_with_complement(n, Random(seed))[0]
+    u = frame_to_isotropic(f) @ Matrix([c[:2], c[2:]])
+    top, bottom = submatrix(u, 0, 2, 0, 2), submatrix(u, 2, n + 4, 0, 2)
+    sign = Matrix(tuple((-1 if i < 2 else 1) * int(i == j) for j in range(n + 4))
+                  for i in range(n + 4))
+    assert is_isotropic(u) and (u.transpose() @ sign @ u).is_zero()
+    if c[0] * c[3] == c[1] * c[2]:
+        with pytest.raises(ValueError, match="not transverse"):
+            isotropic_to_frame(u)
+        return
+    assert isotropic_to_frame(u) == Frame2(bottom @ inverse(top)) == f
+    # a plane moved off isotropy, against the dense form U^T S U
+    moved = u + Matrix([[int(i == 2 and j == 0) for j in range(2)] for i in range(n + 4)])
+    assert is_isotropic(moved) == (moved.transpose() @ sign @ moved).is_zero()
 
 
 def test_ksharp_action_properties():

@@ -162,9 +162,9 @@ def test_grading_closure_skips_only_what_no_projection_flags(n, monkeypatch):
                if f["input"].startswith("[grade ")]
     assert records == want and want
     dims = {i: len(report.grade_basis(n, i)) for i in report.GRADES}
-    # outside the closure: three double brackets per Jacobi sample and one
-    # bracket per pair of grade-0 and grade-(-1) basis elements
-    closure_calls = len(calls) - 6 * samples - dims[0] * dims[-1]
+    # outside the closure: three double brackets per Jacobi sample; the
+    # grade-0 action reads its brackets off two stacked products
+    closure_calls = len(calls) - 6 * samples
     assert closure_calls < sum(dims.values()) ** 2
 
 
