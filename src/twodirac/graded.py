@@ -112,10 +112,6 @@ class GradedElement:
         return self.mat.is_zero()
 
 
-def zero_element(n: int) -> GradedElement:
-    return GradedElement(n, zeros(n + 4, n + 4))
-
-
 def element(n: int, A: Optional[Matrix] = None, B: Optional[Matrix] = None,
             X: Optional[Matrix] = None, Y: Optional[Matrix] = None,
             Z: Optional[Matrix] = None, W: Optional[Matrix] = None) -> GradedElement:

@@ -127,7 +127,12 @@ def sigma2(rep: GammaRep, x: Covector) -> Matrix:
     """Second symbol: (p1, p2) -> (-X2.X1.p1 + X1.X1.p2, -X2.X2.p1 + X1.X2.p2),
     from the one product P = M2 M1 and scalar blocks."""
     _check_dimension(rep, x)
-    p = times_clifford(clifford_mat(rep, x.x2), rep, x.x1)
+    return _second(rep, x, clifford_mat(rep, x.x2))
+
+
+def _second(rep: GammaRep, x: Covector, m2: Matrix) -> Matrix:
+    """sigma2 of x from its letter M2."""
+    p = times_clifford(m2, rep, x.x1)
     q1, q2, b = vdot(x.x1, x.x1), vdot(x.x2, x.x2), vdot(x.x1, x.x2)
     eye, c = identity(rep.s), CLIFFORD_SIGN
     # M_i M_i = c q_i and M1 M2 = -M2 M1 + 2 c b, by bilinearity from
@@ -184,10 +189,10 @@ class SymbolTriple:
 
 
 def symbol_triple(rep: GammaRep, x: Covector) -> SymbolTriple:
-    """The three symbols of x: s1 and s3 share one letter pair, and s2 is
-    ``sigma2``'s, which needs only the product M2 M1."""
+    """The three symbols of x, all from one letter pair; s2 needs only the
+    product M2 M1."""
     m1, m2 = _letters(rep, x)
-    return SymbolTriple(_first(m1, m2), sigma2(rep, x), _third(m1, m2))
+    return SymbolTriple(_first(m1, m2), _second(rep, x, m2), _third(m1, m2))
 
 
 def _rank_float(m: Matrix) -> int:

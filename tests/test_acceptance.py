@@ -5,6 +5,7 @@ criterion's n range, sample count and seed, so each check is written once.
 Run ``pytest tests/test_acceptance.py -v -s`` for one line per criterion.
 """
 
+import hashlib
 from functools import lru_cache
 
 import twodirac.cli as cli
@@ -77,6 +78,11 @@ def test_criterion_8_flat_operator_symbol_consistency():
           _run(("flat-dirac",), (3,), 200, 4242))
 
 
+# SHA-256 of ``run_suite("all", [3], 100, 7)`` as JSON with elapsed_ms zeroed:
+# a change that alters any record or draw shows here
+ALL_N3_DIGEST = "142a222622445b156727a0efab79a7fdbf0e27431930cd7c8d61b158c8fe9839"
+
+
 def test_criterion_9_determinism_and_exit_codes(monkeypatch, capsys, tmp_path):
     import re
 
@@ -87,6 +93,10 @@ def test_criterion_9_determinism_and_exit_codes(monkeypatch, capsys, tmp_path):
     b = run_suite("all", [3], samples=100, seed=7, mode="exact")
     ok = strip(manifest_to_json(a)) == strip(manifest_to_json(b))
     ok = ok and a.overall_pass
+    digest = hashlib.sha256(strip(manifest_to_json(a)).encode()).hexdigest()
+    if digest != ALL_N3_DIGEST:
+        print(f"  all n=3 report digest {digest}")
+        ok = False
     rc = cli.main(["index", "--n", "3", "--format", "json"])
     capsys.readouterr()
     ok = ok and rc == 0

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from twodirac.graded import (GRADES, GradedElement, bracket, closure_flags,
                              element, grade_basis, grade_mask, grade_project, h_gram,
                              heisenberg_gram, is_levi_member, is_parabolic_member,
-                             levi_bracket, random_element, standard_neg1_basis,
-                             zero_element)
+                             levi_bracket, random_element, standard_neg1_basis)
 from twodirac.linalg import (Matrix, block, det, identity, inverse, masked, mirrored,
                              rank, zeros)
 from twodirac.sampling import rotation
@@ -37,7 +36,7 @@ def test_assemble_layout():
     m = e.mat
     assert m[0, 0] == 1 and m[1, 1] == 1
     assert m[n + 2, n + 2] == -1 and m[n + 3, n + 3] == -1
-    assert zero_element(n).mat.is_zero()
+    assert element(n).mat.is_zero()
     z = Matrix([[1, 2], [3, 4], [5, 6]])
     m = element(n, Z=z).mat
     assert m[0, 2] == 1 and m[1, 2] == 2  # Z^T in the top middle
@@ -69,7 +68,7 @@ def test_grade_projections():
     e = random_element(n, rng)
     assert grade_project(e, 0).A == e.A and grade_project(e, 0).B == e.B
     assert grade_project(e, 0).X.is_zero()
-    total = zero_element(n)
+    total = element(n)
     for i in GRADES:
         p = grade_project(e, i)
         assert grade_project(p, i) == p

@@ -16,9 +16,9 @@ from dataclasses import replace
 
 import pytest
 
-from twodirac import clifford, flat, report, spin, symbols
+from twodirac import clifford, flat, graded, report, spin, symbols
 from twodirac.clifford import build_gamma_rep
-from twodirac.linalg import Matrix
+from twodirac.linalg import Matrix, submatrix
 from twodirac.report import SUITE_ORDER, run_check
 from twodirac.scalars import CIRCLE_ONE
 from twodirac.spin import SpinCElement
@@ -37,6 +37,15 @@ def _phase_dropped(orig):
     return lambda x, big: orig(SpinCElement(CIRCLE_ONE, x.spin), big)
 
 
+def _e1_weight_shifted(orig):
+    """weight_table with the first weight of E1 raised by 1."""
+    def shifted(n):
+        wt = orig(n)
+        a, b = wt.lam[1]
+        return replace(wt, lam=(wt.lam[0], (a + 1, b)) + wt.lam[2:])
+    return shifted
+
+
 # suite -> (module, name, fault built from the original function)
 FAULTS = {
     "grading": (report, "grade_project", lambda orig: lambda e, k: e),
@@ -46,10 +55,10 @@ FAULTS = {
     "spinc": (report, "varsigma_n", lambda orig: lambda x: x.phase),
     "embedding": (report, "iota_embed", _phase_dropped),
     "contact": (report, "contact_alpha", lambda orig: lambda t: -orig(t)),
-    "symbols": (symbols, "sigma2",
-                lambda orig: lambda rep, x: _flip_first_block(orig(rep, x), rep.s)),
+    "symbols": (symbols, "_second",
+                lambda orig: lambda rep, x, m2: _flip_first_block(orig(rep, x, m2), rep.s)),
     "flat-dirac": (flat, "sigma1", lambda orig: lambda rep, x: -orig(rep, x)),
-    "index": (report, "spinor_dim", lambda orig: lambda n: orig(n) + 1),
+    "index": (report, "weight_table", _e1_weight_shifted),
     "dims": (symbols, "spinor_dim", lambda orig: lambda n: orig(n) + 1),
 }
 
@@ -68,7 +77,7 @@ FAULT_RECORDS = {
     "contact": (2, "d8edb5674eb801b9cf5f85799935c4b713e4ce983ff0a0cb34ff8482c9c78508"),
     "symbols": (23, "632c78a2a73f5b5f8883bbd0a08d20055464690ba8e4f3ca42cf75013c908fcf"),
     "flat-dirac": (2, "2f880a637b6669eebe4561baf7640536ccc9284401012fb7aadacee79c0961dd"),
-    "index": (1, "160cf16b8d8903ae2c8b578dbc76280ff476876647a24429df50d84610255ad5"),
+    "index": (2, "fc39b3caab897fb4f4116eaac08d4fbd1fce453af5934cd653cae91fffd609a7"),
     "dims": (1, "84f2a4af5437a53b1267388078fd54b526801cc95113fbaf74a01729474336b8"),
 }
 
@@ -94,15 +103,6 @@ def test_failure_records_render_as_pinned(suite, monkeypatch):
     records = list(run_check(suite, 3, 2, 0, "exact").failures)
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
     assert (len(records), digest) == FAULT_RECORDS[suite]
-
-
-def _e1_weight_shifted(orig):
-    """weight_table with the first weight of E1 raised by 1."""
-    def shifted(n):
-        wt = orig(n)
-        a, b = wt.lam[1]
-        return replace(wt, lam=(wt.lam[0], (a + 1, b)) + wt.lam[2:])
-    return shifted
 
 
 @pytest.mark.parametrize("suite", ["index", "dims"])
@@ -166,6 +166,27 @@ def test_grading_closure_skips_only_what_no_projection_flags(n, monkeypatch):
     # grade-0 action reads its brackets off two stacked products
     closure_calls = len(calls) - 6 * samples
     assert closure_calls < sum(dims.values()) ** 2
+
+
+def test_the_grade_0_action_check_can_fail(monkeypatch):
+    """With B read transposed, B X - X A is formed with -B (B is skew), so
+    the action read off the stacked products no longer matches it."""
+    def b_transposed(e):
+        return submatrix(e.mat, 2, e.n + 2, 2, e.n + 2).transpose()
+
+    monkeypatch.setattr(graded.GradedElement, "B", property(b_transposed))
+    rpt = run_check("grading", 3, 2, 0, "exact")
+    assert [f["input"] for f in rpt.failures] == ["grade-0 action on grade -1"] * 12
+
+
+def test_the_symbol_orders_come_from_the_weight_table(monkeypatch):
+    def first_orders(orig):
+        return lambda n: replace(orig(n), orders=(1, 1, 1))
+
+    monkeypatch.setattr(report, "weight_table", first_orders(report.weight_table))
+    rpt = run_check("symbols", 3, 2, 0, "exact")
+    assert rpt.failures
+    assert {f["expected"] for f in rpt.failures} == {"sigma2 order 1"}
 
 
 def test_symbols_refuses_a_scan_that_checked_too_few(monkeypatch):

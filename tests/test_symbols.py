@@ -261,8 +261,8 @@ def _third_without_m1(m1, m2):
 
 
 def _sigma2_without_bottom_left(orig):
-    def patched(rep, x):
-        m, s = orig(rep, x), rep.s
+    def patched(rep, x, m2):
+        m, s = orig(rep, x, m2), rep.s
         return block([[submatrix(m, 0, s, 0, s), submatrix(m, 0, s, s, 2 * s)],
                       [zeros(s, s), submatrix(m, s, 2 * s, s, 2 * s)]])
     return patched
@@ -270,9 +270,9 @@ def _sigma2_without_bottom_left(orig):
 
 def _sigma2_gauged(orig):
     """(D x I) sigma2 for D = [[1, 1], [0, 1]]: s2 s1 = 0 still holds."""
-    def patched(rep, x):
+    def patched(rep, x, m2):
         eye = identity(rep.s)
-        return block([[eye, eye], [zeros(rep.s, rep.s), eye]]) @ orig(rep, x)
+        return block([[eye, eye], [zeros(rep.s, rep.s), eye]]) @ orig(rep, x, m2)
     return patched
 
 
@@ -294,7 +294,7 @@ def test_sigma2_without_a_scalar_block_is_ranked_by_elimination(n, monkeypatch):
     # at X1 = 0 the only nonzero block of s2 is the bottom-left q2 I; with
     # it zeroed, no off-diagonal block is a nonzero scalar, so rank s2 is
     # eliminated, not read off rank s1 = s
-    monkeypatch.setattr(symbols, "sigma2", _sigma2_without_bottom_left(symbols.sigma2))
+    monkeypatch.setattr(symbols, "_second", _sigma2_without_bottom_left(symbols._second))
     rep = build_gamma_rep(n)
     x = Covector((0,) * n, (0, 1, 3) + (0,) * (n - 3))
     rpt = exactness_report(rep, x)
@@ -306,7 +306,7 @@ def test_sigma2_without_a_scalar_block_is_ranked_by_elimination(n, monkeypatch):
 def test_a_gauged_sigma2_fails_the_complex_check(n, monkeypatch):
     # (D x I) s2 keeps s2 s1 = 0 and s3 = s1^dagger K, but K (D x I) s2 is
     # not hermitian, so s3 s2 is formed, and it is not zero
-    monkeypatch.setattr(symbols, "sigma2", _sigma2_gauged(symbols.sigma2))
+    monkeypatch.setattr(symbols, "_second", _sigma2_gauged(symbols._second))
     rep = build_gamma_rep(n)
     x = Covector((1, 2) + (0,) * (n - 2), (0, 1, 3) + (0,) * (n - 3))
     raised = (AssertionError, "s3 @ s2 != 0: complex property violated")
