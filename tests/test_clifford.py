@@ -17,6 +17,7 @@ from twodirac.scalars import GR_I, GR_ONE, GR_ZERO, gr
 import reference_gammas
 import reference_matmul
 import reference_words
+from strategies import coordinates, gaussians, matrices, rationals, vectors
 
 
 def test_rejects_small_n():
@@ -140,12 +141,8 @@ def test_square_law_example():
     assert m @ m == identity(2).scaled(2 * CLIFFORD_SIGN)
 
 
-rational_vecs = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6),
-                         min_size=4, max_size=4)
-
-
 @settings(max_examples=60, deadline=None)
-@given(rational_vecs, rational_vecs)
+@given(vectors(rationals(6, 6), 4), vectors(rationals(6, 6), 4))
 def test_polarized_clifford_relation(v, w):
     rep = build_gamma_rep(4)
     mv, mw = clifford_mat(rep, v), clifford_mat(rep, w)
@@ -189,16 +186,7 @@ def test_unit_vector_action_squares_to_sign():
         assert m @ m == identity(4).scaled(CLIFFORD_SIGN)
 
 
-def _dense_sum(n, v):
-    out = zeros(2 ** (n // 2), 2 ** (n // 2))
-    for coeff, g in zip(v, reference_gammas.gammas(n)):
-        out = out + g.scaled(coeff)
-    return out
-
-
-coefficients = st.one_of(st.integers(-9, 9),
-                         st.fractions(min_value=-6, max_value=6, max_denominator=7),
-                         st.just(0))
+coefficients = st.one_of(coordinates, st.just(0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -208,11 +196,11 @@ def test_clifford_mat_matches_dense_sum(data):
     # zero-heavy vectors keep few generators, so shared positions vary
     zeros = data.draw(st.sets(st.integers(0, n - 1)))
     v = tuple(0 if a in zeros else data.draw(coefficients) for a in range(n))
-    assert clifford_mat(build_gamma_rep(n), v) == _dense_sum(n, v)
+    assert clifford_mat(build_gamma_rep(n), v) == reference_words.clifford_matrix(n, v)
 
 
-gaussians = st.builds(gr, st.fractions(min_value=-4, max_value=4, max_denominator=5),
-                      st.fractions(min_value=-4, max_value=4, max_denominator=5))
+scalars = st.one_of(coefficients, gaussians(rationals(4, 5)))
+entries = st.one_of(st.just(0), st.integers(-5, 5), gaussians(rationals(4, 5)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,16 +212,12 @@ def test_times_clifford_matches_dense_product(data):
     n = data.draw(st.integers(2, 8))
     rep = build_gamma_rep(n)
     v = tuple(data.draw(st.one_of(
-        st.lists(st.one_of(coefficients, gaussians), min_size=n, max_size=n),
+        vectors(scalars, n),
         st.just([0] * n),
         st.integers(0, n - 1).map(lambda k: [int(a == k) for a in range(n)]))))
     rows = data.draw(st.one_of(st.just(rep.s), st.integers(1, rep.s + 2)))
-    entries = st.one_of(st.just(0), st.integers(-5, 5), gaussians)
-    m = Matrix(data.draw(st.lists(st.lists(entries, min_size=rep.s, max_size=rep.s),
-                                  min_size=rows, max_size=rows)))
-    dense = zeros(rep.s, rep.s)
-    for c, g in zip(v, rep.gammas):
-        dense = dense + g.scaled(c)
+    m = data.draw(matrices(entries, rows, rep.s))
+    dense = reference_words.clifford_matrix(n, v)
     assert times_clifford(m, rep, v) == m @ dense
     assert clifford_times(rep, v, m.transpose()) == dense @ m.transpose()
 
@@ -246,11 +230,6 @@ def _dense_combination(n, terms):
     return reference_words.clifford_matrix(n, v)
 
 
-kernel_coefficients = st.one_of(st.integers(-9, 9),
-                                st.fractions(min_value=-6, max_value=6, max_denominator=7),
-                                gaussians, st.just(0))
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_signed_perm_kernel_matches_dense_product(data):
@@ -258,11 +237,9 @@ def test_signed_perm_kernel_matches_dense_product(data):
     rep = build_gamma_rep(n)
     # any multiset of gammas, repeats and zero coefficients included
     picks = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 2))
-    terms = [(data.draw(kernel_coefficients), k) for k in picks]
+    terms = [(data.draw(scalars), k) for k in picks]
     rows = data.draw(st.one_of(st.just(rep.s), st.integers(1, rep.s + 2)))
-    entries = st.one_of(st.just(0), st.integers(-5, 5), gaussians)
-    m = Matrix(data.draw(st.lists(st.lists(entries, min_size=rep.s, max_size=rep.s),
-                                  min_size=rows, max_size=rows)))
+    m = data.draw(matrices(entries, rows, rep.s))
     got = times_signed_perms(m, [(c, rep.cols[k], rep.phases[k]) for c, k in terms])
     assert got == m @ _dense_combination(n, terms)
     assert got == reference_matmul.matmul(m, _dense_combination(n, terms))

@@ -14,6 +14,7 @@ from twodirac.scalars import GaussianRational, gr
 from twodirac.symbols import Covector, random_covector, sigma1
 
 import reference_flat
+from strategies import gaussians, rationals, small_ints, vectors
 
 REP3 = build_gamma_rep(3)
 PSI0 = identity(REP3.s).col(0)
@@ -152,10 +153,6 @@ def test_pair_field_validation():
         apply_flat_2dirac(build_gamma_rep(4), f)
 
 
-small = st.integers(-3, 3)
-gaussian_integers = st.builds(gr, small, small)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_field_operations_match_dict_oracle(data):
@@ -163,21 +160,19 @@ def test_field_operations_match_dict_oracle(data):
     dict-of-tuples oracle, monomial by monomial, zero rows ignored."""
     n = data.draw(st.integers(3, 5))
     rep = build_gamma_rep(n)
-    entries = data.draw(st.sampled_from((small, gaussian_integers)))
+    entries = data.draw(st.sampled_from((small_ints, gaussians(small_ints))))
 
     def power_fields():
-        xi = Covector(*(tuple(data.draw(st.lists(small, min_size=n, max_size=n)))
-                        for _ in range(2)))
+        xi = Covector(*(data.draw(vectors(small_ints, n)) for _ in range(2)))
         k = data.draw(st.integers(0, 5))
-        psi = tuple(data.draw(st.lists(entries, min_size=rep.s, max_size=rep.s)))
+        psi = data.draw(vectors(entries, rep.s))
         got = linear_power_field(rep, xi, k, psi)
         want = reference_flat.linear_power_field(rep, xi, k, psi)
         assert reference_flat.terms(got) == want.coeffs
         return got, want
 
     (f, rf), (g, rg) = power_fields(), power_fields()
-    c = data.draw(st.one_of(small, gaussian_integers,
-                            st.fractions(min_value=-3, max_value=3, max_denominator=4)))
+    c = data.draw(st.one_of(small_ints, gaussians(small_ints), rationals(3, 4)))
     total, rtotal = f.scaled(c) + g, rf.scaled(c) + rg
     assert reference_flat.terms(total) == rtotal.coeffs
     got = apply_flat_2dirac(rep, total)

@@ -17,6 +17,7 @@ from twodirac.sampling import rotation
 from twodirac.scalars import gr
 
 import reference_graded as layout
+from strategies import levi_blocks, matrices, seeds, small_ints, vectors
 
 
 def test_shape_and_skewness_validation():
@@ -103,44 +104,9 @@ def _sweep_flags(bases):
                    for a in bases[i] for b in bases[j] for k in GRADES if k != i + j)}
 
 
-@pytest.mark.parametrize("i, j", [(-2, 1), (-1, 0), (0, 1), (1, -1), (2, 0)])
-def test_closure_flags_agree_with_the_sweep_on_a_leaking_basis(i, j):
-    # the first grade-i element gains a grade-j basis element: still in so(h),
-    # but no longer of one grade
-    n = 3
-    bases = {g: grade_basis(n, g) for g in GRADES}
-    bases[i] = [bases[i][0] + bases[j][0]] + bases[i][1:]
-    flags, swept = closure_flags(n, bases), _sweep_flags(bases)
-    assert swept and swept <= flags
-    # a grade with one element has one self-bracket [e, e] = 0, which the
-    # sweep passes and the leaking product e e flags
-    assert flags - swept == ({(i, i)} if len(bases[i]) == 1 else set())
-
-
-@pytest.mark.parametrize("i", GRADES)
-def test_closure_flags_refuse_a_basis_element_outside_so_h(i):
-    # E_rc without its mirror term -E_sigma(c)sigma(r): of grade i, so no
-    # product leaks, but brackets with it leave so(h).  No GradedElement can
-    # hold it, so the oracle is the matrix commutator.
-    n = 3
-    k = n + 4
-    sigma = tuple(row.index(1) for row in h_gram(n).rows)
-    ones = Matrix([[1] * k] * k)
-    bases = {g: grade_basis(n, g) for g in GRADES}
-    half = Matrix([[max(x, 0) for x in row] for row in bases[i][0].mat.rows])
-    bases[i] = [SimpleNamespace(mat=half)] + bases[i][1:]
-    want = set()
-    for a, b in product(GRADES, repeat=2):
-        off = ones - grade_mask(n, a + b) if a + b in GRADES else ones
-        for x, y in product(bases[a], bases[b]):
-            c = x.mat @ y.mat - y.mat @ x.mat
-            if not masked(c, off).is_zero() or mirrored(c, sigma) != c:
-                want.add((a, b))
-    assert want and closure_flags(n, bases) == want
-
-
 def _leaking(n, i, j):
-    """The grade bases with the first grade-i element plus a grade-j one."""
+    """The grade bases with the first grade-i element plus a grade-j one:
+    still in so(h), but no longer of one grade."""
     bases = {g: grade_basis(n, g) for g in GRADES}
     bases[i] = [bases[i][0] + bases[j][0]] + bases[i][1:]
     return bases
@@ -155,6 +121,38 @@ def _outside_so_h(n, i):
     return bases
 
 
+LEAKS = [(-2, 1), (-1, 0), (0, 1), (1, -1), (2, 0)]
+
+
+@pytest.mark.parametrize("i, j", LEAKS)
+def test_closure_flags_agree_with_the_sweep_on_a_leaking_basis(i, j):
+    bases = _leaking(3, i, j)
+    flags, swept = closure_flags(3, bases), _sweep_flags(bases)
+    assert swept and swept <= flags
+    # a grade with one element has one self-bracket [e, e] = 0, which the
+    # sweep passes and the leaking product e e flags
+    assert flags - swept == ({(i, i)} if len(bases[i]) == 1 else set())
+
+
+@pytest.mark.parametrize("i", GRADES)
+def test_closure_flags_refuse_a_basis_element_outside_so_h(i):
+    # no product leaks, but brackets with the cut element leave so(h).  No
+    # GradedElement can hold it, so the oracle is the matrix commutator.
+    n = 3
+    k = n + 4
+    sigma = tuple(row.index(1) for row in h_gram(n).rows)
+    ones = Matrix([[1] * k] * k)
+    bases = _outside_so_h(n, i)
+    want = set()
+    for a, b in product(GRADES, repeat=2):
+        off = ones - grade_mask(n, a + b) if a + b in GRADES else ones
+        for x, y in product(bases[a], bases[b]):
+            c = x.mat @ y.mat - y.mat @ x.mat
+            if not masked(c, off).is_zero() or mirrored(c, sigma) != c:
+                want.add((a, b))
+    assert want and closure_flags(n, bases) == want
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_closure_flags_agree_with_the_dense_certificate_on_clean_bases(n):
     bases = {i: grade_basis(n, i) for i in GRADES}
@@ -162,8 +160,7 @@ def test_closure_flags_agree_with_the_dense_certificate_on_clean_bases(n):
 
 
 @pytest.mark.parametrize("bases", [
-    *(pytest.param(_leaking(3, i, j), id=f"leak({i},{j})")
-      for i, j in [(-2, 1), (-1, 0), (0, 1), (1, -1), (2, 0)]),
+    *(pytest.param(_leaking(3, i, j), id=f"leak({i},{j})") for i, j in LEAKS),
     *(pytest.param(_outside_so_h(3, i), id=f"cut({i})") for i in GRADES)])
 def test_closure_flags_agree_with_the_dense_certificate_on_planted_bases(bases):
     # a leaking element stays in so(h), so only the grade test can flag it; a
@@ -219,16 +216,8 @@ def test_levi_bracket_shape_error():
         levi_bracket(Matrix([[1, 0], [0, 1]]), Matrix([[1], [0]]))
 
 
-small_ints = st.integers(-6, 6)
-
-
-@st.composite
-def nx2_blocks(draw, n=3):
-    return Matrix([[draw(small_ints), draw(small_ints)] for _ in range(n)])
-
-
 @settings(max_examples=50, deadline=None)
-@given(nx2_blocks(), nx2_blocks(), nx2_blocks())
+@given(levi_blocks, levi_blocks, levi_blocks)
 def test_levi_bracket_bilinear_skew(x1, x2, x3):
     assert levi_bracket(x1, x2) == -levi_bracket(x2, x1)
     assert levi_bracket(x1, x1).is_zero()
@@ -349,7 +338,7 @@ def _span_rank(mats):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(3, 5), st.integers(0, 2 ** 32 - 1))
+@given(st.integers(3, 5), seeds)
 def test_grading_agrees_with_block_layout_oracle(n, seed):
     rng = Random(seed)
     e, f = random_element(n, rng), random_element(n, rng)
@@ -401,32 +390,24 @@ def _unipotent(n, **blocks):
     return identity(n + 4) + nil + (nil @ nil).scaled(Fraction(1, 2))
 
 
-small_ints = st.integers(-3, 3)
-
-
 @settings(max_examples=15, deadline=None)
-@given(st.integers(3, 4), st.integers(0, 2 ** 32 - 1),
-       st.lists(small_ints, min_size=4, max_size=4).filter(
-           lambda e: e[0] * e[3] != e[1] * e[2]),
+@given(st.integers(3, 4), seeds,
+       vectors(small_ints, 4).filter(lambda e: e[0] * e[3] != e[1] * e[2]),
        st.booleans(), st.booleans(), st.data())
 def test_membership_agrees_with_dense_conjugation_oracle(n, seed, c, upper, lower, data):
     # g = Levi element * upper unipotent * lower unipotent; g lies in the
     # parabolic subgroup iff the lower factor is trivial, and in the Levi
     # subgroup iff both unipotent factors are
-    def blocks(rows, cols):
-        return Matrix(data.draw(st.lists(st.lists(small_ints, min_size=cols, max_size=cols),
-                                       min_size=rows, max_size=rows)))
-
     c = Matrix([c[:2], c[2:]])
     g = block([[c, zeros(2, n), zeros(2, 2)],
                [zeros(n, 2), rotation(Random(seed), n), zeros(n, 2)],
                [zeros(2, 2), zeros(2, n), inverse(c).transpose()]])
     w = data.draw(st.integers(1, 3))
     if upper:
-        z = blocks(n, 2)
+        z = data.draw(matrices(small_ints, n, 2))
         g = g @ _unipotent(n, Z=z, W=Matrix([[0, w], [-w, 0]]))
     if lower:
-        x = blocks(n, 2)
+        x = data.draw(matrices(small_ints, n, 2))
         g = g @ _unipotent(n, X=x, Y=Matrix([[0, w], [-w, 0]]))
     parabolic, levi = is_parabolic_member(g, n), is_levi_member(g, n)
     assert parabolic == layout.conjugation_keeps_grades(g, n, lambda i, j: j < i)

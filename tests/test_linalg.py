@@ -15,6 +15,7 @@ from twodirac.scalars import GaussianRational, gr
 
 import reference_elimination as field
 import reference_matmul
+from strategies import gaussians, matrices, ratios
 
 
 def test_matrix_basics():
@@ -88,16 +89,12 @@ def test_rank_on_rationals():
     assert rank(Matrix([[Fraction(1, 3), 1], [1, 3]])) == 1
 
 
-gauss_entries = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+gauss_entries = gaussians(st.integers(-9, 9))
 
 
 @st.composite
 def gauss_matrices(draw):
-    r = draw(st.integers(1, 6))
-    c = draw(st.integers(1, 6))
-    rows = draw(st.lists(st.lists(gauss_entries, min_size=c, max_size=c),
-                         min_size=r, max_size=r))
-    return Matrix(tuple(tuple(gr(a, b) for a, b in row) for row in rows))
+    return draw(matrices(gauss_entries, draw(st.integers(1, 6)), draw(st.integers(1, 6))))
 
 
 @settings(max_examples=150, deadline=None)
@@ -132,13 +129,7 @@ def low_rank_gauss_matrices(draw):
     many have rank below min(r, c)."""
     k = draw(st.integers(1, 3))
     r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-
-    def factor(rows: int, cols: int) -> Matrix:
-        entries = draw(st.lists(gauss_entries, min_size=rows * cols, max_size=rows * cols))
-        return Matrix(tuple(gr(a, b) for a, b in entries[i * cols:(i + 1) * cols])
-                      for i in range(rows))
-
-    return factor(r, k) @ factor(k, c)
+    return draw(matrices(gauss_entries, r, k)) @ draw(matrices(gauss_entries, k, c))
 
 
 @settings(max_examples=150, deadline=None)
@@ -177,7 +168,8 @@ def test_bareiss_rank_deficient_columns():
         assert rank_bareiss(m) == field.rank(m)
 
 
-fractions_ = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+fractions_ = ratios(9, 4)
+scalars = st.one_of(fractions_, gaussians(fractions_), st.just(0))
 
 
 @st.composite
@@ -187,11 +179,10 @@ def square_matrices(draw):
     another."""
     k = draw(st.integers(1, 5))
     if draw(st.booleans()):
-        entry = st.builds(gr, fractions_, fractions_)
+        entry = gaussians(fractions_)
     else:
         entry = st.one_of(st.integers(-9, 9), fractions_)
-    rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k),
-                         min_size=k, max_size=k))
+    rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
     if k > 1 and draw(st.booleans()):
         i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2,
                              unique=True))
@@ -221,11 +212,10 @@ def product_operands(draw):
     entries; shapes down to 1 x k and k x 1, most of them zero-heavy, some
     with a zero row on the left or a zero column on the right."""
     r, k, c = (draw(st.integers(1, 5)) for _ in range(3))
-    # integral Fractions such as Fraction(4, 2) are among the inputs
-    fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
-    nonzero = {"int": st.integers(-4, 4), "rational": st.one_of(st.integers(-4, 4), fraction)}
-    nonzero["gaussian"] = st.builds(gr, nonzero["rational"], nonzero["rational"])
-    nonzero["mixed"] = st.one_of(nonzero["rational"], nonzero["gaussian"])
+    rational = st.one_of(st.integers(-4, 4), ratios(6, 4))
+    gaussian = gaussians(rational)
+    nonzero = {"int": st.integers(-4, 4), "rational": rational, "gaussian": gaussian,
+               "mixed": st.one_of(rational, gaussian)}
 
     def matrix(nr, nc):
         kind = draw(st.sampled_from(sorted(_ZEROS)))
@@ -300,8 +290,7 @@ def test_results_are_stored_as_the_entries_they_read(ab, t):
 
 
 @settings(max_examples=150, deadline=None)
-@given(product_operands(), st.one_of(fractions_, st.builds(gr, fractions_, fractions_),
-                                     st.just(0)))
+@given(product_operands(), scalars)
 def test_scaling_agrees_with_the_product_by_a_scalar_matrix(ab, t):
     # the scalar matrix t I is multiplied by the sum-of-products oracle
     a, _ = ab
@@ -313,8 +302,7 @@ def test_scaling_agrees_with_the_product_by_a_scalar_matrix(ab, t):
 
 
 @settings(max_examples=100, deadline=None)
-@given(product_operands(), st.one_of(fractions_, st.builds(gr, fractions_, fractions_),
-                                     st.just(0)))
+@given(product_operands(), scalars)
 def test_scalar_of_reads_exactly_the_scalar_matrices(ab, t):
     a, _ = ab
     n = a.nrows
@@ -360,12 +348,10 @@ def test_difference_mask_and_mirror_agree_with_their_entrywise_reading(ab, data)
     assert x - y == want == x + -y
     _assert_read([e for r in (x - y).rows for e in r])
 
-    keep = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=x.ncols,
-                                       max_size=x.ncols), min_size=q, max_size=q))
-    mask = Matrix(keep)
+    mask = data.draw(matrices(st.integers(0, 1), q, x.ncols))
     got = masked(x, mask)
     assert got == Matrix(tuple(u if k else 0 for u, k in zip(r, kr))
-                         for r, kr in zip(x.rows, keep))
+                         for r, kr in zip(x.rows, mask.rows))
     assert got + masked(x, Matrix([[1] * x.ncols] * q) - mask) == x
     _assert_read([e for r in got.rows for e in r])
 
@@ -398,15 +384,9 @@ def row_blocks(draw):
     """One to three blocks with a common row count, each of int, rational or
     Gaussian entries, over their own denominators."""
     r = draw(st.integers(1, 4))
-    fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
-    entries = {"int": st.integers(-4, 4), "rational": fraction,
-               "gaussian": st.builds(gr, fraction, fraction)}
-    blocks = []
-    for _ in range(draw(st.integers(1, 3))):
-        kind, c = draw(st.sampled_from(sorted(entries))), draw(st.integers(1, 4))
-        blocks.append(Matrix(draw(st.lists(st.lists(entries[kind], min_size=c, max_size=c),
-                                           min_size=r, max_size=r))))
-    return blocks
+    kinds = st.sampled_from((st.integers(-4, 4), ratios(6, 6), gaussians(ratios(6, 6))))
+    return [draw(matrices(draw(kinds), r, draw(st.integers(1, 4))))
+            for _ in range(draw(st.integers(1, 3)))]
 
 
 @settings(max_examples=150, deadline=None)

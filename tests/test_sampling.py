@@ -9,6 +9,8 @@ from twodirac.sampling import (circle_point, deterministic_circle_points, givens
                                unit_vector)
 from twodirac.scalars import CirclePoint
 
+from strategies import seeds
+
 
 def givens_product(rng: Random, k: int):
     """The rotation as the product of dense ``givens`` matrices, drawing
@@ -72,7 +74,7 @@ def fraction_unit_vector(rng: Random, n: int) -> tuple:
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+@given(st.integers(1, 8), seeds)
 def test_unit_vector_matches_the_fraction_formula(n, seed):
     """The integer form gives the Fraction formula's values in its types,
     drawn from two copies of one seeded generator that end in the same state."""

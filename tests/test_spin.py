@@ -19,6 +19,7 @@ from twodirac.spin import (PhaseTriple, RationalRotation, SpinCElement,
 
 import reference_rho as ref
 import reference_words as words
+from strategies import seeds
 
 REP3 = build_gamma_rep(3)
 
@@ -70,7 +71,7 @@ def test_rho_against_reflection_oracle():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 7), st.integers(0, 6), st.integers(0, 2 ** 32 - 1))
+@given(st.integers(2, 7), st.integers(0, 6), seeds)
 def test_spinor_matrix_matches_dense_word_product(n, length, seed):
     # any length, odd words included: the scatter applies each letter alone
     rng = Random(seed)
@@ -202,7 +203,7 @@ def test_spin_element_refuses_a_passed_spinor_matrix():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(2, 8), st.integers(0, 2 ** 32 - 1))
+@given(st.integers(2, 8), seeds)
 def test_word_rho_agrees_with_trace_and_product_oracles(n, seed):
     rep = build_gamma_rep(n)
     rng = Random(seed)

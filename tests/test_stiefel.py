@@ -22,6 +22,7 @@ from twodirac.stiefel import (J, Frame2, OrientedPlane, StiefelTangent,
                               reeb_field, tangent_coordinates)
 
 import reference_stiefel as ref
+from strategies import rationals, ratios, seeds, vectors
 
 N = 3
 
@@ -140,12 +141,8 @@ def test_isotropic_to_frame_rejects_bad_input():
         isotropic_to_frame(cols((1, 0, 1, 0, 0, 0, 0)))
 
 
-fraction_entries = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
-
-
 @settings(max_examples=40, deadline=None)
-@given(st.integers(3, 5), st.integers(0, 2 ** 32 - 1),
-       st.lists(fraction_entries, min_size=4, max_size=4))
+@given(st.integers(3, 5), seeds, vectors(ratios(4, 3), 4))
 @example(3, 0, [1, 2, 2, 4])
 @example(4, 1, [Fraction(1, 2), 0, 0, Fraction(-2, 3)])
 def test_isotropic_to_frame_agrees_with_the_inverse_route(n, seed, c):
@@ -465,7 +462,7 @@ def test_oriented_plane_refuses_two_orthogonal_planes():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(3, 5), st.integers(0, 2 ** 32 - 1))
+@given(st.integers(3, 5), seeds)
 def test_oriented_plane_is_its_unit_two_vector(n, seed):
     f, _ = random_frame_with_complement(n, Random(seed))
     pl = quotient_q(f)
@@ -481,9 +478,8 @@ def two_vector(k, i, j) -> Matrix:
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(3, 6), st.integers(0, 2 ** 32 - 1),
-       st.fractions(-3, 3, max_denominator=7).filter(bool),
-       st.fractions(-2, 2, max_denominator=5).filter(bool), st.data())
+@given(st.integers(3, 6), seeds, rationals(3, 7).filter(bool),
+       rationals(2, 5).filter(bool), st.data())
 def test_plane_kernel_agrees_with_the_spectral_oracle(n, seed, t, delta, data):
     """``is_unit_two_vector`` (one pivot Plucker identity and a norm) and the
     oracle o^T = -o, o^3 = -o, tr(o^2) = -2 give the same verdict on planes
@@ -539,7 +535,7 @@ def test_plane_kernel_refuses_a_complex_plane():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(3, 6), st.integers(0, 2 ** 32 - 1))
+@given(st.integers(3, 6), seeds)
 def test_matrix_identities_match_tuple_oracle(n, seed):
     """Every sampled object and value equals the tuple formulas', drawn from
     two copies of one seeded generator that end in the same state."""

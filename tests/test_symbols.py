@@ -19,6 +19,7 @@ from twodirac.symbols import (Covector, ScanReport, SymbolTriple,
 
 import reference_elimination as field
 import reference_symbols
+from strategies import coordinates, gaussians, rationals, seeds, vectors
 
 REP3 = build_gamma_rep(3)
 REP4 = build_gamma_rep(4)
@@ -45,19 +46,13 @@ def test_sigma_frozen_forms():
     assert sigma3(REP3, x01) == hstack(-g1, zeros(2, 2))
 
 
-def _vectors(n: int):
-    entries = st.one_of(st.integers(-9, 9),
-                        st.fractions(min_value=-6, max_value=6, max_denominator=7))
-    return st.lists(entries, min_size=n, max_size=n).map(tuple)
-
-
 @st.composite
 def covectors(draw):
     """(n, X) for n = 3..8 with int or Fraction entries: X1 = 0, X2 = 0,
     X1 parallel to X2, X1 perpendicular to X2, or a random pair."""
     n = draw(st.integers(3, 8))
-    v, w = draw(_vectors(n)), draw(_vectors(n))
-    t = draw(st.fractions(min_value=-4, max_value=4, max_denominator=5))
+    v, w = draw(vectors(coordinates, n)), draw(vectors(coordinates, n))
+    t = draw(rationals(4, 5))
     zero = (0,) * n
     # w minus its component along v, scaled by |v|^2 to stay exact
     perp = tuple(vdot(v, v) * b - vdot(v, w) * a for a, b in zip(v, w))
@@ -207,25 +202,19 @@ def test_report_matches_the_product_and_elimination_oracle(case):
 
 
 @settings(max_examples=8, deadline=None)
-@given(st.integers(3, 7), st.integers(0, 2 ** 32 - 1))
+@given(st.integers(3, 7), seeds)
 def test_report_matches_the_oracle_on_the_degenerate_family(n, seed):
     rep = build_gamma_rep(n)
     for x in degenerate_family(n, Random(seed)):
         _agrees_with_the_oracle(rep, x)
 
 
-def _gaussian_vectors(n: int):
-    part = st.integers(-4, 4)
-    return st.lists(st.builds(GaussianRational, part, part), min_size=n,
-                    max_size=n).map(tuple)
-
-
 _NULL = (GaussianRational(1), GaussianRational(0, 1), GaussianRational(0))
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(3, 6).flatmap(lambda n: st.tuples(_gaussian_vectors(n),
-                                                     _gaussian_vectors(n))))
+@given(st.integers(3, 6).flatmap(
+    lambda n: vectors(vectors(gaussians(st.integers(-4, 4)), n), 2)))
 @example((_NULL, (0, 0, 0)))
 def test_report_matches_the_oracle_off_the_reals(pair):
     # a non-real entry makes M_i^dagger != -M_i, so s3 = s1^dagger K fails
