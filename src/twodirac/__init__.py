@@ -15,12 +15,12 @@ __version__ = "0.1.0"
 from .clifford import CLIFFORD_SIGN, GammaRep, build_gamma_rep, clifford_mat
 from .scalars import CirclePoint, GaussianRational, gr
 from .symbols import (Covector, ellipticity_scan, exactness_report,
-                      symbol_index, symbol_triple, weight_table)
+                      symbol_triple, weight_table)
 
 __all__ = [
     "__version__",
     "CLIFFORD_SIGN", "GammaRep", "build_gamma_rep", "clifford_mat",
     "CirclePoint", "GaussianRational", "gr",
-    "Covector", "ellipticity_scan", "exactness_report", "symbol_index",
-    "symbol_triple", "weight_table",
+    "Covector", "ellipticity_scan", "exactness_report", "symbol_triple",
+    "weight_table",
 ]

@@ -22,8 +22,7 @@ which keep their ``cols`` and take ``GammaRep.transposed_phases``.
 ``clifford_mat`` is the identity times sum v_a gamma_a, and a spinor is
 acted on by ``clifford_mat(rep, v).apply(psi)``.  Only this module, the
 kernel and ``flat`` (which turns a stack of spinor rows C into C gamma^T)
-read the permutations and phases; the dense generators are derived on
-demand.
+read the permutations and phases; no generator is stored as a dense matrix.
 """
 
 from __future__ import annotations
@@ -60,12 +59,6 @@ class GammaRep:
     s: int
     cols: Tuple[Tuple[int, ...], ...]
     phases: Tuple[Tuple[int, ...], ...]
-
-    @cached_property
-    def gammas(self) -> Tuple[Matrix, ...]:
-        """The generators as dense s x s matrices, derived on first use."""
-        return tuple(times_signed_perms(identity(self.s), ((1, cols, phases),))
-                     for cols, phases in zip(self.cols, self.phases))
 
     @cached_property
     def transposed_phases(self) -> Tuple[Tuple[int, ...], ...]:

@@ -50,10 +50,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from random import Random
-from typing import Callable, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, List, Mapping, Sequence, Tuple
 
-from .linalg import (Matrix, block, cleared, det, hstack, masked, mirrored,
-                     nonzeros, submatrix, vstack, zeros)
+from .linalg import (Matrix, cleared, det, hstack, masked, mirrored, nonzeros,
+                     submatrix, vstack)
 
 GRADES = (-2, -1, 0, 1, 2)
 
@@ -99,10 +99,6 @@ class GradedElement:
     def X(self) -> Matrix:
         return submatrix(self.mat, 2, self.n + 2, 0, 2)
 
-    @property
-    def Y(self) -> Matrix:
-        return submatrix(self.mat, self.n + 2, self.n + 4, 0, 2)
-
     def __add__(self, other: "GradedElement") -> "GradedElement":
         if self.n != other.n:
             raise ValueError("elements live over different n")
@@ -110,20 +106,6 @@ class GradedElement:
 
     def is_zero(self) -> bool:
         return self.mat.is_zero()
-
-
-def element(n: int, A: Optional[Matrix] = None, B: Optional[Matrix] = None,
-            X: Optional[Matrix] = None, Y: Optional[Matrix] = None,
-            Z: Optional[Matrix] = None, W: Optional[Matrix] = None) -> GradedElement:
-    """Element with the given blocks, all others zero."""
-    z2, zn = zeros(2, 2), zeros(n, 2)
-    A = z2 if A is None else A
-    X = zn if X is None else X
-    Z = zn if Z is None else Z
-    return GradedElement(n, block([
-        [A, Z.transpose(), z2 if W is None else W],
-        [X, zeros(n, n) if B is None else B, -Z],
-        [z2 if Y is None else Y, -X.transpose(), -A.transpose()]]))
 
 
 @lru_cache(maxsize=None)

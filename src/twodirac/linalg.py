@@ -5,7 +5,7 @@ once in lowest terms: integer numerators of the real parts and of the
 imaginary parts (``None`` when all are zero) over one positive denominator,
 so ``==`` and ``hash`` compare the storage.  Only this module reads it.
 Entries become scalars only when read (``rows``, ``[i, j]``, ``col``,
-``apply``, ``trace``, ``det``), by one rule on the value alone: a
+``apply``, ``det``), by one rule on the value alone: a
 ``GaussianRational`` exactly when the imaginary part is nonzero, else an int
 when integral and a ``Fraction`` when not.
 
@@ -18,12 +18,12 @@ scatters m's columns to their permuted places, turning each by a power of i
 (a swap and negation of the real and imaginary numerators) and multiplying
 it by c_k's integer numerator, and forms no dense factor.  Two kernels only
 move or drop numerators: ``masked`` zeroes the entries where a 0/1 mask is
-zero, and ``mirrored`` forms -P m^T Q^T for permutation matrices P and Q
-(one per side, so m may be rectangular), whose entry (r, c) is
--m[col_perm[c]][perm[r]].  ``is_unit_two_vector`` reads the numerators
-once to certify an oriented plane's unit 2-vector, by one pivot Plucker
-identity and a norm, with no product; ``frobenius_sq`` sums the squared
-numerators once, and ``scalar_of`` reads the c of a scalar matrix c I.
+zero, and ``mirrored`` forms -P m^T P^T for a square m and a permutation
+matrix P, whose entry (r, c) is -m[perm[c]][perm[r]].
+``is_unit_two_vector`` reads the numerators once to certify an oriented
+plane's unit 2-vector, by one pivot Plucker identity and a norm, with no
+product; ``frobenius_sq`` sums the squared numerators once, and
+``scalar_of`` reads the c of a scalar matrix c I.
 ``nonzeros`` reads a matrix's support once, as a dict of its nonzero
 entries, and ``cleared`` is m times its common denominator, the matrix of
 its integer numerators.
@@ -157,13 +157,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return self._im is None and not any(map(any, self._re))
-
-    def trace(self):
-        if self.nrows != self.ncols:
-            raise ValueError("trace of non-square matrix")
-        re, im = self._re, _imag(self)
-        return _scalar(sum(re[i][i] for i in range(self.nrows)),
-                       sum(im[i][i] for i in range(self.nrows)), self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -329,21 +322,17 @@ def masked(m: Matrix, mask: Matrix) -> Matrix:
     return _stored(keep(m._re), m._im and keep(m._im), m._den)
 
 
-def mirrored(m: Matrix, perm: Sequence[int],
-             col_perm: Optional[Sequence[int]] = None) -> Matrix:
-    """-P m^T Q^T for the permutation matrices P with P[r][perm[r]] = 1, of
-    order m.ncols, and Q with Q[c][col_perm[c]] = 1, of order m.nrows (Q = P
-    by default, for a square m): entry (r, c) is -m[col_perm[c]][perm[r]].
-    For an involution P^T = P."""
-    col_perm = perm if col_perm is None else col_perm
-    for p, size in ((perm, m.ncols), (col_perm, m.nrows)):
-        if sorted(p) != list(range(size)):
-            raise ValueError(f"{tuple(p)} is not a permutation of range({size}) "
-                             f"for a matrix of shape {m.shape}")
+def mirrored(m: Matrix, perm: Sequence[int]) -> Matrix:
+    """-P m^T P^T for a square m and the permutation matrix P with
+    P[r][perm[r]] = 1: entry (r, c) is -m[perm[c]][perm[r]].  For an
+    involution P^T = P."""
+    if m.nrows != m.ncols or sorted(perm) != list(range(m.ncols)):
+        raise ValueError(f"{tuple(perm)} is not a permutation of the indices "
+                         f"of a square matrix; got shape {m.shape}")
 
     def mirror(rows: IntRows) -> IntRows:
-        # cols[j][c] = m[col_perm[c]][j]
-        cols = tuple(zip(*[rows[p] for p in col_perm]))
+        # cols[j][c] = m[perm[c]][j]
+        cols = tuple(zip(*[rows[p] for p in perm]))
         return tuple(tuple(map(neg, cols[q])) for q in perm)
 
     return _stored(mirror(m._re), m._im and mirror(m._im), m._den)

@@ -31,7 +31,7 @@ from .spin import (RationalRotation, SpinCElement, SpinElement, gamma_c_act,
                    hsharp_inverse, iota_embed, is_in_spin_subgroup,
                    is_in_u1_subgroup, random_phase_triple, random_spin,
                    random_spinc, rho_n, rho_n_c, so2_block,
-                   spin_rotation_generator, spinc_equal, varsigma_n)
+                   spin_rotation_generator, varsigma_n)
 from .stiefel import (center_rotate, contact_alpha, frame_to_isotropic,
                       in_contact_distribution, is_isotropic,
                       isotropic_to_frame, ksharp_act, levi_form_H,
@@ -39,7 +39,7 @@ from .stiefel import (center_rotate, contact_alpha, frame_to_isotropic,
                       random_contact_tangent, random_frame_with_complement,
                       random_tangent, reeb_field, tangent_coordinates)
 from .symbols import (MODES, Covector, ellipticity_scan, exactness_report,
-                      random_covector, sigma1, sigma2, sigma3, spinor_dim,
+                      random_covector, sigma1, spinor_dim, symbol_matrices,
                       weight_table)
 
 Failure = Dict[str, str]
@@ -222,10 +222,9 @@ def _check_spinc(n: int, samples: int, seed: int, mode: str) -> List[Failure]:
     psi = tuple(identity(rep.s).col(0))
     # the defining class relation
     x = random_spinc(rep, rng)
-    if not spinc_equal(x, x.negated_representative()):
+    if x != x.negated_representative():
         fails.append(_fail("class relation", "<p, a> = <-p, -a>", "unequal"))
-    if n >= 2 and spinc_equal(SpinCElement(CIRCLE_ONE, one),
-                              SpinCElement(CIRCLE_MINUS_ONE, one)):
+    if SpinCElement(CIRCLE_ONE, one) == SpinCElement(CIRCLE_MINUS_ONE, one):
         fails.append(_fail("class relation", "<1, 1> != <-1, 1>", "equal"))
     if varsigma_n(SpinCElement(CirclePoint(0, 1), one)) != CIRCLE_MINUS_ONE:
         fails.append(_fail("varsigma <i, 1>", "-1", "differs"))
@@ -279,7 +278,7 @@ def _check_spinc(n: int, samples: int, seed: int, mode: str) -> List[Failure]:
         q12, y12 = hc_forward(tu * tu2)
         q1, y1 = hc_forward(tu)
         q2, y2 = hc_forward(tu2)
-        if q12 != q1 * q2 or not spinc_equal(y12, y1 * y2):
+        if q12 != q1 * q2 or y12 != y1 * y2:
             fails.append(_fail(f"hc pair {idx}", "homomorphism", "differs"))
     return fails
 
@@ -308,15 +307,16 @@ def _check_embedding(n: int, samples: int, seed: int, mode: str) -> List[Failure
         if iota_embed(x.negated_representative(), big) != emb:
             fails.append(_fail(f"sample {idx}", "iota well defined", "differs"))
         y = random_spinc(rep, rng)
-        if iota_embed(x * y, big) != emb * iota_embed(y, big):
+        emb_y = iota_embed(y, big)
+        if iota_embed(x * y, big) != emb * emb_y:
             fails.append(_fail(f"pair {idx}", "iota homomorphism", "differs"))
-        if not spinc_equal(x, y) and iota_embed(y, big) == emb:
+        if x != y and emb_y == emb:
             fails.append(_fail(f"pair {idx}", "iota injective", "collision"))
     kernel = (SpinCElement(CIRCLE_ONE, one), SpinCElement(CIRCLE_MINUS_ONE, one))
     for x in kernel:
         if rho_n(iota_embed(x, big)).mat != identity(n + 2):
             fails.append(_fail("kernel class", "identity rotation", "differs"))
-    if spinc_equal(kernel[0], kernel[1]):
+    if kernel[0] == kernel[1]:
         fails.append(_fail("kernel", "two distinct classes", "collapsed"))
     if not iota_embed(kernel[1], big).is_central():
         fails.append(_fail("kernel image", "central in the big group", "not"))
@@ -384,12 +384,13 @@ def _check_symbols(n: int, samples: int, seed: int, mode: str) -> List[Failure]:
                            f"ranks ({bad.report.rank1}, {bad.report.rank2}, "
                            f"{bad.report.rank3})"))
     # homogeneity of each symbol in its order from the weight table
-    sigmas = tuple(zip((sigma1, sigma2, sigma3), weight_table(n).orders))
+    orders = weight_table(n).orders
     for idx in range(min(samples, 25)):
         x = random_covector(n, rng)
         t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        for k, (sigma, order) in enumerate(sigmas, 1):
-            if sigma(rep, x.scaled(t)) != sigma(rep, x).scaled(t ** order):
+        pairs = zip(symbol_matrices(rep, x.scaled(t)), symbol_matrices(rep, x), orders)
+        for k, (at_tx, at_x, order) in enumerate(pairs, 1):
+            if at_tx != at_x.scaled(t ** order):
                 fails.append(_fail(f"sample {idx}", f"sigma{k} order {order}",
                                    "violated"))
     # covariance under the spin^c factor

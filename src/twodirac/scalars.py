@@ -134,11 +134,6 @@ def gr(re: Rational = 0, im: Rational = 0) -> GaussianRational:
     return GaussianRational(re, im)
 
 
-GR_ZERO = GaussianRational(0)
-GR_ONE = GaussianRational(1)
-GR_I = GaussianRational(0, 1)
-
-
 @dataclass(frozen=True)
 class CirclePoint:
     """An exact rational point ``(c, d)`` on the unit circle, ``c**2 + d**2 = 1``.
@@ -174,13 +169,9 @@ class CirclePoint:
     def as_gaussian(self) -> GaussianRational:
         return GaussianRational(self.c, self.d)
 
-    def is_one(self) -> bool:
-        return self.c == 1
-
     def is_real(self) -> bool:
         return not self.d
 
 
 CIRCLE_ONE = CirclePoint(1, 0)
 CIRCLE_MINUS_ONE = CirclePoint(-1, 0)
-CIRCLE_I = CirclePoint(0, 1)

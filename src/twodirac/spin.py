@@ -59,9 +59,6 @@ class RationalRotation:
         if det(m) != 1:
             raise ValueError("matrix has determinant != 1")
 
-    def __matmul__(self, other: "RationalRotation") -> "RationalRotation":
-        return RationalRotation(self.mat @ other.mat)
-
 
 class SpinElement:
     """An even product of unit vectors, acting exactly on spinors."""
@@ -79,7 +76,7 @@ class SpinElement:
     @classmethod
     def _derived(cls, rep: GammaRep, word: tuple, spinor_mat: Matrix) -> "SpinElement":
         """The element of ``word`` with its spinor matrix already computed,
-        by ``__mul__`` or ``inverse``, from elements whose matrices are those
+        by ``__mul__`` or ``__neg__``, from elements whose matrices are those
         of their words."""
         out = cls.__new__(cls)
         out.rep, out.word, out.spinor_mat = rep, word, spinor_mat
@@ -105,12 +102,6 @@ class SpinElement:
         gamma_1 gamma_1 = -I (certified by ``build_gamma_rep``)."""
         e1 = (1,) + (0,) * (self.rep.n - 1)
         return SpinElement._derived(self.rep, self.word + (e1, e1), -self.spinor_mat)
-
-    def inverse(self) -> "SpinElement":
-        # (v1..vk)^-1 = (-vk)..(-v1) for unit v, and the spinor matrix of -v
-        # is the adjoint of that of v because every gamma is anti-hermitian
-        word = tuple(tuple(-x for x in v) for v in reversed(self.word))
-        return SpinElement._derived(self.rep, word, self.spinor_mat.adjoint())
 
     def is_central(self) -> bool:
         """True when the element is +-1, i.e. acts as a sign on spinors."""
@@ -239,10 +230,6 @@ class SpinCElement:
         self.phase = phase
         self.spin = spin
 
-    @classmethod
-    def identity(cls, rep: GammaRep) -> "SpinCElement":
-        return cls(CIRCLE_ONE, SpinElement.identity(rep))
-
     def negated_representative(self) -> "SpinCElement":
         """The other (phase, spin) pair representing the same class."""
         return SpinCElement(-self.phase, -self.spin)
@@ -264,12 +251,6 @@ class SpinCElement:
 
     def __repr__(self):
         return f"SpinCElement(phase=({self.phase.c}, {self.phase.d}), {self.spin!r})"
-
-
-def spinc_equal(x: SpinCElement, y: SpinCElement) -> bool:
-    if x.spin.rep.n != y.spin.rep.n:
-        raise ValueError("elements live over different dimensions")
-    return x == y
 
 
 def rho_n_c(x: SpinCElement) -> RationalRotation:
@@ -357,9 +338,6 @@ class PhaseTriple:
                 or (self.t_phase == -t and self.s_phase == s and self.spin == -a)
                 or (self.t_phase == t and self.s_phase == -s and self.spin == -a))
 
-    def __hash__(self):
-        raise TypeError("PhaseTriple is unhashable; compare classes with ==")
-
     def __repr__(self):
         return (f"PhaseTriple(({self.t_phase.c},{self.t_phase.d}), "
                 f"({self.s_phase.c},{self.s_phase.d}), {self.spin!r})")
@@ -377,7 +355,7 @@ def hsharp_forward(tr: PhaseTriple) -> Tuple[CirclePoint, SpinElement]:
     if not tr.satisfies_compact_constraint():
         raise ValueError("class constraint t = +-s violated")
     eps = tr.t_phase * tr.s_phase.conj()
-    spin = tr.spin if eps.is_one() else -tr.spin
+    spin = tr.spin if eps == CIRCLE_ONE else -tr.spin
     return tr.s_phase.square(), spin
 
 

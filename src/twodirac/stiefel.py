@@ -96,11 +96,6 @@ class OrientedPlane:
         if not is_unit_two_vector(self.orientation):
             raise ValueError("orientation is not the unit 2-vector of a plane")
 
-    @property
-    def projector(self) -> Matrix:
-        o = self.orientation
-        return -(o @ o)
-
 
 def frame_to_isotropic(f: Frame2) -> Matrix:
     """U = [I; F]: its columns f_i + v_i span the corresponding isotropic plane."""

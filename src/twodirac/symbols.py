@@ -7,7 +7,7 @@ three symbols are
     s2 = [[-M2 M1, M1 M1], [-M2 M2, M1 M2]]  (pairs -> pairs, order 2)
     s3 = [-M2, M1]                          (pairs -> spinors, order 1)
 
-All three are built from the one letter pair M1, M2 (``symbol_triple``
+All three are built from the one letter pair M1, M2 (``symbol_matrices``
 builds it once).  s2 takes a single scatter product, P = M2 M1, and scalar
 blocks: with q_i = <X_i, X_i> and b = <X1, X2>, the Clifford relations
 gamma_a^2 = -1 and gamma_a gamma_b = -gamma_b gamma_a that
@@ -99,14 +99,10 @@ class Covector:
         return Covector(tuple(t * a for a in self.x1), tuple(t * a for a in self.x2))
 
 
-def _check_dimension(rep: GammaRep, x: Covector) -> None:
-    if x.n != rep.n:
-        raise ValueError(f"covector dimension {x.n} != n = {rep.n}")
-
-
 def _letters(rep: GammaRep, x: Covector) -> Tuple[Matrix, Matrix]:
     """The pair M1, M2: the Clifford actions of X1 and X2."""
-    _check_dimension(rep, x)
+    if x.n != rep.n:
+        raise ValueError(f"covector dimension {x.n} != n = {rep.n}")
     return clifford_mat(rep, x.x1), clifford_mat(rep, x.x2)
 
 
@@ -115,6 +111,7 @@ def _first(m1: Matrix, m2: Matrix) -> Matrix:
 
 
 def _third(m1: Matrix, m2: Matrix) -> Matrix:
+    """Third symbol: (q1, q2) -> -X2.q1 + X1.q2, an s x 2s block row."""
     return hstack(-m2, m1)
 
 
@@ -123,15 +120,10 @@ def sigma1(rep: GammaRep, x: Covector) -> Matrix:
     return _first(*_letters(rep, x))
 
 
-def sigma2(rep: GammaRep, x: Covector) -> Matrix:
-    """Second symbol: (p1, p2) -> (-X2.X1.p1 + X1.X1.p2, -X2.X2.p1 + X1.X2.p2),
-    from the one product P = M2 M1 and scalar blocks."""
-    _check_dimension(rep, x)
-    return _second(rep, x, clifford_mat(rep, x.x2))
-
-
 def _second(rep: GammaRep, x: Covector, m2: Matrix) -> Matrix:
-    """sigma2 of x from its letter M2."""
+    """Second symbol of x from its letter M2: (p1, p2) -> (-X2.X1.p1 +
+    X1.X1.p2, -X2.X2.p1 + X1.X2.p2), from the one product P = M2 M1 and
+    scalar blocks."""
     p = times_clifford(m2, rep, x.x1)
     q1, q2, b = vdot(x.x1, x.x1), vdot(x.x2, x.x2), vdot(x.x1, x.x2)
     eye, c = identity(rep.s), CLIFFORD_SIGN
@@ -139,11 +131,6 @@ def _second(rep: GammaRep, x: Covector, m2: Matrix) -> Matrix:
     # gamma_a^2 = c and gamma_a gamma_b = -gamma_b gamma_a
     return block([[-p, eye.scaled(c * q1)],
                   [eye.scaled(-c * q2), eye.scaled(2 * c * b) - p]])
-
-
-def sigma3(rep: GammaRep, x: Covector) -> Matrix:
-    """Third symbol: (q1, q2) -> -X2.q1 + X1.q2, an s x 2s block row."""
-    return _third(*_letters(rep, x))
 
 
 def _k_dagger(m: Matrix) -> Matrix:
@@ -188,11 +175,16 @@ class SymbolTriple:
             raise AssertionError("s3 @ s2 != 0: complex property violated")
 
 
-def symbol_triple(rep: GammaRep, x: Covector) -> SymbolTriple:
-    """The three symbols of x, all from one letter pair; s2 needs only the
-    product M2 M1."""
+def symbol_matrices(rep: GammaRep, x: Covector) -> Tuple[Matrix, Matrix, Matrix]:
+    """The three symbols (s1, s2, s3) of x, all from one letter pair; s2
+    needs only the product M2 M1."""
     m1, m2 = _letters(rep, x)
-    return SymbolTriple(_first(m1, m2), _second(rep, x, m2), _third(m1, m2))
+    return _first(m1, m2), _second(rep, x, m2), _third(m1, m2)
+
+
+def symbol_triple(rep: GammaRep, x: Covector) -> SymbolTriple:
+    """The three symbols of x, checked to form a complex."""
+    return SymbolTriple(*symbol_matrices(rep, x))
 
 
 def _rank_float(m: Matrix) -> int:
@@ -286,13 +278,12 @@ class ScanReport:
     failures: Tuple[ScanFailure, ...] = field(default_factory=tuple)
 
 
-def degenerate_family(n: int, rng: Optional[Random] = None) -> List[Covector]:
+def degenerate_family(n: int, rng: Random) -> List[Covector]:
     """Covectors random sampling almost never hits: one component zero,
     collinear pairs, and orthogonal pairs, over basis and seeded vectors."""
     zero = (0,) * n
     vecs = [tuple(1 if i == a else 0 for i in range(n)) for a in range(n)]
-    if rng is not None:
-        vecs += [integer_vector(rng, n) for _ in range(3)]
+    vecs += [integer_vector(rng, n) for _ in range(3)]
     out: List[Covector] = []
     for v in vecs:
         out.append(Covector(v, zero))
@@ -303,9 +294,8 @@ def degenerate_family(n: int, rng: Optional[Random] = None) -> List[Covector]:
         for b in range(n):
             if a != b:
                 out.append(Covector(vecs[a], vecs[b]))
-    if rng is not None:
-        for v in vecs[n:]:
-            out.append(Covector(v, perpendicular_integer_vector(rng, v)))
+    for v in vecs[n:]:
+        out.append(Covector(v, perpendicular_integer_vector(rng, v)))
     return out
 
 
@@ -381,8 +371,3 @@ def weight_table(n: int) -> WeightTable:
            (half * (n + 3), half * (n + 1)),
            (half * (n + 3), half * (n + 3)))
     return WeightTable(n=n, lam=lam, orders=(1, 2, 1))
-
-
-def symbol_index(n: int) -> int:
-    """The index of the complex: s - 2s + 2s - s = 0."""
-    return weight_table(n).index

@@ -9,7 +9,7 @@ shares no code with the kernel it checks.
 from fractions import Fraction
 
 from twodirac.linalg import Matrix
-from twodirac.scalars import GR_ONE, GaussianRational
+from twodirac.scalars import GaussianRational
 
 
 def _field_rows(m: Matrix) -> list:
@@ -44,7 +44,7 @@ def det(m: Matrix):
         raise ValueError("det of non-square matrix")
     n = m.nrows
     rows = _field_rows(m)
-    one = GR_ONE if isinstance(rows[0][0], GaussianRational) else Fraction(1)
+    one = GaussianRational(1) if isinstance(rows[0][0], GaussianRational) else Fraction(1)
     result = one
     for col in range(n):
         piv = next((r for r in range(col, n) if rows[r][col]), None)

@@ -7,9 +7,13 @@ adjoints.  It never reads the signed-permutation storage, so it shares no
 route with the build and validation it checks.
 """
 
+from functools import lru_cache
+
 from twodirac.clifford import CLIFFORD_SIGN
 from twodirac.linalg import Matrix, zeros
-from twodirac.scalars import GR_I, GR_ONE, GR_ZERO
+from twodirac.scalars import gr
+
+GR_ZERO, GR_ONE, GR_I = gr(0), gr(1), gr(0, 1)
 
 SIGMA_X = Matrix([[0, 1], [1, 0]])
 SIGMA_Y = Matrix([[GR_ZERO, -GR_I], [GR_I, GR_ZERO]])
@@ -41,6 +45,7 @@ def hermitian_gammas(n: int) -> list:
                                                tensor(eye, SIGMA_Y)]
 
 
+@lru_cache(maxsize=None)
 def gammas(n: int) -> tuple:
     """gamma_1..gamma_n as dense s x s matrices."""
     return tuple(g.scaled(GR_I) for g in hermitian_gammas(n))

@@ -11,15 +11,16 @@ writes the rows directly.
 
 ``closure_flags`` is the dense form of the closure certificate that
 ``graded.closure_flags`` evaluates on the products' supports: each stacked
-product is masked by its tiled off-grade mask and compared, mirrored, with
-its partner, all as full matrices.
+product is masked by its tiled off-grade mask and compared, mirrored by
+dense products with permutation matrices, with its partner, all as full
+matrices.
 """
 
 from itertools import combinations_with_replacement
 
 from twodirac.graded import ENTRY_HI, ENTRY_LO, GRADES, grade_mask, h_gram
-from twodirac.linalg import (Matrix, block, hstack, inverse, masked, mirrored,
-                             submatrix, vstack, zeros)
+from twodirac.linalg import (Matrix, block, hstack, inverse, masked, submatrix,
+                             vstack, zeros)
 
 GRADE = {"Y": -2, "X": -1, "A": 0, "B": 0, "Z": 1, "W": 2}
 SKEW = ("B", "Y", "W")
@@ -116,14 +117,16 @@ def closure_flags(n, bases):
     sided = {j: hstack(*(e.mat for e in bases[j])) for j in GRADES}
 
     def block_mirror(d):
-        return tuple(a * k + s for a in range(d) for s in sigma)
+        """The permutation matrix of I_d x H, symmetric as H is."""
+        perm = tuple(a * k + s for a in range(d) for s in sigma)
+        return Matrix(tuple(int(c == p) for c in range(d * k)) for p in perm)
 
     flagged = set()
     for i, j in combinations_with_replacement(GRADES, 2):
         prod = stacked[i] @ sided[j]
         off = ones - grade_mask(n, i + j) if i + j in GRADES else ones
         if (not masked(prod, block([[off] * dims[j]] * dims[i])).is_zero()
-                or mirrored(prod, block_mirror(dims[j]), block_mirror(dims[i]))
-                != -(prod if i == j else stacked[j] @ sided[i])):
+                or block_mirror(dims[j]) @ prod.transpose() @ block_mirror(dims[i])
+                != (prod if i == j else stacked[j] @ sided[i])):
             flagged |= {(i, j), (j, i)}
     return frozenset(flagged)

@@ -10,7 +10,8 @@ word, so it shares no route with the word-based map it checks.
 ``rho_by_products`` is the product route: it composes the word's rotation R
 letter by letter in ``Fraction`` arithmetic and checks
 ``S gamma_alpha S^dagger = sum_beta R_beta,alpha gamma_beta`` for every alpha
-by dense products with the dense generators, with no scatter kernel.
+by dense products with the dense generators of ``reference_gammas``, with
+no scatter kernel.
 """
 
 from fractions import Fraction
@@ -20,27 +21,30 @@ from twodirac.linalg import Matrix, vdot, zeros
 from twodirac.scalars import GaussianRational
 from twodirac.spin import RationalRotation, SpinElement
 
+import reference_gammas
+
 
 def rho_by_trace(a: SpinElement) -> RationalRotation:
     rep = a.rep
     scale = Fraction(1, CLIFFORD_SIGN * rep.s)
     # the spinor matrix of a word of unit vectors is unitary: S^-1 = S^dagger
     s_inv = a.spinor_mat.adjoint()
+    gammas = reference_gammas.gammas(rep.n)
     cols = []
     for alpha in range(rep.n):
-        conj = a.spinor_mat @ rep.gammas[alpha] @ s_inv
+        conj = a.spinor_mat @ gammas[alpha] @ s_inv
         col = []
         for beta in range(rep.n):
-            t = (rep.gammas[beta] @ conj).trace()
-            # a trace reads as a GaussianRational exactly when it is not real
-            if type(t) is GaussianRational:
+            prod = gammas[beta] @ conj
+            t = sum((prod[i, i] for i in range(rep.s)), GaussianRational(0))
+            if t.im:
                 raise ValueError("conjugation left the span of the gamma matrices")
-            col.append(t * scale)
+            col.append(t.re * scale)
         cols.append(col)
         recon = zeros(rep.s, rep.s)
         for beta, coeff in enumerate(col):
             if coeff:
-                recon = recon + rep.gammas[beta].scaled(GaussianRational(coeff))
+                recon = recon + gammas[beta].scaled(GaussianRational(coeff))
         if recon != conj:
             raise ValueError("conjugation left the span of the gamma matrices")
     return RationalRotation(Matrix(cols).transpose())
@@ -67,10 +71,11 @@ def rho_by_products(a: SpinElement) -> RationalRotation:
     rep = a.rep
     rot = word_rotation(a.word, rep.n)
     s_adj = a.spinor_mat.adjoint()
+    gammas = reference_gammas.gammas(rep.n)
     for alpha in range(rep.n):
-        conj = a.spinor_mat @ rep.gammas[alpha] @ s_adj
+        conj = a.spinor_mat @ gammas[alpha] @ s_adj
         image = zeros(rep.s, rep.s)
-        for beta, g in enumerate(rep.gammas):
+        for beta, g in enumerate(gammas):
             image = image + g.scaled(rot[beta, alpha])
         if conj != image:
             raise ValueError("spinor matrix does not conjugate the gammas by "

@@ -41,8 +41,7 @@ def complex_check(s1: Matrix, s2: Matrix, s3: Matrix) -> None:
 def triple(rep, x):
     """The three symbols of x as ``symbol_triple`` assembles them, checked
     by ``complex_check``."""
-    m1, m2 = symbols._letters(rep, x)
-    s1, s2, s3 = symbols._first(m1, m2), symbols.sigma2(rep, x), symbols._third(m1, m2)
+    s1, s2, s3 = symbols.symbol_matrices(rep, x)
     complex_check(s1, s2, s3)
     return s1, s2, s3
 

@@ -8,21 +8,14 @@ multiplied by dense products, so it shares no route with the signed
 permutation scatter it checks.
 """
 
-from functools import lru_cache
-
 from twodirac.linalg import Matrix, identity
 
 import reference_gammas
 
 
-@lru_cache(maxsize=None)
-def _gammas(n: int) -> tuple:
-    return reference_gammas.gammas(n)
-
-
 def clifford_matrix(n: int, v) -> Matrix:
     """sum_a v_a gamma_a, entry by entry."""
-    gs = _gammas(n)
+    gs = reference_gammas.gammas(n)
     s = gs[0].nrows
     return Matrix(tuple(sum(x * g[i, j] for x, g in zip(v, gs)) for j in range(s))
                   for i in range(s))

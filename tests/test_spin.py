@@ -15,13 +15,19 @@ from twodirac.spin import (PhaseTriple, RationalRotation, SpinCElement,
                            is_in_spin_subgroup, is_in_u1_subgroup,
                            random_phase_triple, random_spin, random_spinc,
                            rho_n, rho_n_c, so2_block, spin_from_unit_vectors,
-                           spin_rotation_generator, spinc_equal, varsigma_n)
+                           spin_rotation_generator, varsigma_n)
 
 import reference_rho as ref
 import reference_words as words
 from strategies import seeds
 
 REP3 = build_gamma_rep(3)
+SPINC_ONE = SpinCElement(CIRCLE_ONE, SpinElement.identity(REP3))
+
+
+def _inverse(a: SpinElement) -> SpinElement:
+    """(v1..vk)^-1 = (-vk)..(-v1) for unit vectors v."""
+    return SpinElement(a.rep, [tuple(-x for x in v) for v in reversed(a.word)])
 
 
 def test_word_validation():
@@ -66,7 +72,7 @@ def test_rho_against_reflection_oracle():
         rep = build_gamma_rep(n)
         for _ in range(30):
             a = random_spin(rep, rng)
-            for elt in (a, a.inverse()):
+            for elt in (a, _inverse(a)):
                 assert rho_n(elt).mat == ref.word_rotation(elt.word, n)
 
 
@@ -115,10 +121,11 @@ def test_rho_homomorphism_and_double_cover():
         rep = build_gamma_rep(n)
         for _ in range(100):
             a, b = random_spin(rep, rng), random_spin(rep, rng)
-            assert rho_n(a * b).mat == (rho_n(a) @ rho_n(b)).mat
+            rab = RationalRotation(rho_n(a).mat @ rho_n(b).mat)
+            assert rho_n(a * b).mat == rab.mat
             assert rho_n(-a).mat == rho_n(a).mat
             assert a != -a
-            assert rho_n(a.inverse()).mat == rho_n(a).mat.transpose()
+            assert rho_n(_inverse(a)).mat == rho_n(a).mat.transpose()
 
 
 def test_double_angle_at_rational_points():
@@ -208,7 +215,7 @@ def test_word_rho_agrees_with_trace_and_product_oracles(n, seed):
     rep = build_gamma_rep(n)
     rng = Random(seed)
     a = random_spin(rep, rng)
-    elts = [a, a.inverse(), SpinElement.identity(rep), SpinElement.minus_one(rep)]
+    elts = [a, _inverse(a), SpinElement.identity(rep), SpinElement.minus_one(rep)]
     if n >= 4:
         elts.append(iota_embed(random_spinc(build_gamma_rep(n - 2), rng), rep))
     for elt in elts:
@@ -222,9 +229,9 @@ def test_spinc_equality_cases():
     a = random_spin(REP3, rng)
     p = circle_point(rng)
     x = SpinCElement(p, a)
-    assert spinc_equal(x, SpinCElement(p, a))
-    assert spinc_equal(x, SpinCElement(-p, -a))
-    assert not spinc_equal(x, SpinCElement(-p, a))
+    assert x == SpinCElement(p, a)
+    assert x == SpinCElement(-p, -a)
+    assert x != SpinCElement(-p, a)
     assert hash(x) == hash(x.negated_representative())
 
 
@@ -233,14 +240,15 @@ def test_rho_c_and_varsigma():
     one = SpinElement.identity(REP3)
     assert varsigma_n(SpinCElement(CIRCLE_ONE, one)) == CIRCLE_ONE
     assert varsigma_n(SpinCElement(CirclePoint(0, 1), one)) == CIRCLE_MINUS_ONE
-    assert rho_n_c(SpinCElement.identity(REP3)).mat == identity(3)
+    assert rho_n_c(SPINC_ONE).mat == identity(3)
     for _ in range(100):
         x = random_spinc(REP3, rng)
         y = random_spinc(REP3, rng)
         neg = x.negated_representative()
         assert rho_n_c(x).mat == rho_n_c(neg).mat
         assert varsigma_n(x) == varsigma_n(neg)
-        assert rho_n_c(x * y).mat == (rho_n_c(x) @ rho_n_c(y)).mat
+        rxy = RationalRotation(rho_n_c(x).mat @ rho_n_c(y).mat)
+        assert rho_n_c(x * y).mat == rxy.mat
         assert varsigma_n(x * y) == varsigma_n(x) * varsigma_n(y)
         # output orthogonality is enforced by the RationalRotation type
         r = rho_n_c(x)
@@ -250,7 +258,7 @@ def test_rho_c_and_varsigma():
 def test_gamma_c_action():
     rng = Random(9)
     psi = tuple(identity(2).col(0))
-    one = SpinCElement.identity(REP3)
+    one = SPINC_ONE
     assert gamma_c_act(one, psi) == psi
     flip = SpinCElement(CIRCLE_MINUS_ONE, SpinElement.minus_one(REP3))
     assert gamma_c_act(flip, psi) == psi  # <-1, -1> is the identity class
@@ -276,8 +284,7 @@ def test_kernels_of_the_two_sequences():
 
 def test_iota_identity_and_rotation():
     big = build_gamma_rep(5)
-    one = SpinCElement.identity(REP3)
-    assert iota_embed(one, big) == SpinElement.identity(big)
+    assert iota_embed(SPINC_ONE, big) == SpinElement.identity(big)
     # a pure phase lands on the doubled-angle rotation of the first plane
     p = CirclePoint(Fraction(3, 5), Fraction(4, 5))
     x = SpinCElement(p, SpinElement.identity(REP3))
@@ -298,7 +305,7 @@ def test_iota_block_diagonal_and_homomorphism():
         assert submatrix(r, 2, 5, 2, 5) == rho_n_c(x).mat
         assert iota_embed(x.negated_representative(), big) == emb
         assert iota_embed(x * y, big) == emb * iota_embed(y, big)
-        if not spinc_equal(x, y):
+        if x != y:
             assert iota_embed(y, big) != emb
     with pytest.raises(ValueError):
         iota_embed(random_spinc(REP3, rng), build_gamma_rep(4))
@@ -309,7 +316,7 @@ def test_iota_kernel_is_z2():
     one = SpinElement.identity(REP3)
     k0 = SpinCElement(CIRCLE_ONE, one)
     k1 = SpinCElement(CIRCLE_MINUS_ONE, one)
-    assert not spinc_equal(k0, k1)
+    assert k0 != k1
     for x in (k0, k1):
         assert rho_n(iota_embed(x, big)).mat == identity(5)
     assert iota_embed(k0, big).spinor_mat == identity(4)
@@ -355,7 +362,7 @@ def test_hsharp_inverse_needs_witness():
 def test_hc_explicit_values():
     one = SpinElement.identity(REP3)
     so2, x = hc_forward(PhaseTriple(CIRCLE_ONE, CIRCLE_ONE, one))
-    assert so2 == CIRCLE_ONE and spinc_equal(x, SpinCElement.identity(REP3))
+    assert so2 == CIRCLE_ONE and x == SPINC_ONE
     # u = 0 (witness 1), v at angle pi: class <-1, 1, a>, and it round-trips
     b = random_spin(REP3, Random(14))
     so2_in = CIRCLE_ONE.square()  # carries witness 1
@@ -363,7 +370,7 @@ def test_hc_explicit_values():
     tr = hc_inverse(so2_in, x_in)
     assert tr == PhaseTriple(CIRCLE_MINUS_ONE, CIRCLE_ONE, b)
     so2_out, x_out = hc_forward(tr)
-    assert so2_out == so2_in and spinc_equal(x_out, x_in)
+    assert so2_out == so2_in and x_out == x_in
 
 
 def test_hc_round_trips_and_homomorphism():
@@ -376,7 +383,7 @@ def test_hc_round_trips_and_homomorphism():
         p12, x12 = hc_forward(tr * tr2)
         p1, x1 = hc_forward(tr)
         p2, x2 = hc_forward(tr2)
-        assert p12 == p1 * p2 and spinc_equal(x12, x1 * x2)
+        assert p12 == p1 * p2 and x12 == x1 * x2
 
 
 def test_triple_class_equality():

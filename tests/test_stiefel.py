@@ -44,6 +44,12 @@ def standard_frame(n: int) -> Frame2:
     return Frame2(submatrix(identity(n + 2), 0, n + 2, 0, 2))
 
 
+def projector(pl: OrientedPlane) -> Matrix:
+    """The orthogonal projector onto the plane, -o^2."""
+    o = pl.orientation
+    return -(o @ o)
+
+
 def tangent_from_skew(f: Frame2, psi: Matrix) -> StiefelTangent:
     """Tangent psi F generated by an infinitesimal rotation psi (skew matrix)."""
     if psi.transpose() != -psi:
@@ -183,7 +189,8 @@ def test_ksharp_action_properties():
                   RationalRotation(rotation(rng, N + 2)))
         g = random_frame_with_complement(N, rng)[0]
         assert (ksharp_act(a2, b2, ksharp_act(a1, b1, g))
-                == ksharp_act(a2 @ a1, b2 @ b1, g))
+                == ksharp_act(RationalRotation(a2.mat @ a1.mat),
+                              RationalRotation(b2.mat @ b1.mat), g))
     # an action takes only certified rotations
     with pytest.raises(ValueError):
         RationalRotation(Matrix([[1, 1], [0, 1]]))
@@ -255,7 +262,7 @@ def test_reeb_frozen_example_and_image():
     assert r.mat == cols((0, -1, 0, 0, 0), (1, 0, 0, 0, 0))
     # its infinitesimal rotation has image exactly the frame's plane
     psi = infinitesimal_rotation(r)
-    proj = quotient_q(f).projector
+    proj = projector(quotient_q(f))
     assert proj @ psi == psi  # image inside the plane
     assert rank(psi) == 2
 
@@ -342,16 +349,12 @@ def test_levi_form_nondegenerate_and_matches_heisenberg():
         val = levi_form_H(f, t1, t2)
         assert val == -levi_form_H(f, t2, t1)
         w = levi_witness(t1)
-        assert levi_form_H(f, t1, w) == (t1.mat.transpose() @ t1.mat).trace() > 0
+        # tr(W^T W), the sum of W's squared entries
+        assert levi_form_H(f, t1, w) == sum(x * x for r in t1.mat.rows for x in r) > 0
         x1 = tangent_coordinates(t1, comp)
         x2 = tangent_coordinates(t2, comp)
         # cross-module identity with the fixed global sign +1
         assert val == levi_bracket(x1, x2)[0, 1]
-
-
-def test_levi_form_gram_nondegenerate():
-    rng = Random(10)
-    assert rank(levi_gram(*random_frame_with_complement(N, rng))) == 2 * N
 
 
 def _expm(a, terms=30):
@@ -419,10 +422,10 @@ def test_quotient_q_projector_and_orientation():
     pl = quotient_q(f)
     proj = [[1 if i == j and i < 2 else 0 for j in range(N + 2)]
             for i in range(N + 2)]
-    assert pl.projector == Matrix(proj)
+    assert projector(pl) == Matrix(proj)
     assert pl.orientation[0, 1] == 1 and pl.orientation[1, 0] == -1
     swapped = quotient_q(Frame2(f.mat @ Matrix([[0, 1], [1, 0]])))
-    assert swapped.projector == pl.projector
+    assert projector(swapped) == projector(pl)
     assert swapped.orientation == -pl.orientation
 
 
@@ -466,7 +469,7 @@ def test_oriented_plane_refuses_two_orthogonal_planes():
 def test_oriented_plane_is_its_unit_two_vector(n, seed):
     f, _ = random_frame_with_complement(n, Random(seed))
     pl = quotient_q(f)
-    assert pl.projector == f.mat @ f.mat.transpose()
+    assert projector(pl) == f.mat @ f.mat.transpose()
     with pytest.raises(ValueError):
         OrientedPlane(pl.orientation.scaled(2))
 

@@ -14,10 +14,11 @@ from twodirac.spin import gamma_c_mat, random_spinc, rho_n_c
 from twodirac.symbols import (Covector, ScanReport, SymbolTriple,
                               degenerate_family, ellipticity_scan,
                               exactness_report, random_covector, sigma1,
-                              sigma2, sigma3, spinor_dim, symbol_index,
-                              symbol_triple, weight_table)
+                              spinor_dim, symbol_matrices, symbol_triple,
+                              weight_table)
 
 import reference_elimination as field
+import reference_gammas
 import reference_symbols
 from strategies import coordinates, gaussians, rationals, seeds, vectors
 
@@ -27,23 +28,26 @@ REP4 = build_gamma_rep(4)
 
 def test_sigma_shapes_and_zero():
     zero = Covector((0, 0, 0), (0, 0, 0))
-    assert sigma1(REP3, zero).is_zero() and sigma1(REP3, zero).shape == (4, 2)
-    assert sigma2(REP3, zero).is_zero() and sigma2(REP3, zero).shape == (4, 4)
-    assert sigma3(REP3, zero).is_zero() and sigma3(REP3, zero).shape == (2, 4)
+    s1, s2, s3 = symbol_matrices(REP3, zero)
+    assert sigma1(REP3, zero) == s1
+    assert s1.is_zero() and s1.shape == (4, 2)
+    assert s2.is_zero() and s2.shape == (4, 4)
+    assert s3.is_zero() and s3.shape == (2, 4)
     with pytest.raises(ValueError):
         sigma1(REP4, zero)
 
 
 def test_sigma_frozen_forms():
-    g1 = REP3.gammas[0]
+    g1 = reference_gammas.gammas(3)[0]
     x10 = Covector((1, 0, 0), (0, 0, 0))
-    assert sigma1(REP3, x10) == vstack(g1, zeros(2, 2))
+    s1, s2, _ = symbol_matrices(REP3, x10)
+    assert s1 == vstack(g1, zeros(2, 2))
     # with X2 = 0 the only surviving block of sigma2 is M1 M1 = sign * Id
-    assert sigma2(REP3, x10) == block(
+    assert s2 == block(
         [[zeros(2, 2), identity(2).scaled(CLIFFORD_SIGN)],
          [zeros(2, 2), zeros(2, 2)]])
     x01 = Covector((0, 0, 0), (1, 0, 0))
-    assert sigma3(REP3, x01) == hstack(-g1, zeros(2, 2))
+    assert symbol_matrices(REP3, x01)[2] == hstack(-g1, zeros(2, 2))
 
 
 @st.composite
@@ -67,15 +71,17 @@ def covectors(draw):
 def test_sigma2_matches_the_literal_products(case):
     n, x = case
     rep = build_gamma_rep(n)
-    assert sigma2(rep, x) == reference_symbols.sigma2(n, x)
+    s1, s2, s3 = symbol_matrices(rep, x)
+    assert s2 == reference_symbols.sigma2(n, x)
+    assert s1 == sigma1(rep, x)
     t = symbol_triple(rep, x)
-    assert (t.s1, t.s2, t.s3) == (sigma1(rep, x), sigma2(rep, x), sigma3(rep, x))
+    assert (t.s1, t.s2, t.s3) == (s1, s2, s3)
 
 
 def _mutated_sigma2(rep, x, mutant: str):
     """sigma2 with one Clifford-relation block wrong."""
     s, eye = rep.s, identity(rep.s)
-    p = -submatrix(sigma2(rep, x), 0, s, 0, s)  # M2 M1
+    p = -submatrix(symbol_matrices(rep, x)[1], 0, s, 0, s)  # M2 M1
     q1, q2, b = vdot(x.x1, x.x1), vdot(x.x2, x.x2), vdot(x.x1, x.x2)
     top_right = eye.scaled(q1 if mutant == "+q1" else -q1)
     bottom_left = eye.scaled(-q2 if mutant == "-q2" else q2)
@@ -90,14 +96,14 @@ def test_complex_check_certifies_the_clifford_relations(n, mutant):
     x = Covector((1, 2) + (0,) * (n - 2), (0, 1, 3) + (0,) * (n - 3))
     assert vdot(x.x1, x.x2) != 0
     rep = build_gamma_rep(n)
-    s1, s3 = sigma1(rep, x), sigma3(rep, x)
-    assert _mutated_sigma2(rep, x, "none") == sigma2(rep, x)
-    SymbolTriple(s1, sigma2(rep, x), s3)
+    s1, s2, s3 = symbol_matrices(rep, x)
+    assert _mutated_sigma2(rep, x, "none") == s2
+    SymbolTriple(s1, s2, s3)
     with pytest.raises(AssertionError, match="s2 @ s1 != 0"):
         SymbolTriple(s1, _mutated_sigma2(rep, x, mutant), s3)
 
 
-@pytest.mark.parametrize("build", [sigma1, sigma2, sigma3, symbol_triple,
+@pytest.mark.parametrize("build", [sigma1, symbol_matrices, symbol_triple,
                                    exactness_report])
 def test_covector_of_the_wrong_dimension_is_refused(build):
     for rep, x in ((REP3, Covector((1, 0, 0, 2), (0, 1, 0, 0))),
@@ -123,9 +129,9 @@ def test_homogeneity_matches_operator_orders():
     for _ in range(20):
         x = random_covector(3, rng)
         t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        assert sigma1(REP3, x.scaled(t)) == sigma1(REP3, x).scaled(t)
-        assert sigma2(REP3, x.scaled(t)) == sigma2(REP3, x).scaled(t * t)
-        assert sigma3(REP3, x.scaled(t)) == sigma3(REP3, x).scaled(t)
+        pairs = zip(symbol_matrices(REP3, x.scaled(t)), symbol_matrices(REP3, x))
+        for (at_tx, at_x), order in zip(pairs, (1, 2, 1)):
+            assert at_tx == at_x.scaled(t ** order)
 
 
 def test_exactness_frozen_examples():
@@ -168,8 +174,9 @@ def test_three_rank_routes_agree_on_symbol_matrices():
     rng = Random(7)
     for n in (5, 6):
         rep = build_gamma_rep(n)
+        # the first entries of the family come from basis vectors alone
         for x in [random_covector(n, rng) for _ in range(6)] + \
-                degenerate_family(n)[:8]:
+                degenerate_family(n, Random(0))[:8]:
             t = symbol_triple(rep, x)
             rpt = exactness_report(rep, x, "exact")
             for m, certified in zip((t.s1, t.s2, t.s3), (rpt.rank1, rpt.rank2, rpt.rank3)):
@@ -305,7 +312,10 @@ def test_a_gauged_sigma2_fails_the_complex_check(n, monkeypatch):
 
 
 def test_degenerate_family_contents():
-    fam = degenerate_family(3)
+    fam = degenerate_family(3, Random(3))
+    # four patterns over 3 basis and 3 seeded vectors, the 3 * 2 ordered
+    # basis pairs, and one orthogonal pair per seeded vector
+    assert len(fam) == 4 * 6 + 3 * 2 + 3
     pats = {(tuple(c.x1), tuple(c.x2)) for c in fam}
     e1, e2 = (1, 0, 0), (0, 1, 0)
     zero = (0, 0, 0)
@@ -314,11 +324,8 @@ def test_degenerate_family_contents():
     assert (e1, e1) in pats
     assert (e1, (-1, 0, 0)) in pats
     assert (e1, e2) in pats
-    rng = Random(3)
-    seeded = degenerate_family(3, rng)
-    assert len(seeded) > len(fam)
     # the seeded tail consists of exactly orthogonal pairs
-    v, w = seeded[-1].x1, seeded[-1].x2
+    v, w = fam[-1].x1, fam[-1].x2
     assert any(v) and any(w)
     assert sum(a * b for a, b in zip(v, w)) == 0
 
@@ -366,7 +373,6 @@ def test_weight_table_values():
 
 def test_symbol_index_zero():
     for n in range(3, 13):
-        assert symbol_index(n) == 0
         wt = weight_table(n)
         assert wt.index == 0
         d = wt.fiber_dims
@@ -374,5 +380,5 @@ def test_symbol_index_zero():
         s = spinor_dim(n)
         assert d == (s, 2 * s, 2 * s, s)
         assert all(type(x) is int for x in d)
-    assert symbol_index(3) == 2 - 4 + 4 - 2
-    assert symbol_index(6) == 8 - 16 + 16 - 8
+    assert weight_table(3).index == 2 - 4 + 4 - 2
+    assert weight_table(6).index == 8 - 16 + 16 - 8
