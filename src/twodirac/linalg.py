@@ -3,7 +3,7 @@
 ``Matrix`` is an immutable dense matrix over the Gaussian rationals, stored
 once in lowest terms: integer numerators of the real parts and of the
 imaginary parts (``None`` when all are zero) over one positive denominator,
-so ``==`` and ``hash`` compare the storage.  Only this module reads it.
+so ``==`` compares the storage.  Only this module reads it.
 Entries become scalars only when read (``rows``, ``[i, j]``, ``col``,
 ``apply``, ``det``), by one rule on the value alone: a
 ``GaussianRational`` exactly when the imaginary part is nonzero, else an int
@@ -34,11 +34,10 @@ equal monomials).
 
 ``rank`` (also ``rank_bareiss``) eliminates over F_p, p = 10**9 + 9, with i
 sent to a square root of -1 mod p.  That reduction is a ring map, so the
-rank mod p is a lower bound; where it meets the upper bound (the shape, or
-a smaller bound the caller has proven) it is the rank.  A shortfall mod p
-proves nothing, and then the fraction-free (Bareiss) elimination on the
-numerators decides.  ``det`` runs the Bareiss elimination; ``inverse`` is
-the adjugate over the determinant.
+rank mod p is a lower bound; where it meets the shape bound it is the
+rank.  A shortfall mod p proves nothing, and then the fraction-free
+(Bareiss) elimination on the numerators decides.  ``det`` runs the Bareiss
+elimination; ``inverse`` is the adjugate over the determinant.
 """
 
 from __future__ import annotations
@@ -162,9 +161,6 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self._den, self._re, self._im) == (other._den, other._re, other._im)
-
-    def __hash__(self):
-        return hash((self._den, self._re, self._im))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(a) for a in r) for r in self.rows)
@@ -585,23 +581,15 @@ def _rank_mod_p(m: Matrix) -> int:
     return rk
 
 
-def rank(m: Matrix, at_most: Optional[int] = None) -> int:
+def rank(m: Matrix) -> int:
     """Exact rank, certified by the rank mod p where it can be.
 
-    The rank mod p is a lower bound; the upper bound is min(at_most, *m.shape),
-    where ``at_most`` is a bound the caller has proven (for a complex,
-    s2 s1 = 0 gives rank s2 <= dim - rank s1).  A lower bound that meets the
-    upper bound is the rank.  One above it refutes the caller's bound and
-    raises; one below it proves nothing, and the fraction-free elimination
+    The rank mod p is a lower bound; one that meets min(m.shape) is the
+    rank.  A shortfall proves nothing, and the fraction-free elimination
     decides.
     """
-    bound = min(m.shape) if at_most is None else min(at_most, *m.shape)
     lower = _rank_mod_p(m)
-    if lower == bound:
-        return lower
-    if lower > bound:
-        raise ValueError(f"rank mod p is {lower}, above the bound {bound}")
-    return _bareiss(m)[0]
+    return lower if lower == min(m.shape) else _bareiss(m)[0]
 
 
 # the symbol layer's name for the same rank

@@ -114,9 +114,6 @@ class SpinElement:
         # the spinor action is faithful, so matrix equality is group equality
         return self.rep.n == other.rep.n and self.spinor_mat == other.spinor_mat
 
-    def __hash__(self):
-        return hash((self.rep.n, self.spinor_mat))
-
     def __repr__(self):
         return f"SpinElement(n={self.rep.n}, word_len={len(self.word)})"
 
@@ -243,11 +240,6 @@ class SpinCElement:
         if self.phase == other.phase and self.spin == other.spin:
             return True
         return self.phase == -other.phase and self.spin == -other.spin
-
-    def __hash__(self):
-        # class-invariant: both representatives hash alike
-        neg = self.negated_representative()
-        return hash((self.phase, self.spin)) ^ hash((neg.phase, neg.spin))
 
     def __repr__(self):
         return f"SpinCElement(phase=({self.phase.c}, {self.phase.d}), {self.spin!r})"

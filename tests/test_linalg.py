@@ -91,8 +91,19 @@ def gauss_matrices(draw):
     return draw(matrices(gauss_entries, draw(st.integers(1, 6)), draw(st.integers(1, 6))))
 
 
+@st.composite
+def low_rank_gauss_matrices(draw):
+    """Products of an r x k and a k x c Gaussian matrix, k = 1..3, so that
+    many have rank below min(r, c)."""
+    k = draw(st.integers(1, 3))
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return draw(matrices(gauss_entries, r, k)) @ draw(matrices(gauss_entries, k, c))
+
+
 @settings(max_examples=150, deadline=None)
-@given(gauss_matrices())
+@given(st.one_of(gauss_matrices(), low_rank_gauss_matrices()))
+@example(identity(3))
+@example(Matrix([[1, gr(0, 1)], [gr(0, 1), 1]]))
 def test_bareiss_agrees_with_field_elimination(m):
     assert rank_bareiss(m) == field.rank(m)
     # the fallback on its own, which the modular certificate rarely reaches
@@ -111,34 +122,10 @@ def test_a_shortfall_mod_p_falls_back_to_bareiss():
         assert _rank_mod_p(m) == 0
         assert rank(m) == 1
     two = Matrix([[_P, 0], [0, 1]])
-    assert _rank_mod_p(two) == 1 and rank(two) == rank(two, at_most=2) == 2
+    assert _rank_mod_p(two) == 1 and rank(two) == 2
     # a shortfall below the bound is not the bound either
     one = Matrix([[_P, 0], [0, 0]])
-    assert _rank_mod_p(one) == 0 and rank(one) == rank(one, at_most=2) == 1
-
-
-@st.composite
-def low_rank_gauss_matrices(draw):
-    """Products of an r x k and a k x c Gaussian matrix, k = 1..3, so that
-    many have rank below min(r, c)."""
-    k = draw(st.integers(1, 3))
-    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    return draw(matrices(gauss_entries, r, k)) @ draw(matrices(gauss_entries, k, c))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(gauss_matrices(), low_rank_gauss_matrices()))
-@example(identity(3))
-@example(Matrix([[1, gr(0, 1)], [gr(0, 1), 1]]))
-def test_a_bounded_rank_is_the_rank_for_every_true_bound(m):
-    true = field.rank(m)
-    assert rank(m) == true
-    for k in range(true, max(m.shape) + 2):
-        assert rank(m, at_most=k) == true
-    # a bound below the rank mod p is refuted, not trusted
-    for k in range(_rank_mod_p(m)):
-        with pytest.raises(ValueError, match="above the bound"):
-            rank(m, at_most=k)
+    assert _rank_mod_p(one) == 0 and rank(one) == 1
 
 
 def test_bareiss_handles_fractional_entries():
@@ -271,7 +258,7 @@ def test_product_kernel_agrees_with_sum_of_products(ab):
 @given(product_operands(), fractions_)
 def test_results_are_stored_as_the_entries_they_read(ab, t):
     """Every operation stores its result as the matrix of the entries it
-    reads, in lowest terms, so equal matrices compare and hash alike."""
+    reads, in lowest terms, so equal matrices compare alike."""
     a, b = ab
     p = a @ b
     results = [p, p + p, p - p, -p, p.scaled(t), p.scaled(gr(0, t)), a.transpose(),
@@ -280,7 +267,7 @@ def test_results_are_stored_as_the_entries_they_read(ab, t):
         results.append(inverse(p))
     for m in results:
         again = Matrix(m.rows)
-        assert m == again and hash(m) == hash(again)
+        assert m == again
 
 
 @settings(max_examples=150, deadline=None)

@@ -18,7 +18,7 @@ import pytest
 
 from twodirac import clifford, flat, graded, report, spin, symbols
 from twodirac.clifford import build_gamma_rep
-from twodirac.linalg import Matrix, submatrix
+from twodirac.linalg import Matrix, block, identity, submatrix, zeros
 from twodirac.report import SUITE_ORDER, run_check
 from twodirac.scalars import CIRCLE_ONE
 from twodirac.spin import SpinCElement
@@ -111,6 +111,30 @@ def test_a_shifted_weight_fails_the_dims_suite(monkeypatch):
     rpt = run_check("dims", 3, 2, 0, "exact")
     assert rpt.passed is False and rpt.failures
     assert all(f["expected"] != "no exception" for f in rpt.failures)
+
+
+def _gauged(s: int, t: int) -> Matrix:
+    """D x I for D = [[1, t], [0, 1]]; t = -1 gives the inverse of t = 1."""
+    eye = identity(s)
+    return block([[eye, eye.scaled(t)], [zeros(s, s), eye]])
+
+
+def test_a_consistent_gauge_fails_only_the_symbols_suite(monkeypatch):
+    # (D x I) s2 with s3 (D x I)^-1 keeps s2 s1 = 0, s3 s2 = 0, the ranks,
+    # the homogeneity and the spin^c covariance of s1, but not s3 = s1^dagger K
+    second, third = symbols._second, symbols._third
+    monkeypatch.setattr(symbols, "_second", lambda rep, x, m2:
+                        _gauged(rep.s, 1) @ second(rep, x, m2))
+    monkeypatch.setattr(symbols, "_third", lambda m1, m2:
+                        third(m1, m2) @ _gauged(m1.nrows, -1))
+    for n in (3, 4):
+        for suite in SUITE_ORDER:
+            rpt = run_check(suite, n, 5, 3, "exact")
+            if suite != "symbols":
+                assert rpt.passed, (suite, n)
+                continue
+            assert rpt.passed is False and rpt.failures
+            assert all(f["expected"] != "no exception" for f in rpt.failures)
 
 
 def _four_projection_closure(n: int) -> list:

@@ -225,14 +225,17 @@ _NULL = (GaussianRational(1), GaussianRational(0, 1), GaussianRational(0))
 @example((_NULL, (0, 0, 0)))
 def test_report_matches_the_oracle_off_the_reals(pair):
     # a non-real entry makes M_i^dagger != -M_i, so s3 = s1^dagger K fails
-    # and the report falls back to the product s3 s2 and the rank of s3;
-    # <X1, X1> = 0 for X1 = (1, i, 0) makes M1 nilpotent, and with X2 = 0
-    # the ranks are (1, 0, 1): no scalar block, and rank s1 < s
+    # and the triple is refused, although the oracle finds s3 s2 = 0;
+    # <X1, X1> = 0 for X1 = (1, i, 0) makes M1 nilpotent
     x = Covector(*pair)
     rep = build_gamma_rep(x.n)
-    _agrees_with_the_oracle(rep, x)
-    real = all(not getattr(a, "im", 0) for a in x.x1 + x.x2)
-    assert symbol_triple(rep, x).s3_from_s1 == real
+    if all(not getattr(a, "im", 0) for a in x.x1 + x.x2):
+        _agrees_with_the_oracle(rep, x)
+        return
+    refused = (AssertionError, "s3 != s1^dagger K")
+    assert _outcome(symbol_triple, rep, x) == refused
+    assert _outcome(exactness_report, rep, x) == refused
+    reference_symbols.triple(rep, x)
 
 
 @pytest.mark.parametrize("n", [3, 6, 7])
@@ -275,40 +278,46 @@ def _sigma2_gauged(orig):
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_a_third_symbol_off_the_adjoint_is_ranked_by_elimination(n, monkeypatch):
     # at X2 = 0, s3 = [0, M1]; without its M1 block it is zero, which
-    # s3 = s1^dagger K refutes, so rank s3 is eliminated, not read off s1
+    # s3 = s1^dagger K refutes, so the triple is refused; the oracle, which
+    # forms s3 s2 = 0 and eliminates s3, ranks it 0
     monkeypatch.setattr(symbols, "_third", _third_without_m1)
     rep = build_gamma_rep(n)
     x = Covector((1, 2) + (0,) * (n - 2), (0,) * n)
-    assert not symbol_triple(rep, x).s3_from_s1
-    rpt = exactness_report(rep, x)
-    assert rpt == reference_symbols.exactness_report(rep, x)
+    refused = (AssertionError, "s3 != s1^dagger K")
+    assert _outcome(symbol_triple, rep, x) == refused
+    assert _outcome(exactness_report, rep, x) == refused
+    rpt = reference_symbols.exactness_report(rep, x)
     assert (rpt.rank1, rpt.rank3) == (rep.s, 0)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_sigma2_without_a_scalar_block_is_ranked_by_elimination(n, monkeypatch):
     # at X1 = 0 the only nonzero block of s2 is the bottom-left q2 I; with
-    # it zeroed, no off-diagonal block is a nonzero scalar, so rank s2 is
-    # eliminated, not read off rank s1 = s
+    # it zeroed, s2 = 0 passes the triple's checks, but no off-diagonal
+    # block is a nonzero scalar, so the report is refused rather than
+    # reading rank s2 = s off rank s1 = s; the oracle eliminates rank s2 = 0
     monkeypatch.setattr(symbols, "_second", _sigma2_without_bottom_left(symbols._second))
     rep = build_gamma_rep(n)
     x = Covector((0,) * n, (0, 1, 3) + (0,) * (n - 3))
-    rpt = exactness_report(rep, x)
-    assert rpt == reference_symbols.exactness_report(rep, x)
+    symbol_triple(rep, x)
+    assert _outcome(exactness_report, rep, x) == \
+        (AssertionError, "no off-diagonal block of s2 is a nonzero scalar")
+    rpt = reference_symbols.exactness_report(rep, x)
     assert (rpt.rank1, rpt.rank2) == (rep.s, 0)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_a_gauged_sigma2_fails_the_complex_check(n, monkeypatch):
     # (D x I) s2 keeps s2 s1 = 0 and s3 = s1^dagger K, but K (D x I) s2 is
-    # not hermitian, so s3 s2 is formed, and it is not zero
+    # not hermitian, so the triple is refused; the oracle's s3 s2 is not zero
     monkeypatch.setattr(symbols, "_second", _sigma2_gauged(symbols._second))
     rep = build_gamma_rep(n)
     x = Covector((1, 2) + (0,) * (n - 2), (0, 1, 3) + (0,) * (n - 3))
-    raised = (AssertionError, "s3 @ s2 != 0: complex property violated")
-    assert _outcome(symbol_triple, rep, x) == raised
-    assert _outcome(exactness_report, rep, x) == raised
-    assert _outcome(reference_symbols.triple, rep, x) == raised
+    refused = (AssertionError, "K s2 is not hermitian")
+    assert _outcome(symbol_triple, rep, x) == refused
+    assert _outcome(exactness_report, rep, x) == refused
+    assert _outcome(reference_symbols.triple, rep, x) == \
+        (AssertionError, "s3 @ s2 != 0: complex property violated")
 
 
 def test_degenerate_family_contents():
