@@ -23,19 +23,14 @@ the Heisenberg bracket; its nondegeneracy is the contact condition checked
 here.
 
 The closure [g_i, g_j] in g_{i+j} is certified by one exact product per
-grade pair, not one commutator per pair of basis elements
+ordered grade pair, not one commutator per pair of basis elements
 (``closure_flags``): block (a, b) of L_ij = vstack(grade-i basis) @
 hstack(grade-j basis) is E_a E_b.  Each product's support is read once
-(``linalg.nonzeros``).  Every nonzero entry (r, c) of L_ij must have grade
-w(r mod k) - w(c mod k) = i + j, k = n + 4, so each E_a E_b has grade i + j.
-And L_ji = (I x H) L_ij^T (I x H): the support of L_ji is that of L_ij moved
-from (r, c) to the block mirrors (p(c), q(r)), blockwise
-E_b E_a = H (E_a E_b)^T H.  So with X = E_a E_b the bracket is
-X - H X^T H = X + mirror(X), where mirror(X) = -H X^T H is an involution:
-the bracket is its own mirror image, i.e. lies in so(h).  Both tests read
-only the products' nonzero entries and form no bracket; a pair that fails
-either is handed to the per-pair sweep, whose records name the grades
-leaked into.
+(``linalg.support``), and every nonzero entry (r, c) of L_ij must have grade
+w(r mod k) - w(c mod k) = i + j, k = n + 4, so each E_a E_b, and with it
+each bracket E_a E_b - E_b E_a, has grade i + j.  That the brackets lie in
+so(h) needs no test: every basis element is a ``GradedElement``, which
+holds only elements of so(h), and so(h) is closed under the bracket.
 
 The group membership tests conjugate each basis element by g, with
 g^-1 = H g^T H once g^T H g = H is checked, and compute only the entries
@@ -48,12 +43,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import product
 from random import Random
 from typing import Callable, FrozenSet, List, Mapping, Sequence, Tuple
 
-from .linalg import (Matrix, cleared, det, hstack, masked, mirrored, nonzeros,
-                     submatrix, vstack)
+from .linalg import (Matrix, cleared, det, hstack, masked, mirrored, submatrix,
+                     support, vstack)
 
 GRADES = (-2, -1, 0, 1, 2)
 
@@ -188,35 +183,29 @@ def closure_flags(n: int, bases: Mapping[int, Sequence[GradedElement]]
                   ) -> FrozenSet[Tuple[int, int]]:
     """The grade pairs (i, j) for which the stacked products of the grade-i and
     grade-j basis do not certify that every bracket [E_a, E_b] lies in grade
-    i + j of so(h); with (i, j) flagged, (j, i) is flagged too.
+    i + j; with (i, j) flagged, (j, i) is flagged too.
 
     Block (a, b) of L_ij = vstack(grade-i basis) @ hstack(grade-j basis) is
-    E_a E_b.  For i <= j the pair is clean when every nonzero entry (r, c) of
-    L_ij has grade w(r mod k) - w(c mod k) = i + j (so none passes when
-    |i + j| > 2), and L_ji = (I x H) L_ij^T (I x H), blockwise
-    E_b E_a = H (E_a E_b)^T H: L_ji's nonzero entries are L_ij's, each moved
-    from (r, c) to (p(c), q(r)) for the block mirrors p of L_ij's columns and
-    q of its rows.  The identity carries the grade test over to L_ji, as
-    sigma reverses w.
+    E_a E_b.  L_ij passes when every nonzero entry (r, c) has grade
+    w(r mod k) - w(c mod k) = i + j (so none passes when |i + j| > 2).  A
+    pair is left unflagged when L_ij and L_ji both pass: then E_a E_b and
+    E_b E_a have grade i + j, and so has their difference.
+
+    The grade test is the whole certificate, because each bracket lies in
+    so(h) already.  Every basis element passed ``GradedElement``'s mirror
+    identity M = -P M^T P^T, P = H the permutation matrix of sigma.  For two
+    such matrices M N = P M^T N^T P^T = P (N M)^T P^T, as P^T P = I, so the
+    bracket satisfies [M, N] = -P [M, N]^T P^T without a test.
     """
-    k, sigma, w = n + 4, _mirror(n), _weights(n)
-    dims = {i: len(bases[i]) for i in GRADES}
+    w = _weights(n)
+    # per grade, the weight of each row (column) of its stack
+    tiled = {i: w * len(bases[i]) for i in GRADES}
     stacked = {i: vstack(*(e.mat for e in bases[i])) for i in GRADES}
     sided = {j: hstack(*(e.mat for e in bases[j])) for j in GRADES}
-
-    # per grade, the weight of each row (column) of its stack, and the
-    # involution I_d x H of its d blocks
-    tiled = {i: w * dims[i] for i in GRADES}
-    block_mirror = {i: tuple(a * k + s for a in range(dims[i]) for s in sigma)
-                    for i in GRADES}
-
     flagged = set()
-    for i, j in combinations_with_replacement(GRADES, 2):
-        support = nonzeros(stacked[i] @ sided[j])
-        wr, wc, p, q = tiled[i], tiled[j], block_mirror[j], block_mirror[i]
-        mirror = {(p[c], q[r]): v for (r, c), v in support.items()}
-        if (any(wr[r] - wc[c] != i + j for r, c in support)
-                or mirror != (support if i == j else nonzeros(stacked[j] @ sided[i]))):
+    for i, j in product(GRADES, repeat=2):
+        wr, wc = tiled[i], tiled[j]
+        if any(wr[r] - wc[c] != i + j for r, c in support(stacked[i] @ sided[j])):
             flagged |= {(i, j), (j, i)}
     return frozenset(flagged)
 

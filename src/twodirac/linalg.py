@@ -24,9 +24,9 @@ matrix P, whose entry (r, c) is -m[perm[c]][perm[r]].
 plane's unit 2-vector, by one pivot Plucker identity and a norm, with no
 product; ``frobenius_sq`` sums the squared numerators once, and
 ``scalar_of`` reads the c of a scalar matrix c I.
-``nonzeros`` reads a matrix's support once, as a dict of its nonzero
-entries, and ``cleared`` is m times its common denominator, the matrix of
-its integer numerators.
+``support`` reads the positions of a matrix's nonzero entries off its
+numerators once, and ``cleared`` is m times its common denominator, the
+matrix of its integer numerators.
 ``row_map`` is the row-side partner of the scatter: S @ m for an integer S
 given row by row as (source row, weight) lists, combining m's numerator
 rows without forming S (the flat operator's derivatives and merges of
@@ -287,22 +287,16 @@ def cleared(m: Matrix) -> Matrix:
     return _stored(m._re, m._im, 1)
 
 
-def nonzeros(m: Matrix) -> dict:
-    """The nonzero entries of m as ``{(r, c): entry}``, read by the module's
-    rule; a zero row is skipped whole."""
-    out = {}
-    re, den, cols = m._re, m._den, range(m.ncols)
-    if m._im is None and den == 1:  # an integer matrix: its numerators are its entries
-        for r, row in enumerate(re):
-            if any(row):
-                for c in compress(cols, row):
-                    out[r, c] = row[c]
-        return out
-    for r, (row, irow) in enumerate(zip(re, _imag(m))):
-        if any(row) or any(irow):
-            for c in compress(cols, map(or_, map(bool, row), map(bool, irow))):
-                out[r, c] = _scalar(row[c], irow[c], den)
-    return out
+def support(m: Matrix) -> set:
+    """The positions (r, c) of m's nonzero entries: those whose real or
+    imaginary numerator is nonzero.  No entry is read back, and a zero row
+    is skipped whole."""
+    cols = range(m.ncols)
+    if m._im is None:
+        return {(r, c) for r, row in enumerate(m._re) if any(row)
+                for c in compress(cols, row)}
+    return {(r, c) for r, (row, irow) in enumerate(zip(m._re, m._im))
+            if any(row) or any(irow) for c in compress(cols, map(or_, row, irow))}
 
 
 def masked(m: Matrix, mask: Matrix) -> Matrix:

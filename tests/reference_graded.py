@@ -9,16 +9,14 @@ adjugate inverse of g, where ``graded`` uses outer products and H g^T H.
 Its sampler assembles the six drawn blocks with ``join``, where ``graded``
 writes the rows directly.
 
-``closure_flags`` is the dense form of the closure certificate that
+``closure_flags`` is the dense form of the grade test that
 ``graded.closure_flags`` evaluates on the products' supports: each stacked
-product is masked by its tiled off-grade mask and compared, mirrored by
-dense products with permutation matrices, with its partner, all as full
-matrices.
+product is masked by its tiled off-grade mask as a full matrix.
 """
 
-from itertools import combinations_with_replacement
+from itertools import product
 
-from twodirac.graded import ENTRY_HI, ENTRY_LO, GRADES, grade_mask, h_gram
+from twodirac.graded import ENTRY_HI, ENTRY_LO, GRADES, grade_mask
 from twodirac.linalg import (Matrix, block, hstack, inverse, masked, submatrix,
                              vstack, zeros)
 
@@ -104,29 +102,16 @@ def random_element(n, rng):
 
 
 def closure_flags(n, bases):
-    """The grade pairs (i, j), i <= j, whose stacked product
+    """The grade pairs (i, j) whose stacked product
     L_ij = vstack(grade-i basis) @ hstack(grade-j basis) has a nonzero
-    entry off grade i + j (under the tiled mask of the other grades) or
-    fails L_ji = (I x H) L_ij^T (I x H) as full matrices; with (i, j)
-    flagged, (j, i) is flagged too."""
+    entry off grade i + j, under the tiled mask of the other grades; with
+    (i, j) flagged, (j, i) is flagged too."""
     k = n + 4
-    sigma = tuple(row.index(1) for row in h_gram(n).rows)
     ones = Matrix([[1] * k] * k)
-    dims = {i: len(bases[i]) for i in GRADES}
-    stacked = {i: vstack(*(e.mat for e in bases[i])) for i in GRADES}
-    sided = {j: hstack(*(e.mat for e in bases[j])) for j in GRADES}
-
-    def block_mirror(d):
-        """The permutation matrix of I_d x H, symmetric as H is."""
-        perm = tuple(a * k + s for a in range(d) for s in sigma)
-        return Matrix(tuple(int(c == p) for c in range(d * k)) for p in perm)
-
     flagged = set()
-    for i, j in combinations_with_replacement(GRADES, 2):
-        prod = stacked[i] @ sided[j]
+    for i, j in product(GRADES, repeat=2):
+        prod = vstack(*(e.mat for e in bases[i])) @ hstack(*(e.mat for e in bases[j]))
         off = ones - grade_mask(n, i + j) if i + j in GRADES else ones
-        if (not masked(prod, block([[off] * dims[j]] * dims[i])).is_zero()
-                or block_mirror(dims[j]) @ prod.transpose() @ block_mirror(dims[i])
-                != (prod if i == j else stacked[j] @ sided[i])):
+        if not masked(prod, block([[off] * len(bases[j])] * len(bases[i]))).is_zero():
             flagged |= {(i, j), (j, i)}
     return frozenset(flagged)

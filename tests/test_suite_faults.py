@@ -23,6 +23,8 @@ from twodirac.report import SUITE_ORDER, run_check
 from twodirac.scalars import CIRCLE_ONE
 from twodirac.spin import SpinCElement
 
+import reference_graded as layout
+
 
 def _flip_first_block(m: Matrix, s: int) -> Matrix:
     return Matrix(tuple(-x if i < s and j < s else x for j, x in enumerate(row))
@@ -65,9 +67,9 @@ FAULTS = {
 
 # suite -> (record count, SHA-256 of the records as JSON with sorted keys)
 # under its fault at n = 3, samples 2, seed 0.  The grading fault makes each
-# projection the identity; the closure projects only on grade pairs its
-# stacked products do not certify, so its records come from the two
-# "projections sum" checks alone.
+# projection the identity; the closure projects nothing (it reads the
+# grades of its stacked products' entries), so its records come from the
+# two "projections sum" checks alone.
 FAULT_RECORDS = {
     "grading": (2, "a2393e4ccbe5a079940331091fcb64273fca63489d2f5f9c4bb54ef78178d16f"),
     "heisenberg": (4, "e05b35f7a748b0da5d2618fae49168a5c19e601f1c824f336d9457de64498680"),
@@ -137,23 +139,20 @@ def test_a_consistent_gauge_fails_only_the_symbols_suite(monkeypatch):
             assert all(f["expected"] != "no exception" for f in rpt.failures)
 
 
-def _four_projection_closure(n: int) -> list:
-    """The grading suite's closure records by the sweep that projects every
-    basis bracket [e_i, e_j] onto each of the four grades k != i + j."""
+def _four_projection_pairs(n: int) -> set:
+    """The grade pairs (i, j) for which the sweep that projects every basis
+    bracket [e_i, e_j] onto each of the four grades k != i + j finds a
+    nonzero component."""
     bases = {i: report.grade_basis(n, i) for i in report.GRADES}
-    out = []
-    for i in report.GRADES:
-        for j in report.GRADES:
-            for ei in bases[i]:
-                for ej in bases[j]:
-                    br = report.bracket(ei, ej)
-                    bad = [k for k in report.GRADES
-                           if k != i + j and not report.grade_project(br, k).is_zero()]
-                    if bad:
-                        out.append({"input": f"[grade {i} basis, grade {j} basis]",
-                                    "expected": f"components only in grade {i + j}",
-                                    "got": f"leaked into grades {bad}"})
-    return out
+    return {(i, j) for i in report.GRADES for j in report.GRADES
+            if any(not report.grade_project(report.bracket(ei, ej), k).is_zero()
+                   for ei in bases[i] for ej in bases[j]
+                   for k in report.GRADES if k != i + j)}
+
+
+def _closure_record(i: int, j: int) -> dict:
+    return {"input": f"[grade {i} basis, grade {j} basis]",
+            "expected": f"products only in grade {i + j}", "got": "off-grade entries"}
 
 
 def _grade_one_leaks_into_grade_zero(orig):
@@ -170,23 +169,46 @@ def _grade_one_leaks_into_grade_zero(orig):
 @pytest.mark.parametrize("n", [3, 4])
 def test_grading_closure_skips_only_what_no_projection_flags(n, monkeypatch):
     """Under a grade-1 basis element that leaks into grade 0, the closure
-    records are the four-projection sweep's, and the brackets of at least
-    one grade pair, certified by the stacked products, are never formed."""
+    records name every grade pair that the four-projection sweep flags, and
+    no bracket of basis elements is formed."""
     monkeypatch.setattr(report, "grade_basis",
                         _grade_one_leaks_into_grade_zero(report.grade_basis))
-    want = _four_projection_closure(n)
+    swept = _four_projection_pairs(n)
     calls = []
     orig = report.bracket
     monkeypatch.setattr(report, "bracket", lambda a, b: calls.append(1) or orig(a, b))
     samples = 1
     records = [f for f in report._check_grading(n, samples, 0, "exact")
                if f["input"].startswith("[grade ")]
-    assert records == want and want
-    dims = {i: len(report.grade_basis(n, i)) for i in report.GRADES}
-    # outside the closure: three double brackets per Jacobi sample; the
-    # grade-0 action reads its brackets off two stacked products
-    closure_calls = len(calls) - 6 * samples
-    assert closure_calls < sum(dims.values()) ** 2
+    flagged = sorted(report.closure_flags(
+        n, {i: report.grade_basis(n, i) for i in report.GRADES}))
+    assert records == [_closure_record(i, j) for i, j in flagged]
+    assert swept and swept <= set(flagged)
+    # three double brackets per Jacobi sample and no others: the grade-0
+    # action reads its brackets off two stacked products
+    assert len(calls) == 6 * samples
+
+
+# test_graded's LEAKS but (1, -1): the suite's unipotent I + N + N^2/2 is
+# built from the first grade-1 element and would leave the group
+@pytest.mark.parametrize("i, j", [(-2, 1), (-1, 0), (0, 1), (2, 0)])
+def test_a_leaking_basis_fails_grading_through_the_closure_record(i, j, monkeypatch):
+    """With the first grade-i basis element plus the first grade-j one, the
+    grading suite fails with one closure record per grade pair that the
+    dense grade test flags, and no crash record."""
+    orig = report.grade_basis
+
+    def leaking(n, g):
+        basis = orig(n, g)
+        return [basis[0] + orig(n, j)[0]] + basis[1:] if g == i else basis
+
+    monkeypatch.setattr(report, "grade_basis", leaking)
+    want = layout.closure_flags(3, {g: leaking(3, g) for g in report.GRADES})
+    rpt = run_check("grading", 3, 2, 0, "exact")
+    assert rpt.passed is False and (i, j) in want
+    assert all(f["expected"] != "no exception" for f in rpt.failures)
+    assert [f for f in rpt.failures if f["input"].startswith("[grade ")] == \
+        [_closure_record(a, b) for a, b in sorted(want)]
 
 
 def test_the_grade_0_action_check_can_fail(monkeypatch):

@@ -276,7 +276,7 @@ def _sigma2_gauged(orig):
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
-def test_a_third_symbol_off_the_adjoint_is_ranked_by_elimination(n, monkeypatch):
+def test_a_third_symbol_off_the_adjoint_is_refused(n, monkeypatch):
     # at X2 = 0, s3 = [0, M1]; without its M1 block it is zero, which
     # s3 = s1^dagger K refutes, so the triple is refused; the oracle, which
     # forms s3 s2 = 0 and eliminates s3, ranks it 0
@@ -291,7 +291,7 @@ def test_a_third_symbol_off_the_adjoint_is_ranked_by_elimination(n, monkeypatch)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
-def test_sigma2_without_a_scalar_block_is_ranked_by_elimination(n, monkeypatch):
+def test_sigma2_without_a_scalar_block_is_refused(n, monkeypatch):
     # at X1 = 0 the only nonzero block of s2 is the bottom-left q2 I; with
     # it zeroed, s2 = 0 passes the triple's checks, but no off-diagonal
     # block is a nonzero scalar, so the report is refused rather than
