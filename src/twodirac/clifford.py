@@ -16,13 +16,12 @@ row by row, in O(n^2 s).  Every product with a Clifford action goes through
 ``times_clifford``, m @ sum v_a gamma_a, which is the scatter kernel
 ``linalg.times_signed_perms``: it moves each column of m to its permuted
 place and turns its integer numerators by a power of i, so it forms no dense
-product.  The product on the other side, (sum v_a gamma_a) @ m, is
-``clifford_times``: the same kernel on m^T with the generators' transposes,
-which keep their ``cols`` and take ``GammaRep.transposed_phases``.
-``clifford_mat`` is the identity times sum v_a gamma_a, and a spinor is
-acted on by ``clifford_mat(rep, v).apply(psi)``.  Only this module, the
-kernel and ``flat`` (which turns a stack of spinor rows C into C gamma^T)
-read the permutations and phases; no generator is stored as a dense matrix.
+product.  ``clifford_mat`` is the identity times sum v_a gamma_a, and a
+spinor is acted on by ``clifford_mat(rep, v).apply(psi)``.  Only this
+module, two ``linalg`` kernels (the scatter, and ``intertwines``, to which
+``spin.rho_n`` hands the generators) and ``flat`` (which turns a stack of
+spinor rows C into C gamma^T with ``GammaRep.transposed_phases``) read the
+permutations and phases; no generator is stored as a dense matrix.
 """
 
 from __future__ import annotations
@@ -154,13 +153,6 @@ def times_clifford(m: Matrix, rep: GammaRep, v: Sequence) -> Matrix:
     """m times the Clifford action of the vector v, m @ sum_a v_a gamma_a,
     by scatter on m's numerators."""
     return times_signed_perms(m, zip(v, rep.cols, rep.phases))
-
-
-def clifford_times(rep: GammaRep, v: Sequence, m: Matrix) -> Matrix:
-    """The Clifford action of the vector v times m, (sum_a v_a gamma_a) @ m,
-    by scatter on m's rows: its transpose is m^T @ sum_a v_a gamma_a^T."""
-    terms = zip(v, rep.cols, rep.transposed_phases)
-    return times_signed_perms(m.transpose(), terms).transpose()
 
 
 def clifford_mat(rep: GammaRep, v: Sequence) -> Matrix:

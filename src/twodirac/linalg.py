@@ -31,6 +31,12 @@ matrix of its integer numerators.
 given row by row as (source row, weight) lists, combining m's numerator
 rows without forming S (the flat operator's derivatives and merges of
 equal monomials).
+``intertwines`` decides S g_alpha = (sum_beta r[beta, alpha] g_beta) S for
+every alpha, for signed permutations g_a and a real n x n matrix r
+(``spin.rho_n``'s certificate), on S's numerators alone: it gathers the
+column moves S g_alpha and the row moves g_beta S once each and compares the
+n identities at once, packed one alpha to a digit in a base so large that
+no digit carries.
 
 ``rank`` (also ``rank_bareiss``) eliminates over F_p, p = 10**9 + 9, with i
 sent to a square root of -1 mod p.  That reduction is a ring map, so the
@@ -466,6 +472,83 @@ def times_signed_perms(m: Matrix, terms: Iterable[Tuple[object, Sequence[int], S
         out_re.append(tuple(re))
         out_im.append(tuple(im))
     return _stored(tuple(out_re), tuple(out_im), m._den * den)
+
+
+# (source part, sign) of the real and the imaginary numerator of
+# (x + y i) i**k, part 0 being x and part 1 being y
+_TURNS = (((0, 1), (1, 1)), ((1, -1), (0, 1)), ((0, -1), (1, -1)), ((1, 1), (0, -1)))
+
+
+@lru_cache(maxsize=None)
+def _intertwining_spots(cols: Tuple[Tuple[int, ...], ...],
+                        phases: Tuple[Tuple[int, ...], ...]) -> tuple:
+    """Gather tables for the signed permutations g_a of size s (row i has
+    i**phases[a][i] in column cols[a][i]), one (left, right) pair per a.
+
+    They index the signed flat numerators of an s x s matrix S: its s^2
+    real numerators row by row, its s^2 imaginary ones, then the negatives of
+    all 2 s^2.  ``left`` gathers the flat numerators of S g_a, whose column
+    cols[a][j] is column j of S turned by phases[a][j]; ``right`` gathers
+    those of g_a S, whose row i is row cols[a][i] of S turned by
+    phases[a][i]."""
+    s = len(cols[0])
+    size = s * s
+
+    def spot(part: int, row: int, col: int, turn: int) -> int:
+        src, sign = _TURNS[turn][part]
+        return src * size + row * s + col + (0 if sign == 1 else 2 * size)
+
+    cells = [(part, i, k) for part in (0, 1) for i in range(s) for k in range(s)]
+    tables = []
+    for ca, pa in zip(cols, phases):
+        source = [0] * s
+        for j, c in enumerate(ca):
+            source[c] = j
+        tables.append((tuple(spot(p, i, source[k], pa[source[k]]) for p, i, k in cells),
+                       tuple(spot(p, ca[i], k, pa[i]) for p, i, k in cells)))
+    return tuple(tables)
+
+
+def intertwines(m: Matrix, cols: Sequence[Sequence[int]], phases: Sequence[Sequence[int]],
+                r: Matrix) -> bool:
+    """Whether m g_alpha = (sum_beta r[beta, alpha] g_beta) m for every alpha,
+    for the n signed permutations g_a of size s (row i of g_a has
+    i**phases[a][i] in column cols[a][i]), an s x s matrix m and a real
+    n x n matrix r; a complex r is refused.
+
+    Decided on the integer numerators, with no Matrix formed.  Over m's
+    denominator, with r = N / e for integer N, the identity is
+    e L_alpha = sum_beta N[beta, alpha] G_beta on the flat numerators, where
+    L_alpha (of m g_alpha) and G_beta (of g_beta m) only move and turn m's
+    numerators.  The n identities are compared at once, packed in base
+    B = 2**k: entry t of the left side is sum_alpha e L_alpha[t] B**alpha
+    and of the right side sum_beta G_beta[t] Q_beta, with
+    Q_beta = sum_alpha N[beta, alpha] B**alpha, one weighted gather per
+    generator on each side.  With X the largest numerator of m and C the
+    largest column sum of |N|, no entry of either side exceeds
+    max(e, C) X < B / 2, so two packed entries agree only when every
+    alpha's entries do: a nonzero difference d of two such entries has
+    digits |d_alpha| < B, and its lowest nonzero digit would have to be a
+    multiple of B."""
+    n, s = len(cols), m.nrows
+    if m.ncols != s or r.shape != (n, n) or any(len(c) != s for c in cols):
+        raise ValueError(f"shape mismatch: {n} generators, m {m.shape}, r {r.shape}")
+    if r._im is not None:
+        return False
+    tables = _intertwining_spots(tuple(map(tuple, cols)), tuple(map(tuple, phases)))
+    flat = (*chain.from_iterable(m._re), *chain.from_iterable(_imag(m)))
+    signed = flat + tuple(map(neg, flat))
+    e, num = r._den, r._re
+    largest = max(e, *(sum(map(abs, col)) for col in zip(*num))) * max(map(abs, flat))
+    k = largest.bit_length() + 1
+    lhs = rhs = (0,) * len(flat)
+    # generator a is alpha on the left and beta on the right
+    for a, (row, (left, right)) in enumerate(zip(num, tables)):
+        weight = e << (a * k)
+        lhs = tuple(map(add, lhs, map(weight.__mul__, map(signed.__getitem__, left))))
+        weight = sum(x << (alpha * k) for alpha, x in enumerate(row))
+        rhs = tuple(map(add, rhs, map(weight.__mul__, map(signed.__getitem__, right))))
+    return lhs == rhs
 
 
 def row_map(m: Matrix, rows: Sequence[Sequence[Tuple[int, int]]]) -> Matrix:

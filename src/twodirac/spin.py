@@ -10,11 +10,11 @@ formed.  The induced rotation R is composed from the word's line reflections
 on integer numerators, with no reflection matrix, and certified against the
 spinor matrix S with no matrix product either: S intertwines the generators
 with their images, S gamma_alpha = C_alpha S with C_alpha the Clifford action
-of column alpha of R (a column scatter of S against a row scatter), and
-||S||_F^2 = s; ``rho_n`` proves that the two give S gamma_alpha S^dagger =
-C_alpha.  Rotations are certified once, by ``RationalRotation``: R^T R = I
-and det R = 1.  A Spin^c class acts on spinors by its one matrix,
-``gamma_c_mat``.
+of column alpha of R (one ``linalg.intertwines`` call, which decides all n
+identities on S's moved numerators), and ||S||_F^2 = s; ``rho_n`` proves
+that the two give S gamma_alpha S^dagger = C_alpha.  Rotations are certified
+once, by ``RationalRotation``: R^T R = I and det R = 1.  A Spin^c class acts
+on spinors by its one matrix, ``gamma_c_mat``.
 The gammas are anti-hermitian (the gamma build certifies it), so the spinor
 matrix S of a word of unit vectors is unitary and its inverse is the adjoint
 S^dagger; no inverse is computed or stored.  With the package convention
@@ -35,8 +35,8 @@ from operator import mul
 from random import Random
 from typing import Sequence, Tuple
 
-from .clifford import GammaRep, clifford_mat, clifford_times, times_clifford
-from .linalg import Matrix, det, frobenius_sq, identity, vdot
+from .clifford import GammaRep, clifford_mat, times_clifford
+from .linalg import Matrix, det, frobenius_sq, identity, intertwines, vdot
 from .scalars import CIRCLE_ONE, CirclePoint
 from .sampling import circle_point, circle_point_with_half, givens, unit_vector
 
@@ -144,8 +144,9 @@ def rho_n(a: SpinElement) -> RationalRotation:
 
     * intertwining, S gamma_alpha = C_alpha S for every alpha, where
       C_alpha = sum_beta R_beta,alpha gamma_beta is the Clifford action of
-      column alpha: the left side is ``times_clifford`` at e_alpha, a column
-      scatter of S, and the right side is ``clifford_times``, a row scatter;
+      column alpha, decided by ``linalg.intertwines``: S gamma_alpha moves
+      S's columns and gamma_beta S its rows, and the n identities are
+      compared at once on the moved integer numerators;
     * the norm, ||S||_F^2 = s, one pass over S's numerators.
 
     Together they give S gamma_alpha S^dagger = C_alpha for every alpha.
@@ -161,16 +162,14 @@ def rho_n(a: SpinElement) -> RationalRotation:
     s = ||lambda U||_F^2 = |lambda|^2 s, so |lambda| = 1, S is unitary and
     S gamma_alpha S^dagger = |lambda|^2 U gamma_alpha U^dagger = C_alpha.
     Conversely the spinor matrix of the word is such a U, so a true element
-    passes both.  Each alpha costs O(n s^2) integer operations where the
-    product with S^dagger cost O(s^3).
+    passes both.  The intertwining costs 2n gathers of S's 2 s^2 numerators,
+    each scaled by one integer that packs an alpha per digit, where the
+    products with S^dagger cost O(n s^3).
     """
     rep = a.rep
     mat = _reflections(a.word, rep.n)
     s_mat = a.spinor_mat
-    # row alpha of the identity is e_alpha, row alpha of R^T is column alpha
-    if frobenius_sq(s_mat) != rep.s or any(
-            times_clifford(s_mat, rep, e) != clifford_times(rep, col, s_mat)
-            for e, col in zip(identity(rep.n).rows, mat.transpose().rows)):
+    if frobenius_sq(s_mat) != rep.s or not intertwines(s_mat, rep.cols, rep.phases, mat):
         raise ValueError("spinor matrix does not conjugate the gammas by "
                          "the rotation of its word")
     return RationalRotation(mat)

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from twodirac import clifford
 from twodirac.clifford import (CLIFFORD_SIGN, GammaRep, _validate,
-                               build_gamma_rep, clifford_mat, clifford_times,
-                               times_clifford)
+                               build_gamma_rep, clifford_mat, times_clifford)
 from twodirac.linalg import Matrix, identity, is_zero_vec, times_signed_perms, zeros
 from twodirac.sampling import unit_vector
 from twodirac.scalars import gr
@@ -210,9 +209,10 @@ entries = st.one_of(st.just(0), st.integers(-5, 5), gaussians(rationals(4, 5)))
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_times_clifford_matches_dense_product(data):
-    """m @ sum v_a gamma_a and (sum v_a gamma_a) @ m^T against the dense
-    sum, for square and rectangular m and for int, Fraction, Gaussian and
-    zero vectors v; v = e_alpha is the product with one gamma."""
+    """m @ sum v_a gamma_a, and m @ (sum v_a gamma_a)^T by the scatter with
+    the transposed phases (as ``flat`` runs it), against the dense sum, for
+    square and rectangular m and for int, Fraction, Gaussian and zero
+    vectors v; v = e_alpha is the product with one gamma."""
     n = data.draw(st.integers(2, 8))
     rep = build_gamma_rep(n)
     v = tuple(data.draw(st.one_of(
@@ -223,7 +223,8 @@ def test_times_clifford_matches_dense_product(data):
     m = data.draw(matrices(entries, rows, rep.s))
     dense = reference_words.clifford_matrix(n, v)
     assert times_clifford(m, rep, v) == m @ dense
-    assert clifford_times(rep, v, m.transpose()) == dense @ m.transpose()
+    transposed = zip(v, rep.cols, rep.transposed_phases)
+    assert times_signed_perms(m, transposed) == m @ dense.transpose()
 
 
 def _dense_combination(n, terms):

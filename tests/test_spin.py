@@ -5,18 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twodirac.clifford import build_gamma_rep, clifford_times, times_clifford
-from twodirac.linalg import Matrix, frobenius_sq, identity, submatrix, zeros
+from twodirac.clifford import build_gamma_rep
+from twodirac.linalg import (Matrix, frobenius_sq, identity, intertwines, submatrix,
+                             zeros)
 from twodirac.sampling import circle_point, deterministic_circle_points, unit_vector
-from twodirac.scalars import CIRCLE_MINUS_ONE, CIRCLE_ONE, CirclePoint, GaussianRational
+from twodirac.scalars import (CIRCLE_MINUS_ONE, CIRCLE_ONE, CirclePoint, GaussianRational,
+                              gr)
 from twodirac.spin import (PhaseTriple, RationalRotation, SpinCElement,
-                           SpinElement, gamma_c_act, hc_forward, hc_inverse,
-                           hsharp_forward, hsharp_inverse, iota_embed,
+                           SpinElement, _reflections, gamma_c_act, hc_forward,
+                           hc_inverse, hsharp_forward, hsharp_inverse, iota_embed,
                            is_in_spin_subgroup, is_in_u1_subgroup,
                            random_phase_triple, random_spin, random_spinc,
                            rho_n, rho_n_c, so2_block, spin_from_unit_vectors,
                            spin_rotation_generator, varsigma_n)
 
+import reference_gammas
 import reference_rho as ref
 import reference_words as words
 from strategies import seeds
@@ -175,13 +178,78 @@ def test_intertwining_alone_accepts_a_scaled_lift(n):
     a = random_spin(rep, Random(70 + n))
     rot = rho_n(a).mat
     two_u = a.spinor_mat.scaled(2)
-    for alpha in range(n):
-        e_alpha = tuple(int(b == alpha) for b in range(n))
-        assert times_clifford(two_u, rep, e_alpha) == clifford_times(rep, rot.col(alpha),
-                                                                     two_u)
+    assert intertwines(two_u, rep.cols, rep.phases, rot)
     assert frobenius_sq(two_u) == 4 * rep.s
     with pytest.raises(ValueError, match="does not conjugate"):
         rho_n(SpinElement._derived(rep, a.word, two_u))
+
+
+def _dense_intertwines(s_mat: Matrix, gens, rot: Matrix) -> bool:
+    """S g_alpha = (sum_beta R_beta,alpha g_beta) S for every alpha, by dense
+    products with the dense generators gens."""
+    for alpha, g in enumerate(gens):
+        image = zeros(*s_mat.shape)
+        for beta, h in enumerate(gens):
+            image = image + h.scaled(rot[beta, alpha])
+        if s_mat @ g != image @ s_mat:
+            return False
+    return True
+
+
+def _with_entry(m: Matrix, i: int, j: int, value) -> Matrix:
+    return Matrix(tuple(value if (r, c) == (i, j) else x for c, x in enumerate(row))
+                  for r, row in enumerate(m.rows))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_intertwining_kernel_matches_dense_products(data):
+    """``intertwines`` against the dense identity on reference_gammas'
+    generators: a true word's S with the rotation of its word is accepted,
+    and it is refused with one entry of S changed, with R's columns i != j
+    swapped, with any one column of R negated and with a non-real R; a
+    generator turned by i**k is accepted exactly when R maps its axis to
+    itself up to sign."""
+    n = data.draw(st.integers(2, 8), label="n")
+    rep = build_gamma_rep(n)
+    gens = reference_gammas.gammas(n)
+    a = random_spin(rep, Random(data.draw(seeds, label="seed")))
+    s_mat, rot = a.spinor_mat, _reflections(a.word, n)
+
+    def verdict(s_mat, rot, phases=rep.phases, gens=gens):
+        got = intertwines(s_mat, rep.cols, phases, rot)
+        assert got == _dense_intertwines(s_mat, gens, rot)
+        return got
+
+    assert verdict(s_mat, rot)
+    i, j = data.draw(st.integers(0, rep.s - 1)), data.draw(st.integers(0, rep.s - 1))
+    assert not verdict(_with_entry(s_mat, i, j, s_mat[i, j] + 1), rot)
+    p, q = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    swapped = [list(r) for r in rot.rows]
+    for r in swapped:
+        r[p], r[q] = r[q], r[p]
+    assert not verdict(s_mat, Matrix(swapped))
+    for alpha in range(n):
+        negated = Matrix(tuple(-x if c == alpha else x for c, x in enumerate(r))
+                         for r in rot.rows)
+        assert not intertwines(s_mat, rep.cols, rep.phases, negated)
+    assert not verdict(s_mat, _with_entry(rot, p, q, rot[p, q] + gr(0, 1)))
+    b, k = data.draw(st.integers(0, n - 1)), data.draw(st.integers(1, 3))
+    turned = tuple(tuple((x + k) % 4 for x in ph) if c == b else ph
+                   for c, ph in enumerate(rep.phases))
+    turned_gens = tuple(g.scaled((gr(1), gr(0, 1), gr(-1), gr(0, -1))[k]) if c == b else g
+                        for c, g in enumerate(gens))
+    axis = tuple(int(c == b) for c in range(n))
+    fixed = rot.col(b) in (axis, tuple(-x for x in axis))
+    assert verdict(s_mat, rot, turned, turned_gens) is fixed
+
+
+def test_intertwining_kernel_refuses_mismatched_shapes():
+    rep = build_gamma_rep(4)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        intertwines(identity(2), rep.cols, rep.phases, identity(4))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        intertwines(identity(4), rep.cols, rep.phases, identity(3))
 
 
 def test_rho_forms_no_spinor_sized_product(monkeypatch):

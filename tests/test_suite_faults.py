@@ -8,9 +8,13 @@ one premise it certifies, the Clifford relations, gets its own fault: the
 sign convention is flipped with the cache cleared around the patch.
 The failure records each fault produces are pinned by digest, so a change
 in how entries render shows as a changed report, not as a silent one.
+The spin suite also has one fault per record (``SPIN_RECORD_FAULTS``), each
+failing that record alone.
 """
 
+import ast
 import hashlib
+import inspect
 import json
 from dataclasses import replace
 
@@ -21,7 +25,7 @@ from twodirac.clifford import build_gamma_rep
 from twodirac.linalg import Matrix, block, identity, submatrix, zeros
 from twodirac.report import SUITE_ORDER, run_check
 from twodirac.scalars import CIRCLE_ONE
-from twodirac.spin import SpinCElement
+from twodirac.spin import SpinCElement, SpinElement
 
 import reference_graded as layout
 
@@ -105,6 +109,39 @@ def test_failure_records_render_as_pinned(suite, monkeypatch):
     records = list(run_check(suite, 3, 2, 0, "exact").failures)
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
     assert (len(records), digest) == FAULT_RECORDS[suite]
+
+
+def _times_e1_e2(a: SpinElement) -> SpinElement:
+    n = a.rep.n
+    return a * SpinElement(a.rep, ((1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2)))
+
+
+# spin record (its "expected" field) -> (SpinElement attribute, fault built
+# from the original); FAULTS["spin"] reaches the fifth record, the rotation
+# by the doubled angle
+SPIN_RECORD_FAULTS = {
+    "-Id on spinors": ("minus_one",
+                       lambda orig: classmethod(lambda cls, rep: cls(rep, ()))),
+    "rho(ab) = rho(a) rho(b)": ("__mul__", lambda orig: lambda a, b: orig(b, a)),
+    "rho(-a) = rho(a)": ("__neg__", lambda orig: _times_e1_e2),
+    "a != -a on spinors": ("__neg__", lambda orig: lambda a: a),
+}
+
+
+def test_every_spin_record_has_a_fault():
+    body = ast.parse(inspect.getsource(report._check_spin))
+    records = {node.args[1].value for node in ast.walk(body)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_fail"}
+    assert records == {*SPIN_RECORD_FAULTS, "rotation by doubled angle"}
+
+
+@pytest.mark.parametrize("record", SPIN_RECORD_FAULTS)
+def test_each_spin_record_fails_alone_under_its_fault(record, monkeypatch):
+    assert run_check("spin", 3, 2, 0, "exact").passed
+    name, fault = SPIN_RECORD_FAULTS[record]
+    monkeypatch.setattr(SpinElement, name, fault(getattr(SpinElement, name)))
+    failures = run_check("spin", 3, 2, 0, "exact").failures
+    assert failures and {f["expected"] for f in failures} == {record}
 
 
 def test_a_shifted_weight_fails_the_dims_suite(monkeypatch):
