@@ -26,8 +26,7 @@ permutations and phases; no generator is stored as a dense matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from typing import Sequence, Tuple
 
 from .linalg import Matrix, identity, times_signed_perms
@@ -46,7 +45,6 @@ _SIGMA_Y = ((1, 0), (3, 1))
 _SIGMA_Z = ((0, 1), (0, 2))
 
 
-@dataclass(frozen=True)
 class GammaRep:
     """Ordered generators gamma_1..gamma_n acting on spinors of dimension s.
 
@@ -54,20 +52,34 @@ class GammaRep:
     ``cols[a][i]`` and zeros elsewhere.
     """
 
-    n: int
-    s: int
-    cols: Tuple[Tuple[int, ...], ...]
-    phases: Tuple[Tuple[int, ...], ...]
+    __slots__ = ("n", "s", "cols", "phases", "_transposed_phases")
 
-    @cached_property
+    def __init__(self, n: int, s: int, cols: Tuple[Tuple[int, ...], ...],
+                 phases: Tuple[Tuple[int, ...], ...]):
+        self.n, self.s, self.cols, self.phases = n, s, cols, phases
+        self._transposed_phases = None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GammaRep):
+            return NotImplemented
+        return ((self.n, self.s, self.cols, self.phases)
+                == (other.n, other.s, other.cols, other.phases))
+
+    def __hash__(self):
+        return hash((self.n, self.s, self.cols, self.phases))
+
+    @property
     def transposed_phases(self) -> Tuple[Tuple[int, ...], ...]:
         """The phase exponents of the generators' transposes, whose columns
         are again ``cols``: row j of gamma^T has its entry in the column i
         with cols[i] = j, and gamma^2 = -Id (certified by the build) makes
         cols an involution, so i = cols[j] and the exponent is
-        phases[cols[j]]."""
-        return tuple(tuple(phases[i] for i in cols)
-                     for cols, phases in zip(self.cols, self.phases))
+        phases[cols[j]].  Formed on first use."""
+        if self._transposed_phases is None:
+            self._transposed_phases = tuple(
+                tuple(phases[i] for i in cols)
+                for cols, phases in zip(self.cols, self.phases))
+        return self._transposed_phases
 
 
 def _tensor(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:

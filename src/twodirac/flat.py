@@ -16,7 +16,6 @@ cross-check tying the differential operator to the symbol module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import factorial, prod
 from typing import Dict, List, Sequence, Tuple
@@ -93,16 +92,15 @@ def _gathered(n: int, targets: Targets, m: Matrix) -> PolySpinorField:
     return PolySpinorField(n, tuple(targets), row_map(m, tuple(targets.values())))
 
 
-@dataclass(frozen=True)
 class PairField:
     """Output shape of the operator: a pair of fields over the same space."""
 
-    p1: PolySpinorField
-    p2: PolySpinorField
+    __slots__ = ("p1", "p2")
 
-    def __post_init__(self):
-        if (self.p1.n, self.p1.s) != (self.p2.n, self.p2.s):
+    def __init__(self, p1: PolySpinorField, p2: PolySpinorField):
+        if (p1.n, p1.s) != (p2.n, p2.s):
             raise ValueError("pair components have different arity")
+        self.p1, self.p2 = p1, p2
 
 
 def apply_flat_2dirac(rep: GammaRep, f: PolySpinorField) -> PairField:

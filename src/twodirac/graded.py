@@ -23,7 +23,7 @@ the Heisenberg bracket; its nondegeneracy is the contact condition checked
 here.
 
 The closure [g_i, g_j] in g_{i+j} is certified by one exact product per
-ordered grade pair, not one commutator per pair of basis elements
+grade pair i <= j, not one commutator per pair of basis elements
 (``closure_flags``): block (a, b) of L_ij = vstack(grade-i basis) @
 hstack(grade-j basis) is E_a E_b.  Each product's support is read once
 (``linalg.support``), and every nonzero entry (r, c) of L_ij must have grade
@@ -41,9 +41,8 @@ constant: the zero test is unchanged and every term is an integer product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement
 from random import Random
 from typing import Callable, FrozenSet, List, Mapping, Sequence, Tuple
 
@@ -66,21 +65,25 @@ def _mirror(n: int) -> Tuple[int, ...]:
     return (n + 2, n + 3) + tuple(range(2, n + 2)) + (0, 1)
 
 
-@dataclass(frozen=True)
 class GradedElement:
     """One element of so(h), kept as its (n+4) x (n+4) matrix."""
 
-    n: int
-    mat: Matrix
+    __slots__ = ("n", "mat")
 
-    def __post_init__(self):
-        n, m, k = self.n, self.mat, self.n + 4
+    def __init__(self, n: int, mat: Matrix):
+        k = n + 4
         if n < 3:
             raise ValueError(f"need n >= 3, got {n}")
-        if m.shape != (k, k):
-            raise ValueError(f"matrix has shape {m.shape}, expected {(k, k)}")
-        if mirrored(m, _mirror(n)) != m:
+        if mat.shape != (k, k):
+            raise ValueError(f"matrix has shape {mat.shape}, expected {(k, k)}")
+        if mirrored(mat, _mirror(n)) != mat:
             raise ValueError("matrix is not in the orthogonal algebra")
+        self.n, self.mat = n, mat
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GradedElement):
+            return NotImplemented
+        return self.n == other.n and self.mat == other.mat
 
     @property
     def A(self) -> Matrix:
@@ -191,6 +194,13 @@ def closure_flags(n: int, bases: Mapping[int, Sequence[GradedElement]]
     pair is left unflagged when L_ij and L_ji both pass: then E_a E_b and
     E_b E_a have grade i + j, and so has their difference.
 
+    Only the 15 products with i <= j are formed: L_ji passes exactly when
+    L_ij does.  With P = H, M N = P (N M)^T P^T for M, N in so(h) (below),
+    so E_b E_a = P (E_a E_b)^T P^T and L_ji = (I (x) P) L_ij^T (I (x) P)^T:
+    a support entry (r, c) of block (a, b) of L_ij moves to (sigma(c),
+    sigma(r)) of block (b, a), and as sigma reverses w,
+    w(sigma(c)) - w(sigma(r)) = w(r) - w(c), a position of the same grade.
+
     The grade test is the whole certificate, because each bracket lies in
     so(h) already.  Every basis element passed ``GradedElement``'s mirror
     identity M = -P M^T P^T, P = H the permutation matrix of sigma.  For two
@@ -203,7 +213,7 @@ def closure_flags(n: int, bases: Mapping[int, Sequence[GradedElement]]
     stacked = {i: vstack(*(e.mat for e in bases[i])) for i in GRADES}
     sided = {j: hstack(*(e.mat for e in bases[j])) for j in GRADES}
     flagged = set()
-    for i, j in product(GRADES, repeat=2):
+    for i, j in combinations_with_replacement(GRADES, 2):
         wr, wc = tiled[i], tiled[j]
         if any(wr[r] - wc[c] != i + j for r, c in support(stacked[i] @ sided[j])):
             flagged |= {(i, j), (j, i)}

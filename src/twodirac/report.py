@@ -11,10 +11,9 @@ runs are byte-identical apart from elapsed_ms.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from . import __version__
 from .clifford import build_gamma_rep
@@ -45,8 +44,7 @@ from .symbols import (MODES, Covector, ellipticity_scan, exactness_report,
 Failure = Dict[str, str]
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     check_name: str
     n: int
     samples: int
@@ -63,8 +61,7 @@ class CheckReport:
                 "elapsed_ms": self.elapsed_ms}
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     tool_version: str
     checks: Tuple[CheckReport, ...]
     overall_pass: bool

@@ -8,7 +8,6 @@ plain ints while they are integral (cheap arithmetic) and promoted to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -134,22 +133,31 @@ def gr(re: Rational = 0, im: Rational = 0) -> GaussianRational:
     return GaussianRational(re, im)
 
 
-@dataclass(frozen=True)
 class CirclePoint:
     """An exact rational point ``(c, d)`` on the unit circle, ``c**2 + d**2 = 1``.
 
     Used wherever an exact phase is needed.  ``half`` optionally carries a
     square-root witness (a point whose square is this one); it is provenance
-    only and excluded from equality.
+    only and excluded from equality and the repr.
     """
 
-    c: Rational
-    d: Rational
-    half: Optional["CirclePoint"] = field(default=None, compare=False, repr=False)
+    __slots__ = ("c", "d", "half")
 
-    def __post_init__(self):
-        if self.c * self.c + self.d * self.d != 1:
-            raise ValueError(f"({self.c}, {self.d}) is not on the unit circle")
+    def __init__(self, c: Rational, d: Rational, half: Optional["CirclePoint"] = None):
+        if c * c + d * d != 1:
+            raise ValueError(f"({c}, {d}) is not on the unit circle")
+        self.c, self.d, self.half = c, d, half
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CirclePoint):
+            return NotImplemented
+        return self.c == other.c and self.d == other.d
+
+    def __hash__(self):
+        return hash((self.c, self.d))
+
+    def __repr__(self) -> str:
+        return f"CirclePoint(c={self.c!r}, d={self.d!r})"
 
     def __mul__(self, other: "CirclePoint") -> "CirclePoint":
         return CirclePoint(self.c * other.c - self.d * other.d,

@@ -28,7 +28,6 @@ the inverse stabilizer maps is carried as a witness on the point itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -44,11 +43,16 @@ from .sampling import circle_point, circle_point_with_half, givens, unit_vector
 MAX_PAIRS = 3
 
 
-@dataclass(frozen=True)
 class RationalRotation:
     """Exact special orthogonal matrix."""
 
-    mat: Matrix
+    __slots__ = ("mat",)
+
+    def __init__(self, mat: Matrix):
+        self.mat = mat
+        # its own method, which perfbench times as the span
+        # spin.RationalRotation.__post_init__
+        self.__post_init__()
 
     def __post_init__(self):
         m = self.mat

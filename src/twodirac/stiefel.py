@@ -28,7 +28,6 @@ orthonormal pair, with no matrix product and no elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import Tuple
@@ -42,43 +41,49 @@ from .spin import RationalRotation
 J = Matrix([[0, 1], [-1, 0]])
 
 
-@dataclass(frozen=True)
 class Frame2:
     """Exact orthonormal 2-frame in R^{n+2}: the k x 2 matrix (v1 | v2)."""
 
-    mat: Matrix
+    __slots__ = ("mat",)
 
-    def __post_init__(self):
-        f = self.mat
-        if f.transpose() @ f != identity(2):  # also fixes two columns
+    def __init__(self, mat: Matrix):
+        if mat.transpose() @ mat != identity(2):  # also fixes two columns
             raise ValueError("frame columns are not an orthonormal pair")
+        self.mat = mat
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Frame2):
+            return NotImplemented
+        return self.mat == other.mat
 
     @property
     def ambient_dim(self) -> int:
         return self.mat.nrows
 
 
-@dataclass(frozen=True)
 class StiefelTangent:
     """Tangent (w1 | w2) at a frame F: the linearized orthonormality
     F^T W + W^T F = 0 holds.  The 2 x 2 pairing G = F^T W that the check
-    forms is kept: the contact form and the contact distribution read it."""
+    forms is kept: the contact form and the contact distribution read it.
+    Equality compares the base and W, not the pairing they determine."""
 
-    base: Frame2
-    mat: Matrix
-    pairing: Matrix = field(init=False, repr=False, compare=False)
+    __slots__ = ("base", "mat", "pairing")
 
-    def __post_init__(self):
-        f, w = self.base.mat, self.mat
-        if w.shape != f.shape:
+    def __init__(self, base: Frame2, mat: Matrix):
+        f = base.mat
+        if mat.shape != f.shape:
             raise ValueError("tangent does not have the frame's shape")
-        g = f.transpose() @ w
+        g = f.transpose() @ mat
         if not (g + g.transpose()).is_zero():
             raise ValueError("tangent violates the linearized orthonormality")
-        object.__setattr__(self, "pairing", g)
+        self.base, self.mat, self.pairing = base, mat, g
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StiefelTangent):
+            return NotImplemented
+        return self.base == other.base and self.mat == other.mat
 
 
-@dataclass(frozen=True)
 class OrientedPlane:
     """Oriented 2-plane, kept as its unit 2-vector o = v1 v2^T - v2 v1^T.
 
@@ -90,11 +95,17 @@ class OrientedPlane:
     orthogonal projector onto the plane is -o^2.
     """
 
-    orientation: Matrix
+    __slots__ = ("orientation",)
 
-    def __post_init__(self):
-        if not is_unit_two_vector(self.orientation):
+    def __init__(self, orientation: Matrix):
+        if not is_unit_two_vector(orientation):
             raise ValueError("orientation is not the unit 2-vector of a plane")
+        self.orientation = orientation
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OrientedPlane):
+            return NotImplemented
+        return self.orientation == other.orientation
 
 
 def frame_to_isotropic(f: Frame2) -> Matrix:

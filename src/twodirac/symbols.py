@@ -62,10 +62,9 @@ and their alternating sum, the symbol-level index, is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .clifford import (CLIFFORD_SIGN, GammaRep, build_gamma_rep, clifford_mat,
                        times_clifford)
@@ -77,16 +76,27 @@ FLOAT_RANK_RTOL = 1e-9
 MODES = ("exact", "float")
 
 
-@dataclass(frozen=True)
 class Covector:
     """A cotangent vector, viewed as a pair of vectors in R^n."""
 
-    x1: tuple
-    x2: tuple
+    __slots__ = ("x1", "x2")
 
-    def __post_init__(self):
-        if len(self.x1) != len(self.x2):
+    def __init__(self, x1: tuple, x2: tuple):
+        if len(x1) != len(x2):
             raise ValueError("covector components have different lengths")
+        self.x1, self.x2 = x1, x2
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Covector):
+            return NotImplemented
+        return self.x1 == other.x1 and self.x2 == other.x2
+
+    def __hash__(self):
+        return hash((self.x1, self.x2))
+
+    def __repr__(self) -> str:
+        # the failure records of the symbols and flat-dirac suites print it
+        return f"Covector(x1={self.x1!r}, x2={self.x2!r})"
 
     @property
     def n(self) -> int:
@@ -140,7 +150,6 @@ def _k_dagger(m: Matrix) -> Matrix:
     return vstack(submatrix(m, h, 2 * h, 0, w), -submatrix(m, 0, h, 0, w))
 
 
-@dataclass(frozen=True)
 class SymbolTriple:
     """The three symbol matrices of one covector, checked to form a complex.
 
@@ -151,12 +160,9 @@ class SymbolTriple:
     s3 s2 = 0, and (a) gives rank s3 = rank s1.
     """
 
-    s1: Matrix
-    s2: Matrix
-    s3: Matrix
+    __slots__ = ("s1", "s2", "s3")
 
-    def __post_init__(self):
-        s1, s2, s3 = self.s1, self.s2, self.s3
+    def __init__(self, s1: Matrix, s2: Matrix, s3: Matrix):
         if not (s2 @ s1).is_zero():
             raise AssertionError("s2 @ s1 != 0: complex property violated")
         s = s1.ncols
@@ -166,6 +172,7 @@ class SymbolTriple:
         h = _k_dagger(s2) if s2.shape == (2 * s, 2 * s) else None
         if h is None or h != h.adjoint():
             raise AssertionError("K s2 is not hermitian")
+        self.s1, self.s2, self.s3 = s1, s2, s3
 
 
 def symbol_matrices(rep: GammaRep, x: Covector) -> Tuple[Matrix, Matrix, Matrix]:
@@ -190,8 +197,7 @@ def _rank_float(m: Matrix) -> int:
     return int((sv > FLOAT_RANK_RTOL * top).sum())
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
+class ExactnessReport(NamedTuple):
     """The three symbol ranks of a covector with spinor dimension s.
 
     Exactness at E0, E1, E2 and E3 reads r1 = s, r1 + r2 = 2s, r2 + r3 = 2s
@@ -236,22 +242,20 @@ def exactness_report(rep: GammaRep, x: Covector, mode: str = "exact") -> Exactne
     return ExactnessReport(s, r1, r2, r1)
 
 
-@dataclass(frozen=True)
-class ScanFailure:
+class ScanFailure(NamedTuple):
     covector: Covector
     report: Optional[ExactnessReport]  # None if the symbols are not a complex
     error: str = ""
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     n: int
     samples: int
     seed: int
     mode: str
     checked: int
     passed: bool
-    failures: Tuple[ScanFailure, ...] = field(default_factory=tuple)
+    failures: Tuple[ScanFailure, ...] = ()
 
 
 def degenerate_family(n: int, rng: Random) -> List[Covector]:
@@ -315,8 +319,7 @@ def spinor_dim(n: int) -> int:
     return 2 ** (n // 2)
 
 
-@dataclass(frozen=True)
-class WeightTable:
+class WeightTable(NamedTuple):
     """Highest weights and operator orders of the complex; its fiber
     dimensions and index are derived from the weights."""
 

@@ -16,7 +16,6 @@ import ast
 import hashlib
 import inspect
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -48,7 +47,7 @@ def _e1_weight_shifted(orig):
     def shifted(n):
         wt = orig(n)
         a, b = wt.lam[1]
-        return replace(wt, lam=(wt.lam[0], (a + 1, b)) + wt.lam[2:])
+        return wt._replace(lam=(wt.lam[0], (a + 1, b)) + wt.lam[2:])
     return shifted
 
 
@@ -261,7 +260,7 @@ def test_the_grade_0_action_check_can_fail(monkeypatch):
 
 def test_the_symbol_orders_come_from_the_weight_table(monkeypatch):
     def first_orders(orig):
-        return lambda n: replace(orig(n), orders=(1, 1, 1))
+        return lambda n: orig(n)._replace(orders=(1, 1, 1))
 
     monkeypatch.setattr(report, "weight_table", first_orders(report.weight_table))
     rpt = run_check("symbols", 3, 2, 0, "exact")

@@ -1,9 +1,12 @@
 """The library holds only what it runs: every module-level public function,
 class and constant of ``src/twodirac`` is read somewhere in ``src/`` besides
 its own definition, or is exported through ``twodirac.__all__``.  A helper
-that only tests call belongs under ``tests/``."""
+that only tests call belongs under ``tests/``.  And importing the CLI loads
+only what a cold start needs: neither ``dataclasses`` nor ``inspect``."""
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -42,3 +45,21 @@ def test_every_public_name_is_used_in_src_or_exported():
               if not name.startswith("_") and name not in twodirac.__all__
               and reads[name] == _reads(node)[name]]
     assert unused == []
+
+
+def _modules_after(imports: str) -> set:
+    """The module names a fresh interpreter holds after running imports."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{imports}\nprint(*sys.modules)"],
+        capture_output=True, text=True, timeout=120, check=True)
+    return set(proc.stdout.split())
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Every run starts cold, and ``dataclasses`` with the ``inspect`` it
+    pulls in was most of the package's import time: records are
+    ``typing.NamedTuple``s and values ``__slots__`` classes instead."""
+    added = _modules_after("import twodirac.cli, twodirac.report") - _modules_after("")
+    assert {"twodirac.cli", "twodirac.report"} <= added
+    assert not added & {"dataclasses", "inspect"}
+    assert [p.name for p in sorted(SRC.glob("*.py")) if "dataclass" in p.read_text()] == []
