@@ -14,12 +14,12 @@ sum or difference is one pass, and a product is one integer kernel, summing
 only nonzero terms, over the parts that are not zero.
 A product with a sum of signed permutations, m @ sum_k c_k P_k (Clifford
 matrices and spin words), is a second kernel, ``times_signed_perms``: it
-scatters m's columns to their permuted places, turning each by a power of i
-(a swap and negation of the real and imaginary numerators) and multiplying
-it by c_k's integer numerator, and forms no dense factor.  Two kernels only
-move or drop numerators: ``masked`` zeroes the entries where a 0/1 mask is
-zero, and ``mirrored`` forms -P m^T P^T for a square m and a permutation
-matrix P, whose entry (r, c) is -m[perm[c]][perm[r]].
+scatters m's numerators to their permuted places, multiplying only real
+integers (a coefficient a + b i is two real terms, the second turned by i),
+and forms no dense factor.  Two kernels only move or drop numerators:
+``masked`` zeroes the entries where a 0/1 mask is zero, and ``mirrored``
+forms -P m^T P^T for a square m and a permutation matrix P, whose entry
+(r, c) is -m[perm[c]][perm[r]].
 ``is_unit_two_vector`` reads the numerators once to certify an oriented
 plane's unit 2-vector, by one pivot Plucker identity and a norm, with no
 product; ``frobenius_sq`` sums the squared numerators once, and
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import add, mul, neg, or_, sub
 from typing import Iterable, Optional, Sequence, Tuple
@@ -446,31 +446,48 @@ def times_signed_perms(m: Matrix, terms: Iterable[Tuple[object, Sequence[int], S
 
     Each term is ``(c_k, cols, phases)``: row j of P_k has the single entry
     ``i**phases[j]`` in column ``cols[j]``.  So column j of m moves to column
-    ``cols[j]``, turned by that power of i and multiplied by c_k; on the
-    numerators a turn only swaps and negates the real and imaginary parts.
-    The coefficients share one denominator, and the sum is stored once over
-    m's denominator times it.  Zero entries of m and zero terms are skipped.
+    ``cols[j]``, turned by that power of i and multiplied by c_k.  Over the
+    coefficients' common denominator, a + b i is two real terms: a with P_k
+    and b with P_k turned by i (each phase plus one).  A turn by i**p moves
+    an entry's real numerator x to the real part for even p and to the
+    imaginary part for odd p, negated when p & 2, and its imaginary
+    numerator as x at p + 1.  The moves are built once per call, per source
+    column, as (target, signed coefficient) for both numerators, target t < w
+    being the real part of column t and w + t its imaginary part (m has
+    width w).  So a moved entry costs one multiplication on a real m and two
+    on a complex one.  Zero entries and terms are skipped, and the sum is
+    stored once over m's denominator times the common one.
     """
-    parts = [(_numerators(c), cols, phases) for c, cols, phases in terms if c]
-    den = lcm(*(e for (_, e), _, _ in parts))
-    spots = []  # per term: column j -> (target column, turned coefficient)
-    for ((a, b), e), cols, phases in parts:
-        a, b = a * (den // e), b * (den // e)
-        # (a + b i) i**k for k = 0..3
-        turned = ((a, b), (-b, a), (-a, -b), (b, -a))
-        spots.append([(t, *turned[k]) for t, k in zip(cols, phases)])
-    width = m.ncols
+    parts = []
+    for c, cols, phases in terms:
+        (a, b), e = _numerators(c)
+        parts += [(x, e, cols, phases, turn) for x, turn in ((a, 0), (b, 1)) if x]
+    den = lcm(*(e for _, e, _, _, _ in parts))
+    w = m.ncols
+    moves = [[] for _ in range(w)]
+    for x, e, cols, phases, turn in parts:
+        x *= den // e
+        for mv, t, p in zip(moves, cols, phases):
+            p += turn
+            q = p + 1
+            mv.append((t + w * (p & 1), -x if p & 2 else x,
+                       t + w * (q & 1), -x if q & 2 else x))
     out_re, out_im = [], []
-    for row_re, row_im in zip(m._re, _imag(m)):
-        nonzero = [(j, x, y) for j, (x, y) in enumerate(zip(row_re, row_im)) if x or y]
-        re, im = [0] * width, [0] * width
-        for spot in spots:
-            for j, x, y in nonzero:
-                t, a, b = spot[j]
-                re[t] += a * x - b * y
-                im[t] += a * y + b * x
-        out_re.append(tuple(re))
-        out_im.append(tuple(im))
+    for row_re, row_im in zip(m._re, m._im or repeat(None)):
+        acc = [0] * (2 * w)
+        if row_im is None:
+            for x, mv in zip(row_re, moves):
+                if x:
+                    for t, a, _, _ in mv:
+                        acc[t] += a * x
+        else:
+            for x, y, mv in zip(row_re, row_im, moves):
+                if x or y:
+                    for t, a, u, b in mv:
+                        acc[t] += a * x
+                        acc[u] += b * y
+        out_re.append(tuple(acc[:w]))
+        out_im.append(tuple(acc[w:]))
     return _stored(tuple(out_re), tuple(out_im), m._den * den)
 
 

@@ -115,15 +115,20 @@ def _check_grading(n: int, samples: int, seed: int, mode: str) -> List[Failure]:
     # Em_b E0_a, so the X block of every bracket [E0_a, Em_b] is read off
     # two products; the closure has certified that the bracket lies in
     # grade -1, or flagged the pair above, and it lies in so(h) as every
-    # bracket of GradedElements does
+    # bracket of GradedElements does.  B_a X_b and X_b A_a are blocks of two
+    # more stacked products, of the B, X and A blocks alone
     k = n + 4
-    zero_minus = vstack(*(e.mat for e in bases[0])) @ hstack(*(e.mat for e in bases[-1]))
-    minus_zero = vstack(*(e.mat for e in bases[-1])) @ hstack(*(e.mat for e in bases[0]))
-    for a, e0 in enumerate(bases[0]):
-        for b, em in enumerate(bases[-1]):
+    g0, gm = bases[0], bases[-1]
+    zero_minus = vstack(*(e.mat for e in g0)) @ hstack(*(e.mat for e in gm))
+    minus_zero = vstack(*(e.mat for e in gm)) @ hstack(*(e.mat for e in g0))
+    b_x = vstack(*(e.B for e in g0)) @ hstack(*(e.X for e in gm))
+    x_a = vstack(*(e.X for e in gm)) @ hstack(*(e.A for e in g0))
+    for a in range(len(g0)):
+        for b in range(len(gm)):
             x = (submatrix(zero_minus, a * k + 2, a * k + n + 2, b * k, b * k + 2)
                  - submatrix(minus_zero, b * k + 2, b * k + n + 2, a * k, a * k + 2))
-            if x != e0.B @ em.X - em.X @ e0.A:
+            if x != (submatrix(b_x, a * n, a * n + n, 2 * b, 2 * b + 2)
+                     - submatrix(x_a, b * n, b * n + n, 2 * a, 2 * a + 2)):
                 fails.append(_fail("grade-0 action on grade -1",
                                    "B X - X A", "differs"))
     # group-level filtration and grading stabilizers

@@ -63,38 +63,34 @@ def unit_vector(rng: Random, n: int) -> tuple:
 
 def circle_point(rng: Random) -> CirclePoint:
     """Exact rational point on the unit circle: one of the four axis points
-    (int components) with probability 0.1, else +-((1 - t^2), 2t) / (1 + t^2)
-    at a seeded rational t (``Fraction`` components)."""
-    c, d, e, axis = _circle_numerators(rng)
-    if axis:
-        return CirclePoint(c, d)
-    return CirclePoint(Fraction(c, e), Fraction(d, e))
+    with probability 0.1, else +-((1 - t^2), 2t) / (1 + t^2) at a seeded
+    rational t, built from the numerators ``_circle_numerators`` draws."""
+    return CirclePoint.over(*_circle_numerators(rng))
 
 
-_AXIS_POINTS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+_AXIS_POINTS = ((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1))
 
 
-def _circle_numerators(rng: Random) -> Tuple[int, int, int, bool]:
+def _circle_numerators(rng: Random) -> Tuple[int, int, int]:
     """The point ``circle_point`` draws, with exactly its draws, as integer
-    numerators (c, d) over one positive denominator e in lowest terms, and
-    whether it is an axis point.  At t = a / b the point is
-    ((b^2 - a^2), 2ab) / (a^2 + b^2), negated when the roll says so."""
+    numerators (c, d) over one positive denominator e in lowest terms.  At
+    t = a / b the point is ((b^2 - a^2), 2ab) / (a^2 + b^2), negated when the
+    roll says so."""
     roll = rng.random()
     if roll < 0.1:
-        return (*rng.choice(_AXIS_POINTS), 1, True)
+        return rng.choice(_AXIS_POINTS)
     a, b = _ratio(rng)
     c, d, e = b * b - a * a, 2 * a * b, a * a + b * b
     if roll < 0.55:
         c, d = -c, -d
     g = gcd(c, d, e)
-    return c // g, d // g, e // g, False
+    return c // g, d // g, e // g
 
 
 def _circle_at(a: int, b: int) -> CirclePoint:
     """The point ((1 - t^2), 2t) / (1 + t^2) at t = a / b, in the integer form
     ((b^2 - a^2), 2ab) / (a^2 + b^2)."""
-    den = a * a + b * b
-    return CirclePoint(Fraction(b * b - a * a, den), Fraction(2 * a * b, den))
+    return CirclePoint.over(b * b - a * a, 2 * a * b, a * a + b * b)
 
 
 def circle_point_with_half(rng: Random) -> CirclePoint:
@@ -103,13 +99,13 @@ def circle_point_with_half(rng: Random) -> CirclePoint:
 
 
 def givens(k: int, i: int, j: int, p: CirclePoint) -> Matrix:
-    """Rotation by the point p in the (i, j) coordinate plane of R^k."""
-    rows = [[int(a == b) for b in range(k)] for a in range(k)]
-    rows[i][i] = p.c
-    rows[j][j] = p.c
-    rows[i][j] = -p.d
-    rows[j][i] = p.d
-    return Matrix(rows)
+    """Rotation by the point p = (c, d) / e in the (i, j) coordinate plane of R^k."""
+    c, d, e = p.numerators
+    rows = [[e * (a == b) for b in range(k)] for a in range(k)]
+    rows[i][i] = rows[j][j] = c
+    rows[i][j] = -d
+    rows[j][i] = d
+    return Matrix(rows).scaled(Fraction(1, e))
 
 
 def rotation(rng: Random, k: int) -> Matrix:
@@ -131,7 +127,7 @@ def rotation(rng: Random, k: int) -> Matrix:
         j = rng.randrange(k)
         if i == j:
             continue
-        c, d, e, _ = _circle_numerators(rng)
+        c, d, e = _circle_numerators(rng)
         ri, rj = rows[i], rows[j]
         if e != 1:
             rows = [[e * x for x in r] for r in rows]

@@ -1,14 +1,17 @@
 """Exact scalars: Gaussian rationals and rational points on the unit circle.
 
 All linear algebra in this package runs over these types, so every equality
-test downstream is decidable and free of rounding.  Components are kept as
-plain ints while they are integral (cheap arithmetic) and promoted to
+test downstream is decidable and free of rounding.  ``GaussianRational``
+components are plain ints while they are integral (cheap arithmetic) and
 ``fractions.Fraction`` only when division makes them genuinely fractional.
+A ``CirclePoint`` is integer numerators over one denominator: its arithmetic
+is integer arithmetic, certified point by point by c**2 + d**2 = e**2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Union
 
 Rational = Union[int, Fraction]
@@ -136,22 +139,51 @@ def gr(re: Rational = 0, im: Rational = 0) -> GaussianRational:
 class CirclePoint:
     """An exact rational point ``(c, d)`` on the unit circle, ``c**2 + d**2 = 1``.
 
-    Used wherever an exact phase is needed.  ``half`` optionally carries a
-    square-root witness (a point whose square is this one); it is provenance
-    only and excluded from equality and the repr.
+    Stored as integer numerators ``numerators = (c, d, e)``, the point
+    (c / e, d / e) with e > 0 in lowest terms, so ``==`` compares the storage.
+    Every construction (and so each product, conjugate, negation and square)
+    goes through ``over``, which certifies c**2 + d**2 = e**2.  ``half``
+    optionally carries a square-root witness (a point whose square is this
+    one); it is provenance only and excluded from equality and the repr.
     """
 
-    __slots__ = ("c", "d", "half")
+    __slots__ = ("numerators", "half")
 
-    def __init__(self, c: Rational, d: Rational, half: Optional["CirclePoint"] = None):
-        if c * c + d * d != 1:
-            raise ValueError(f"({c}, {d}) is not on the unit circle")
-        self.c, self.d, self.half = c, d, half
+    def __new__(cls, c: Rational, d: Rational, half: Optional["CirclePoint"] = None):
+        # an exact type test: a float such as 0.6 passes the circle test by rounding
+        if type(c) not in (int, Fraction) or type(d) not in (int, Fraction):
+            raise ValueError(f"circle point components must be int or Fraction, "
+                             f"got ({c!r}, {d!r})")
+        e = lcm(c.denominator, d.denominator)
+        return cls.over(c.numerator * (e // c.denominator),
+                        d.numerator * (e // d.denominator), e, half)
+
+    @classmethod
+    def over(cls, c: int, d: int, e: int,
+             half: Optional["CirclePoint"] = None) -> "CirclePoint":
+        """The point (c / e, d / e) for integers c, d and e > 0."""
+        if e <= 0 or c * c + d * d != e * e:
+            raise ValueError(f"({c}, {d}) / {e} is not on the unit circle")
+        g = gcd(c, d, e)
+        p = object.__new__(cls)
+        p.numerators, p.half = (c // g, d // g, e // g), half
+        return p
+
+    # the components read back by value: an int when integral, else a Fraction
+    @property
+    def c(self) -> Rational:
+        c, _, e = self.numerators
+        return c if e == 1 else Fraction(c, e)
+
+    @property
+    def d(self) -> Rational:
+        _, d, e = self.numerators
+        return d if e == 1 else Fraction(d, e)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CirclePoint):
             return NotImplemented
-        return self.c == other.c and self.d == other.d
+        return self.numerators == other.numerators
 
     def __hash__(self):
         return hash((self.c, self.d))
@@ -160,25 +192,28 @@ class CirclePoint:
         return f"CirclePoint(c={self.c!r}, d={self.d!r})"
 
     def __mul__(self, other: "CirclePoint") -> "CirclePoint":
-        return CirclePoint(self.c * other.c - self.d * other.d,
-                           self.c * other.d + self.d * other.c)
+        a, b, e = self.numerators
+        c, d, f = other.numerators
+        return CirclePoint.over(a * c - b * d, a * d + b * c, e * f)
 
     def conj(self) -> "CirclePoint":
-        return CirclePoint(self.c, -self.d)
+        c, d, e = self.numerators
+        return CirclePoint.over(c, -d, e)
 
     def __neg__(self) -> "CirclePoint":
-        return CirclePoint(-self.c, -self.d)
+        c, d, e = self.numerators
+        return CirclePoint.over(-c, -d, e)
 
     def square(self) -> "CirclePoint":
         """The doubled-angle point, carrying self as the half-angle witness."""
-        return CirclePoint(self.c * self.c - self.d * self.d,
-                           2 * self.c * self.d, half=self)
+        c, d, e = self.numerators
+        return CirclePoint.over(c * c - d * d, 2 * c * d, e * e, half=self)
 
     def as_gaussian(self) -> GaussianRational:
         return GaussianRational(self.c, self.d)
 
     def is_real(self) -> bool:
-        return not self.d
+        return not self.numerators[1]
 
 
 CIRCLE_ONE = CirclePoint(1, 0)

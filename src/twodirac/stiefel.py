@@ -148,8 +148,9 @@ def ksharp_act(a: RationalRotation, b: RationalRotation, f: Frame2) -> Frame2:
 
 
 def center_rotate(f: Frame2, p: CirclePoint) -> Frame2:
-    """Rotation of the frame inside its own plane (the circle action)."""
-    return Frame2(f.mat @ Matrix([[p.c, p.d], [-p.d, p.c]]))
+    """Rotation of the frame in its own plane by p = (c, d) / e (the circle action)."""
+    c, d, e = p.numerators
+    return Frame2(f.mat @ Matrix([[c, d], [-d, c]]).scaled(Fraction(1, e)))
 
 
 def contact_alpha(t: StiefelTangent):

@@ -235,6 +235,13 @@ def _dense_combination(n, terms):
     return reference_words.clifford_matrix(n, v)
 
 
+def _assert_kernel_matches_dense_product(n, terms, m):
+    rep = build_gamma_rep(n)
+    got = times_signed_perms(m, [(c, rep.cols[k], rep.phases[k]) for c, k in terms])
+    assert got == m @ _dense_combination(n, terms)
+    assert got == reference_matmul.matmul(m, _dense_combination(n, terms))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_signed_perm_kernel_matches_dense_product(data):
@@ -244,7 +251,15 @@ def test_signed_perm_kernel_matches_dense_product(data):
     picks = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 2))
     terms = [(data.draw(scalars), k) for k in picks]
     rows = data.draw(st.one_of(st.just(rep.s), st.integers(1, rep.s + 2)))
-    m = data.draw(matrices(entries, rows, rep.s))
-    got = times_signed_perms(m, [(c, rep.cols[k], rep.phases[k]) for c, k in terms])
-    assert got == m @ _dense_combination(n, terms)
-    assert got == reference_matmul.matmul(m, _dense_combination(n, terms))
+    _assert_kernel_matches_dense_product(n, terms, data.draw(matrices(entries, rows, rep.s)))
+
+
+@pytest.mark.parametrize("m", [
+    Matrix([[1, 0, -2, 3], [0, 4, 1, 0]]),
+    Matrix([[gr(1, 2), 0, gr(0, -1), 3], [Fraction(1, 2), gr(4, 1), 1, gr(0, 2)]]),
+], ids=["real", "complex"])
+def test_signed_perm_kernel_takes_a_coefficient_with_both_parts(m):
+    """A coefficient a + b i with a and b both nonzero is the real term a and
+    the real term b turned by i, on a real and on a complex m."""
+    terms = [(gr(Fraction(2, 3), Fraction(-5, 7)), 1), (Fraction(1, 2), 2), (gr(0, 3), 0)]
+    _assert_kernel_matches_dense_product(4, terms, m)

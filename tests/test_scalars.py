@@ -12,6 +12,17 @@ from strategies import gaussians, rationals
 gaussian = gaussians(rationals(20, 12))
 
 
+@st.composite
+def circle_components(draw) -> tuple:
+    """(c, d) of a rational unit-circle point: an axis point as ints, or
+    +-((1 - t^2), 2t) / (1 + t^2) at t = a / b as Fractions, integral at a = 0."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(((1, 0), (-1, 0), (0, 1), (0, -1))))
+    a, b = draw(st.integers(-12, 12)), draw(st.integers(1, 12))
+    den, sign = a * a + b * b, draw(st.sampled_from((1, -1)))
+    return Fraction(sign * (b * b - a * a), den), Fraction(sign * 2 * a * b, den)
+
+
 @given(gaussian, gaussian, gaussian)
 def test_ring_axioms(a, b, c):
     assert a + b == b + a
@@ -64,8 +75,17 @@ def test_components_stay_integral():
 
 def test_circle_point_validation():
     CirclePoint(Fraction(3, 5), Fraction(4, 5))
+    assert CirclePoint.over(-6, 8, 10) == CirclePoint(Fraction(-3, 5), Fraction(4, 5))
     with pytest.raises(ValueError):
         CirclePoint(Fraction(1, 2), Fraction(1, 2))
+    for c, d, e in ((1, 1, 1), (3, 4, -5), (0, 0, 0)):
+        with pytest.raises(ValueError, match="unit circle"):
+            CirclePoint.over(c, d, e)
+    # 0.36 + 0.64 == 1.0 in binary floating point: an inexact component is
+    # refused by type, not by the circle test
+    for c, d in ((0.6, 0.8), (gr(Fraction(3, 5)), Fraction(4, 5)), (1, 0.0)):
+        with pytest.raises(ValueError, match="int or Fraction"):
+            CirclePoint(c, d)
 
 
 def test_circle_point_group_structure():
@@ -79,3 +99,29 @@ def test_circle_point_group_structure():
     assert sq.half == p  # witness retained
     # equality ignores the witness
     assert sq == CirclePoint(sq.c, sq.d)
+
+
+def _read_as(p: CirclePoint, c: Fraction, d: Fraction) -> bool:
+    """p has the components (c, d), each read as an int exactly when integral."""
+    return ((p.c, p.d) == (c, d)
+            and [type(x) for x in (p.c, p.d)]
+            == [int if x.denominator == 1 else Fraction for x in (c, d)])
+
+
+@given(circle_components(), circle_components())
+def test_circle_point_arithmetic_matches_a_fraction_oracle(u, v):
+    """Products, conjugates, negations and squares on the integer numerators
+    against the same formulas on Fractions, with axis points and integral
+    results among the draws; equality and hashes follow the values."""
+    c, d = map(Fraction, u)
+    e, f = map(Fraction, v)
+    p, q = CirclePoint(*u), CirclePoint(*v)
+    assert _read_as(p, c, d) and _read_as(q, e, f)
+    assert _read_as(p * q, c * e - d * f, c * f + d * e)
+    assert _read_as(p.conj(), c, -d) and _read_as(-p, -c, -d)
+    sq = p.square()
+    assert _read_as(sq, c * c - d * d, 2 * c * d) and sq.half is p
+    assert (p == q) == ((c, d) == (e, f))
+    assert hash(p) == hash((c, d))
+    assert hash(p * q) == hash((c * e - d * f, c * f + d * e))
+    assert p * p.conj() == CIRCLE_ONE and p.is_real() == (d == 0)
