@@ -13,15 +13,17 @@ with a Pauli matrix, the chirality product and scaling by a unit keep this
 form, so the build costs O(n s) and forms no dense matrix.  Validation
 certifies the Clifford relations on the permutations and phase exponents,
 row by row, in O(n^2 s).  Every product with a Clifford action goes through
-``times_clifford``, m @ sum v_a gamma_a, which is the scatter kernel
-``linalg.times_signed_perms``: it moves each column of m to its permuted
-place and turns its integer numerators by a power of i, so it forms no dense
-product.  ``clifford_mat`` is the identity times sum v_a gamma_a, and a
-spinor is acted on by ``clifford_mat(rep, v).apply(psi)``.  Only this
-module, two ``linalg`` kernels (the scatter, and ``intertwines``, to which
-``spin.rho_n`` hands the generators) and ``flat`` (which turns a stack of
-spinor rows C into C gamma^T with ``GammaRep.transposed_phases``) read the
-permutations and phases; no generator is stored as a dense matrix.
+``times_clifford``, m @ sum v_a gamma_a for a real vector v, which is the
+scatter kernel ``linalg.times_signed_perms``: it moves each column of m to
+its permuted place and turns its integer numerators by a power of i, so it
+forms no dense product.  ``clifford_mat`` is the identity times
+sum v_a gamma_a, and a spinor is acted on by
+``clifford_mat(rep, v).apply(psi)``.  Only this module, two ``linalg``
+kernels (the scatter, and ``intertwines``, to which ``spin.rho_n`` hands the
+generators) and ``flat`` (which turns a stack of spinor rows C into
+C gamma^T = -C conj(gamma), the scatter with coefficient -1 and negated
+phases, as anti-hermitian generators allow) read the permutations and
+phases; no generator is stored as a dense matrix.
 """
 
 from __future__ import annotations
@@ -52,12 +54,11 @@ class GammaRep:
     ``cols[a][i]`` and zeros elsewhere.
     """
 
-    __slots__ = ("n", "s", "cols", "phases", "_transposed_phases")
+    __slots__ = ("n", "s", "cols", "phases")
 
     def __init__(self, n: int, s: int, cols: Tuple[Tuple[int, ...], ...],
                  phases: Tuple[Tuple[int, ...], ...]):
         self.n, self.s, self.cols, self.phases = n, s, cols, phases
-        self._transposed_phases = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GammaRep):
@@ -67,19 +68,6 @@ class GammaRep:
 
     def __hash__(self):
         return hash((self.n, self.s, self.cols, self.phases))
-
-    @property
-    def transposed_phases(self) -> Tuple[Tuple[int, ...], ...]:
-        """The phase exponents of the generators' transposes, whose columns
-        are again ``cols``: row j of gamma^T has its entry in the column i
-        with cols[i] = j, and gamma^2 = -Id (certified by the build) makes
-        cols an involution, so i = cols[j] and the exponent is
-        phases[cols[j]].  Formed on first use."""
-        if self._transposed_phases is None:
-            self._transposed_phases = tuple(
-                tuple(phases[i] for i in cols)
-                for cols, phases in zip(self.cols, self.phases))
-        return self._transposed_phases
 
 
 def _tensor(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:
@@ -162,13 +150,13 @@ def build_gamma_rep(n: int) -> GammaRep:
 
 
 def times_clifford(m: Matrix, rep: GammaRep, v: Sequence) -> Matrix:
-    """m times the Clifford action of the vector v, m @ sum_a v_a gamma_a,
+    """m times the Clifford action of the real vector v, m @ sum_a v_a gamma_a,
     by scatter on m's numerators."""
     return times_signed_perms(m, zip(v, rep.cols, rep.phases))
 
 
 def clifford_mat(rep: GammaRep, v: Sequence) -> Matrix:
-    """Clifford action of the vector v as an s x s matrix, sum v_a gamma_a."""
+    """Clifford action of the real vector v as an s x s matrix, sum v_a gamma_a."""
     if len(v) != rep.n:
         raise ValueError(f"vector length {len(v)} != n = {rep.n}")
     return times_clifford(identity(rep.s), rep, v)

@@ -10,14 +10,16 @@ matrices and merges equal monomials by one integer row map
 (``linalg.row_map``); gamma_alpha on every coefficient is C gamma_alpha^T,
 one signed-permutation scatter; d/dx_{i,alpha} sends the row of m to
 m - e_{i,alpha} with weight m_{i,alpha}, one more row map.  The operator
-sends f to (sum_a gamma_a d_{1,a} f, sum_a gamma_a d_{2,a} f).  Applied to
-<x, xi>^k psi0 it reproduces k <x, xi>^{k-1} sigma1(xi) psi0, the
-cross-check tying the differential operator to the symbol module.
+sends f to the pair of fields (sum_a gamma_a d_{1,a} f, sum_a gamma_a
+d_{2,a} f).  Applied to <x, xi>^k psi0 it reproduces k <x, xi>^{k-1}
+sigma1(xi) psi0, the cross-check tying the differential operator to the
+symbol module.
 """
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
 from math import factorial, prod
+from operator import neg
 from typing import Dict, List, Sequence, Tuple
 
 from .clifford import GammaRep
@@ -92,30 +94,22 @@ def _gathered(n: int, targets: Targets, m: Matrix) -> PolySpinorField:
     return PolySpinorField(n, tuple(targets), row_map(m, tuple(targets.values())))
 
 
-class PairField:
-    """Output shape of the operator: a pair of fields over the same space."""
-
-    __slots__ = ("p1", "p2")
-
-    def __init__(self, p1: PolySpinorField, p2: PolySpinorField):
-        if (p1.n, p1.s) != (p2.n, p2.s):
-            raise ValueError("pair components have different arity")
-        self.p1, self.p2 = p1, p2
-
-
-def apply_flat_2dirac(rep: GammaRep, f: PolySpinorField) -> PairField:
-    """p_i = sum_alpha gamma_alpha d_{i,alpha} f for i = 1, 2.
+def apply_flat_2dirac(rep: GammaRep, f: PolySpinorField
+                      ) -> Tuple[PolySpinorField, PolySpinorField]:
+    """The pair (p1, p2), p_i = sum_alpha gamma_alpha d_{i,alpha} f.
 
     The blocks C gamma_alpha^T are stacked, alpha by alpha; in slot i the row
     r of block alpha goes to monos[r] - e_{i,alpha} with weight
-    monos[r][i, alpha].
+    monos[r][i, alpha].  The generators are anti-hermitian (the gamma build
+    certifies it), so gamma^T = -conj(gamma): the same columns with negated
+    phase exponents, scattered with coefficient -1.
     """
     n = rep.n
     if f.n != n or f.s != rep.s:
         raise ValueError(f"field arity ({f.n}, {f.s}) does not match rep "
                          f"({n}, {rep.s})")
-    turned = vstack(*(times_signed_perms(f.coef, ((1, cols, phases),))
-                      for cols, phases in zip(rep.cols, rep.transposed_phases)))
+    turned = vstack(*(times_signed_perms(f.coef, ((-1, cols, tuple(map(neg, phases))),))
+                      for cols, phases in zip(rep.cols, rep.phases)))
     size = len(f.monos)
     parts = []
     for i in range(2):
@@ -128,7 +122,7 @@ def apply_flat_2dirac(rep: GammaRep, f: PolySpinorField) -> PairField:
                     lowered = mi[:var] + (e - 1,) + mi[var + 1:]
                     targets.setdefault(lowered, []).append((offset + r, e))
         parts.append(_gathered(n, targets, turned))
-    return PairField(parts[0], parts[1])
+    return parts[0], parts[1]
 
 
 def linear_power_field(rep: GammaRep, xi: Covector, k: int,
@@ -157,7 +151,7 @@ def symbol_cross_check(rep: GammaRep, xi: Covector, k: int, psi0: Sequence) -> b
         raise ValueError("need k >= 1")
     if xi.is_zero():
         raise ValueError("need a nonzero covector")
-    got = apply_flat_2dirac(rep, linear_power_field(rep, xi, k, psi0))
+    p1, p2 = apply_flat_2dirac(rep, linear_power_field(rep, xi, k, psi0))
     lead, s = sigma1(rep, xi).apply(psi0), rep.s
-    return (got.p1 == linear_power_field(rep, xi, k - 1, lead[:s]).scaled(k)
-            and got.p2 == linear_power_field(rep, xi, k - 1, lead[s:]).scaled(k))
+    return (p1 == linear_power_field(rep, xi, k - 1, lead[:s]).scaled(k)
+            and p2 == linear_power_field(rep, xi, k - 1, lead[s:]).scaled(k))

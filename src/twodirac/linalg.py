@@ -13,13 +13,12 @@ Sums, differences, stacks, scaling and products work on the numerators: a
 sum or difference is one pass, and a product is one integer kernel, summing
 only nonzero terms, over the parts that are not zero.
 A product with a sum of signed permutations, m @ sum_k c_k P_k (Clifford
-matrices and spin words), is a second kernel, ``times_signed_perms``: it
-scatters m's numerators to their permuted places, multiplying only real
-integers (a coefficient a + b i is two real terms, the second turned by i),
-and forms no dense factor.  Two kernels only move or drop numerators:
-``masked`` zeroes the entries where a 0/1 mask is zero, and ``mirrored``
-forms -P m^T P^T for a square m and a permutation matrix P, whose entry
-(r, c) is -m[perm[c]][perm[r]].
+matrices and spin words) with rational c_k, is a second kernel,
+``times_signed_perms``: it scatters m's numerators to their permuted places,
+multiplying only integers, and forms no dense factor.  Two kernels only move
+or drop numerators: ``masked`` zeroes the entries where a 0/1 mask is zero,
+and ``mirrored`` forms -P m^T P^T for a square m and a permutation matrix P,
+whose entry (r, c) is -m[perm[c]][perm[r]].
 ``is_unit_two_vector`` reads the numerators once to certify an oriented
 plane's unit 2-vector, by one pivot Plucker identity and a norm, with no
 product; ``frobenius_sq`` sums the squared numerators once, and
@@ -159,6 +158,10 @@ class Matrix:
         """Conjugate transpose."""
         t = self.transpose()
         return _stored(t._re, t._im and _times(t._im, -1), t._den)
+
+    def is_real(self) -> bool:
+        """No nonzero imaginary part: one test on the storage."""
+        return self._im is None
 
     def is_zero(self) -> bool:
         return self._im is None and not any(map(any, self._re))
@@ -442,33 +445,29 @@ def _product(a: Matrix, b: Matrix) -> Matrix:
 
 def times_signed_perms(m: Matrix, terms: Iterable[Tuple[object, Sequence[int], Sequence[int]]]
                        ) -> Matrix:
-    """m @ sum_k c_k P_k for exact scalars c_k and signed permutations P_k.
+    """m @ sum_k c_k P_k for rational scalars c_k and signed permutations P_k.
 
     Each term is ``(c_k, cols, phases)``: row j of P_k has the single entry
-    ``i**phases[j]`` in column ``cols[j]``.  So column j of m moves to column
-    ``cols[j]``, turned by that power of i and multiplied by c_k.  Over the
-    coefficients' common denominator, a + b i is two real terms: a with P_k
-    and b with P_k turned by i (each phase plus one).  A turn by i**p moves
-    an entry's real numerator x to the real part for even p and to the
-    imaginary part for odd p, negated when p & 2, and its imaginary
-    numerator as x at p + 1.  The moves are built once per call, per source
-    column, as (target, signed coefficient) for both numerators, target t < w
-    being the real part of column t and w + t its imaginary part (m has
-    width w).  So a moved entry costs one multiplication on a real m and two
-    on a complex one.  Zero entries and terms are skipped, and the sum is
-    stored once over m's denominator times the common one.
+    ``i**phases[j]`` in column ``cols[j]`` (any integer exponent, negative
+    ones included).  So column j of m moves to column ``cols[j]``, turned by
+    that power of i and multiplied by c_k.  A turn by i**p moves an entry's
+    real numerator x to the real part for even p and to the imaginary part
+    for odd p, negated when p & 2, and its imaginary numerator as x at
+    p + 1.  The moves are built once per call, per source column, as
+    (target, signed coefficient) for both numerators, target t < w being the
+    real part of column t and w + t its imaginary part (m has width w), with
+    each c_k over the coefficients' common denominator.  So a moved entry
+    costs one multiplication on a real m and two on a complex one.  Zero
+    entries and terms are skipped, and the sum is stored once over m's
+    denominator times the common one.
     """
-    parts = []
-    for c, cols, phases in terms:
-        (a, b), e = _numerators(c)
-        parts += [(x, e, cols, phases, turn) for x, turn in ((a, 0), (b, 1)) if x]
-    den = lcm(*(e for _, e, _, _, _ in parts))
+    parts = [(c.numerator, c.denominator, cols, phases) for c, cols, phases in terms if c]
+    den = lcm(*(e for _, e, _, _ in parts))
     w = m.ncols
     moves = [[] for _ in range(w)]
-    for x, e, cols, phases, turn in parts:
+    for x, e, cols, phases in parts:
         x *= den // e
         for mv, t, p in zip(moves, cols, phases):
-            p += turn
             q = p + 1
             mv.append((t + w * (p & 1), -x if p & 2 else x,
                        t + w * (q & 1), -x if q & 2 else x))

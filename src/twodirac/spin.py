@@ -1,8 +1,9 @@
 """Spin(n), Spin^c(n), their projections to rotations, and the stabilizer maps.
 
 Group elements are stored as exact spinor matrices together with the
-generating word of rational unit vectors; the spinor matrix is always the
-product of the word's Clifford matrices, never taken from a caller.  The
+generating word of rational unit vectors; the constructor certifies the word
+(even length, unit norms), and the spinor matrix is always the product of
+the word's Clifford matrices, never taken from a caller.  The
 first letter's matrix is ``clifford.clifford_mat``, and each later letter v
 is applied as mat <- mat (sum_a v_a gamma_a) by ``clifford.times_clifford``;
 both are scatters over the gammas' signed permutations, so no product is
@@ -13,8 +14,8 @@ with their images, S gamma_alpha = C_alpha S with C_alpha the Clifford action
 of column alpha of R (one ``linalg.intertwines`` call, which decides all n
 identities on S's moved numerators), and ||S||_F^2 = s; ``rho_n`` proves
 that the two give S gamma_alpha S^dagger = C_alpha.  Rotations are certified
-once, by ``RationalRotation``: R^T R = I and det R = 1.  A Spin^c class acts
-on spinors by its one matrix, ``gamma_c_mat``.
+once, by ``RationalRotation``: R is real, R^T R = I and det R = 1.  A Spin^c
+class acts on spinors by its one matrix, ``gamma_c_mat``.
 The gammas are anti-hermitian (the gamma build certifies it), so the spinor
 matrix S of a word of unit vectors is unitary and its inverse is the adjoint
 S^dagger; no inverse is computed or stored.  With the package convention
@@ -44,7 +45,7 @@ MAX_PAIRS = 3
 
 
 class RationalRotation:
-    """Exact special orthogonal matrix."""
+    """Exact special orthogonal matrix: real, R^T R = I and det R = 1."""
 
     __slots__ = ("mat",)
 
@@ -58,6 +59,8 @@ class RationalRotation:
         m = self.mat
         if m.nrows != m.ncols:
             raise ValueError("rotation matrix must be square")
+        if not m.is_real():
+            raise ValueError("rotation matrix is not real")
         if m.transpose() @ m != identity(m.nrows):
             raise ValueError("matrix is not orthogonal")
         if det(m) != 1:
@@ -65,17 +68,29 @@ class RationalRotation:
 
 
 class SpinElement:
-    """An even product of unit vectors, acting exactly on spinors."""
+    """An even product of unit vectors, acting exactly on spinors.
+
+    The constructor certifies the word (even length, n components and unit
+    norm, on integer numerators) and forms its spinor matrix; ``_derived``
+    is the one other route, for products and negation."""
 
     __slots__ = ("rep", "spinor_mat", "word")
 
-    def __init__(self, rep: GammaRep, word: Sequence[tuple]):
-        self.rep = rep
-        self.word = tuple(tuple(v) for v in word)
-        mat = clifford_mat(rep, self.word[0]) if self.word else identity(rep.s)
-        for v in self.word[1:]:
+    def __init__(self, rep: GammaRep, word: Sequence[Sequence]):
+        word = tuple(tuple(v) for v in word)
+        if len(word) % 2:
+            raise ValueError(f"word length {len(word)} is odd")
+        for v in word:
+            if len(v) != rep.n:
+                raise ValueError(f"vector length {len(v)} != n = {rep.n}")
+            # |v|^2 = 1 as an integer identity: with v = w / e, sum w_k^2 = e^2
+            e = lcm(*(x.denominator for x in v))
+            if sum((x.numerator * (e // x.denominator)) ** 2 for x in v) != e * e:
+                raise ValueError(f"vector {v} has squared norm {vdot(v, v)} != 1")
+        mat = clifford_mat(rep, word[0]) if word else identity(rep.s)
+        for v in word[1:]:
             mat = times_clifford(mat, rep, v)
-        self.spinor_mat = mat
+        self.rep, self.word, self.spinor_mat = rep, word, mat
 
     @classmethod
     def _derived(cls, rep: GammaRep, word: tuple, spinor_mat: Matrix) -> "SpinElement":
@@ -120,21 +135,6 @@ class SpinElement:
 
     def __repr__(self):
         return f"SpinElement(n={self.rep.n}, word_len={len(self.word)})"
-
-
-def spin_from_unit_vectors(rep: GammaRep, vs: Sequence[Sequence]) -> SpinElement:
-    """Build the Spin(n) element given by an even word of exact unit vectors."""
-    word = tuple(tuple(v) for v in vs)
-    if len(word) % 2:
-        raise ValueError(f"word length {len(word)} is odd")
-    for v in word:
-        if len(v) != rep.n:
-            raise ValueError(f"vector length {len(v)} != n = {rep.n}")
-        # |v|^2 = 1 as an integer identity: with v = w / e, sum w_k^2 = e^2
-        e = lcm(*(x.denominator for x in v))
-        if sum((x.numerator * (e // x.denominator)) ** 2 for x in v) != e * e:
-            raise ValueError(f"vector {v} has squared norm {vdot(v, v)} != 1")
-    return SpinElement(rep, word)
 
 
 def rho_n(a: SpinElement) -> RationalRotation:
@@ -213,7 +213,7 @@ def spin_rotation_generator(rep: GammaRep, p: CirclePoint) -> SpinElement:
         raise ValueError("need n >= 2")
     w = (p.c, p.d) + (0,) * (rep.n - 2)
     e1 = (1,) + (0,) * (rep.n - 1)
-    return spin_from_unit_vectors(rep, (w, e1))
+    return SpinElement(rep, (w, e1))
 
 
 def so2_block(p: CirclePoint, n_rest: int) -> Matrix:
@@ -263,11 +263,6 @@ def gamma_c_mat(x: SpinCElement) -> Matrix:
     return x.spin.spinor_mat.scaled(x.phase.as_gaussian())
 
 
-def gamma_c_act(x: SpinCElement, psi: Sequence) -> tuple:
-    """Spinor action of a Spin^c class."""
-    return gamma_c_mat(x).apply(psi)
-
-
 def is_in_u1_subgroup(x: SpinCElement) -> bool:
     """Membership in the central circle {<p, 1>}."""
     return x.spin.is_central()
@@ -296,7 +291,7 @@ def iota_embed(x: SpinCElement, big_rep: GammaRep) -> SpinElement:
     word = [e1, partner]
     for v in x.spin.word:
         word.append((0, 0) + tuple(v))
-    return spin_from_unit_vectors(big_rep, word)
+    return SpinElement(big_rep, word)
 
 
 # -- stabilizer groups of the base frame --------------------------------------
@@ -376,7 +371,7 @@ def hc_inverse(so2: CirclePoint, x: SpinCElement) -> PhaseTriple:
 def random_spin(rep: GammaRep, rng: Random) -> SpinElement:
     """Seeded word of 2k unit vectors, k <= MAX_PAIRS (bounded entry growth)."""
     k = rng.randint(1, MAX_PAIRS)
-    return spin_from_unit_vectors(rep, [unit_vector(rng, rep.n) for _ in range(2 * k)])
+    return SpinElement(rep, [unit_vector(rng, rep.n) for _ in range(2 * k)])
 
 
 def random_spinc(rep: GammaRep, rng: Random) -> SpinCElement:

@@ -19,8 +19,8 @@ these, with J = [[0, 1], [-1, 0]]:
   first two rows and the rest, and all checks stay rational.
 
 The rotations A and B that act on frames and planes arrive certified, as
-``spin.RationalRotation``s (R^T R = I and det R = 1), and the actions check
-only their orders.  An oriented plane is certified as a point of the Plucker
+``spin.RationalRotation``s (real, R^T R = I and det R = 1), and the actions
+check only their orders.  An oriented plane is certified as a point of the Plucker
 embedding by ``linalg.is_unit_two_vector``: one identity through a pivot
 entry makes o decomposable, and a norm makes it the unit 2-vector of an
 orthonormal pair, with no matrix product and no elimination.
@@ -42,11 +42,13 @@ J = Matrix([[0, 1], [-1, 0]])
 
 
 class Frame2:
-    """Exact orthonormal 2-frame in R^{n+2}: the k x 2 matrix (v1 | v2)."""
+    """Exact orthonormal 2-frame in R^{n+2}: the real k x 2 matrix (v1 | v2)."""
 
     __slots__ = ("mat",)
 
     def __init__(self, mat: Matrix):
+        if not mat.is_real():
+            raise ValueError("frame is not real")
         if mat.transpose() @ mat != identity(2):  # also fixes two columns
             raise ValueError("frame columns are not an orthonormal pair")
         self.mat = mat
@@ -62,7 +64,7 @@ class Frame2:
 
 
 class StiefelTangent:
-    """Tangent (w1 | w2) at a frame F: the linearized orthonormality
+    """Real tangent (w1 | w2) at a frame F: the linearized orthonormality
     F^T W + W^T F = 0 holds.  The 2 x 2 pairing G = F^T W that the check
     forms is kept: the contact form and the contact distribution read it.
     Equality compares the base and W, not the pairing they determine."""
@@ -73,6 +75,8 @@ class StiefelTangent:
         f = base.mat
         if mat.shape != f.shape:
             raise ValueError("tangent does not have the frame's shape")
+        if not mat.is_real():
+            raise ValueError("tangent is not real")
         g = f.transpose() @ mat
         if not (g + g.transpose()).is_zero():
             raise ValueError("tangent violates the linearized orthonormality")

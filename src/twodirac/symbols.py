@@ -36,7 +36,7 @@ for a real covector.  The generators are anti-hermitian, so M_i^dagger =
 -M_i and s1^dagger K = [M2^dagger, -M1^dagger] = [-M2, M1] = s3.  The blocks
 -q1 I and q2 I are real scalars, and -(-P - 2b I)^dagger = M1 M2 + 2b I =
 -P.  Conversely, M(X)^dagger = -M(conj X), so (a) holds exactly when X is
-real: a non-real covector is refused, like a faulted builder.
+real, and ``Covector`` takes int and ``Fraction`` components only.
 
 Ellipticity amounts to ranks (s, s, s) for every nonzero covector, checked
 here in exact arithmetic with an optional floating-point mirror.  Only
@@ -77,13 +77,20 @@ MODES = ("exact", "float")
 
 
 class Covector:
-    """A cotangent vector, viewed as a pair of vectors in R^n."""
+    """A cotangent vector, viewed as a pair of vectors in R^n with int or
+    ``Fraction`` components."""
 
     __slots__ = ("x1", "x2")
 
     def __init__(self, x1: tuple, x2: tuple):
         if len(x1) != len(x2):
             raise ValueError("covector components have different lengths")
+        # an exact type test, as in CirclePoint: s3 = s1^dagger K needs a
+        # real covector, and a float or a bool is no exact coordinate
+        for a in (*x1, *x2):
+            if type(a) not in (int, Fraction):
+                raise ValueError(f"covector components must be int or Fraction, "
+                                 f"got {a!r}")
         self.x1, self.x2 = x1, x2
 
     def __eq__(self, other) -> bool:

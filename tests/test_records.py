@@ -8,10 +8,9 @@ from fractions import Fraction
 import pytest
 
 from twodirac.clifford import GammaRep, build_gamma_rep
-from twodirac.flat import PairField, PolySpinorField
 from twodirac.graded import GradedElement
 from twodirac.linalg import Matrix, identity, submatrix, zeros
-from twodirac.scalars import CirclePoint
+from twodirac.scalars import CirclePoint, gr
 from twodirac.spin import RationalRotation
 from twodirac.stiefel import Frame2, OrientedPlane, StiefelTangent
 from twodirac.symbols import (Covector, ExactnessReport, ScanFailure, ScanReport,
@@ -79,10 +78,6 @@ def test_hashable_values_hash_by_value(make):
     assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
 
 
-def _field(n, s):
-    return PolySpinorField.constant(n, identity(s).col(0))
-
-
 def _triple_with(i, m):
     """The symbols of a covector at n = 3 with symbol i replaced by m(symbol)."""
     triple = list(symbol_matrices(build_gamma_rep(3), Covector((1, 2, 0), (0, 1, 3))))
@@ -92,27 +87,41 @@ def _triple_with(i, m):
 
 @pytest.mark.parametrize("build, error, match", [
     (lambda: Covector((1, 0), (0, 0, 0)), ValueError, "different lengths"),
+    (lambda: Covector((1, gr(0, 1), 0), (0, 0, 0)), ValueError, "int or Fraction"),
+    (lambda: Covector((1, 0, 0), (0, 0.5, 0)), ValueError, "int or Fraction"),
+    (lambda: Covector((True, 0, 0), (0, 1, 0)), ValueError, "int or Fraction"),
     (lambda: CirclePoint(Fraction(1, 2), Fraction(1, 2)), ValueError, "unit circle"),
     (lambda: GradedElement(2, zeros(6, 6)), ValueError, "need n >= 3"),
     (lambda: GradedElement(4, identity(7)), ValueError, "shape"),
     (lambda: GradedElement(4, identity(8)), ValueError, "orthogonal algebra"),
     (lambda: RationalRotation(Matrix([[1, 0]])), ValueError, "square"),
+    # R^T R = I and det R = 1 hold for this complex R
+    (lambda: RationalRotation(Matrix([[Fraction(5, 3), gr(0, Fraction(4, 3))],
+                                      [gr(0, Fraction(-4, 3)), Fraction(5, 3)]])),
+     ValueError, "not real"),
     (lambda: RationalRotation(Matrix([[1, 1], [0, 1]])), ValueError, "not orthogonal"),
     (lambda: RationalRotation(Matrix([[0, 1], [1, 0]])), ValueError, "determinant"),
     (lambda: Frame2(Matrix([[1, 1]] + [[0, 0]] * 4)), ValueError, "orthonormal"),
+    # F^T F = I holds for these complex columns
+    (lambda: Frame2(Matrix([[Fraction(5, 3), 0], [gr(0, Fraction(4, 3)), 0], [0, 1]])),
+     ValueError, "not real"),
     (lambda: StiefelTangent(_frame(), zeros(6, 2)), ValueError, "shape"),
     (lambda: StiefelTangent(_frame(), submatrix(identity(5), 0, 5, 0, 2)), ValueError,
      "linearized"),
+    # i W for the real tangent W = (e3 | e4) keeps F^T W + W^T F = 0
+    (lambda: StiefelTangent(_frame(), submatrix(identity(5), 0, 5, 2, 4).scaled(gr(0, 1))),
+     ValueError, "not real"),
     (lambda: OrientedPlane(identity(5)), ValueError, "unit 2-vector"),
-    (lambda: PairField(_field(3, 2), _field(4, 4)), ValueError, "arity"),
     (lambda: SymbolTriple(*_triple_with(1, lambda m: identity(m.nrows))), AssertionError,
      "s2 @ s1"),
     (lambda: SymbolTriple(*_triple_with(2, lambda m: -m)), AssertionError,
      "s1\\^dagger K"),
-], ids=["Covector", "CirclePoint", "GradedElement-n", "GradedElement-shape",
-        "GradedElement-mirror", "RationalRotation-square", "RationalRotation-orthogonal",
-        "RationalRotation-det", "Frame2", "StiefelTangent-shape", "StiefelTangent-linear",
-        "OrientedPlane", "PairField", "SymbolTriple-product", "SymbolTriple-adjoint"])
+], ids=["Covector", "Covector-gaussian", "Covector-float", "Covector-bool",
+        "CirclePoint", "GradedElement-n", "GradedElement-shape", "GradedElement-mirror",
+        "RationalRotation-square", "RationalRotation-complex",
+        "RationalRotation-orthogonal", "RationalRotation-det", "Frame2", "Frame2-complex",
+        "StiefelTangent-shape", "StiefelTangent-linear", "StiefelTangent-complex",
+        "OrientedPlane", "SymbolTriple-product", "SymbolTriple-adjoint"])
 def test_validating_constructors_refuse_bad_input(build, error, match):
     with pytest.raises(error, match=match):
         build()

@@ -9,7 +9,8 @@ sign convention is flipped with the cache cleared around the patch.
 The failure records each fault produces are pinned by digest, so a change
 in how entries render shows as a changed report, not as a silent one.
 The spin suite also has one fault per record (``SPIN_RECORD_FAULTS``), each
-failing that record alone.
+failing that record alone, and so do the spinc suite's two gamma^c records
+(``SPINC_RECORD_FAULTS``).
 """
 
 import ast
@@ -140,6 +141,26 @@ def test_each_spin_record_fails_alone_under_its_fault(record, monkeypatch):
     name, fault = SPIN_RECORD_FAULTS[record]
     monkeypatch.setattr(SpinElement, name, fault(getattr(SpinElement, name)))
     failures = run_check("spin", 3, 2, 0, "exact").failures
+    assert failures and {f["expected"] for f in failures} == {record}
+
+
+# spinc record -> fault of the suite's gamma_c_mat, the one route of both
+# gamma^c records
+SPINC_RECORD_FAULTS = {
+    "gamma^c well defined": lambda orig: lambda x: x.spin.spinor_mat,
+    "gamma^c action": lambda orig: lambda x: orig(x).transpose(),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("record", SPINC_RECORD_FAULTS)
+def test_each_gamma_c_record_fails_alone_under_its_fault(record, n, monkeypatch):
+    """Dropping the phase breaks <p, a> = <-p, -a> on spinors and keeps the
+    action; transposing keeps the class and reverses products."""
+    assert run_check("spinc", n, 2, 0, "exact").passed
+    monkeypatch.setattr(report, "gamma_c_mat",
+                        SPINC_RECORD_FAULTS[record](report.gamma_c_mat))
+    failures = run_check("spinc", n, 2, 0, "exact").failures
     assert failures and {f["expected"] for f in failures} == {record}
 
 
