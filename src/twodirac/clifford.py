@@ -12,18 +12,20 @@ one nonzero entry ``i**phases[a][i]`` in column ``cols[a][i]``.  Tensoring
 with a Pauli matrix, the chirality product and scaling by a unit keep this
 form, so the build costs O(n s) and forms no dense matrix.  Validation
 certifies the Clifford relations on the permutations and phase exponents,
-row by row, in O(n^2 s).  Every product with a Clifford action goes through
+row by row, in O(n^2 s).  A product with one Clifford action goes through
 ``times_clifford``, m @ sum v_a gamma_a for a real vector v, which is the
 scatter kernel ``linalg.times_signed_perms``: it moves each column of m to
 its permuted place and turns its integer numerators by a power of i, so it
 forms no dense product.  ``clifford_mat`` is the identity times
 sum v_a gamma_a, and a spinor is acted on by
-``clifford_mat(rep, v).apply(psi)``.  Only this module, two ``linalg``
-kernels (the scatter, and ``intertwines``, to which ``spin.rho_n`` hands the
-generators) and ``flat`` (which turns a stack of spinor rows C into
-C gamma^T = -C conj(gamma), the scatter with coefficient -1 and negated
-phases, as anti-hermitian generators allow) read the permutations and
-phases; no generator is stored as a dense matrix.
+``clifford_mat(rep, v).apply(psi)``.  A whole spin word's later letters go
+through ``linalg.times_word`` instead, on packed columns.  Only this module,
+three ``linalg`` kernels (the scatter, and ``times_word`` and
+``intertwines``, to which ``spin`` hands the generators) and ``flat``
+(which turns a stack of spinor rows C into C gamma^T = -C conj(gamma), the
+scatter with coefficient -1 and negated phases, as anti-hermitian
+generators allow) read the permutations and phases; no generator is stored
+as a dense matrix.
 """
 
 from __future__ import annotations

@@ -12,17 +12,23 @@ when integral and a ``Fraction`` when not.
 Sums, differences, stacks, scaling and products work on the numerators: a
 sum or difference is one pass, and a product is one integer kernel, summing
 only nonzero terms, over the parts that are not zero.
-A product with a sum of signed permutations, m @ sum_k c_k P_k (Clifford
-matrices and spin words) with rational c_k, is a second kernel,
-``times_signed_perms``: it scatters m's numerators to their permuted places,
-multiplying only integers, and forms no dense factor.  Two kernels only move
+A product with a sum of signed permutations, m @ sum_k c_k P_k (a Clifford
+matrix, a symbol's letters, the flat operator's turned blocks) with rational
+c_k, is a second kernel, ``times_signed_perms``: it scatters m's numerators
+to their permuted places, multiplying only integers, and forms no dense
+factor.  A product with a whole spin word of such sums is ``times_word``,
+and the rotation of the word, the product of its reflections, is
+``reflections``; both run on columns packed into single integers (Kronecker
+substitution), one digit per row, in a digit width that no entry of the
+result can overflow, and unpack once at the end.  Two kernels only move
 or drop numerators: ``masked`` zeroes the entries where a 0/1 mask is zero,
 and ``mirrored`` forms -P m^T P^T for a square m and a permutation matrix P,
 whose entry (r, c) is -m[perm[c]][perm[r]].
 ``is_unit_two_vector`` reads the numerators once to certify an oriented
 plane's unit 2-vector, by one pivot Plucker identity and a norm, with no
-product; ``frobenius_sq`` sums the squared numerators once, and
-``scalar_of`` reads the c of a scalar matrix c I.
+product; ``has_orthonormal_columns`` certifies m^T m = I from the column
+dot products of the numerators; ``frobenius_sq`` sums the squared
+numerators once, and ``scalar_of`` reads the c of a scalar matrix c I.
 ``support`` reads the positions of a matrix's nonzero entries off its
 numerators once, and ``cleared`` is m times its common denominator, the
 matrix of its integer numerators.
@@ -49,9 +55,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from math import gcd, lcm
-from operator import add, mul, neg, or_, sub
+from operator import add, itemgetter, lshift, mul, neg, or_, sub
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .scalars import GaussianRational
@@ -565,6 +571,145 @@ def intertwines(m: Matrix, cols: Sequence[Sequence[int]], phases: Sequence[Seque
         weight = sum(x << (alpha * k) for alpha, x in enumerate(row))
         rhs = tuple(map(add, rhs, map(weight.__mul__, map(signed.__getitem__, right))))
     return lhs == rhs
+
+
+def _packing_width(bound: int) -> int:
+    """The least digit width k with bound < 2**(k - 1): a signed digit of
+    absolute value at most ``bound`` fits in k bits."""
+    return bound.bit_length() + 1
+
+
+def _pack(digits: Iterable[int], k: int) -> int:
+    """sum_r digits[r] 2**(k r), the digits signed and lowest first."""
+    return sum(map(lshift, digits, count(0, k)))
+
+
+def _unpack(packed: Sequence[int], k: int, size: int) -> list:
+    """The ``size`` signed digits of each packed integer, lowest first, for
+    digits d with |d| < 2**(k - 1).
+
+    Adding 2**(k - 1) to every digit puts each in [0, 2**k), so the digits
+    of the offset integer are its k-bit fields, with no borrow between
+    them.  Digits in that range are unique, so they are the ones the
+    integer was formed from, however it was formed."""
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    offset = half * ((1 << (k * size)) - 1) // mask  # sum_r 2**(k - 1) 2**(k r)
+    shifts = range(0, k * size, k)
+    return [tuple([((q >> r) & mask) - half for r in shifts])
+            for q in [p + offset for p in packed]]
+
+
+@lru_cache(maxsize=None)
+def _column_moves(cols: Tuple[Tuple[int, ...], ...],
+                  phases: Tuple[Tuple[int, ...], ...]) -> tuple:
+    """One gather per signed permutation g_a of size s (row j has
+    i**phases[a][j] in column cols[a][j]), from the signed packed columns of
+    a matrix m to the packed columns of m g_a.
+
+    The signed packed columns are the real parts of m's s columns, their
+    imaginary parts, then the negatives of all 2 s; the packed columns of
+    m g_a are its real parts, then its imaginary parts.  Column j of m goes
+    to column cols[a][j], and the turn by i**phases[a][j] picks the part and
+    the sign that land in each of its two slots."""
+    s = len(cols[0])
+    gathers = []
+    for ca, pa in zip(cols, phases):
+        spots = [0] * (2 * s)
+        for j, (t, p) in enumerate(zip(ca, pa)):
+            for part in (0, 1):
+                src, sign = _TURNS[p % 4][part]
+                spots[part * s + t] = src * s + j + (0 if sign == 1 else 2 * s)
+        gathers.append(itemgetter(*spots))
+    return tuple(gathers)
+
+
+def times_word(m: Matrix, cols: Sequence[Sequence[int]], phases: Sequence[Sequence[int]],
+               words: Sequence[Sequence[int]], den: int) -> Matrix:
+    """m @ prod_l (sum_a w_la g_a) / den, the factors in the order of
+    ``words``, for integer vectors w_l, an integer den > 0 and the n signed
+    permutations g_a of size s (row j of g_a has i**phases[a][j] in column
+    cols[a][j]).
+
+    The real and the imaginary numerators of each column of m are packed
+    once into one integer each, a row to a signed k-bit digit.  A factor
+    then costs, for each generator with w_la != 0, one gather of the 2 s
+    packed columns and as many big-integer multiply-adds: column t of
+    m g_a is column j of m, for the j that g_a moves to t, turned by a power
+    of i, which only picks a part and a sign (``_column_moves``).  Packing
+    is linear, so the result's packed columns carry its numerators as
+    digits.  With M the largest numerator of m, no numerator of the result
+    exceeds M prod_l sum_a |w_la| in absolute value (each factor adds at
+    most sum_a |w_la| entries of the previous one per entry), and k is
+    chosen above twice that, so no digit carries and one unpack reads them.
+    The result is stored over m's denominator times den.
+    """
+    n, s = len(cols), m.ncols
+    if any(len(c) != s for c in cols) or any(len(w) != n for w in words):
+        raise ValueError(f"shape mismatch: {n} generators of size "
+                         f"{tuple(map(len, cols))}, m {m.shape}, "
+                         f"words of length {tuple(map(len, words))}")
+    re, im = m._re, _imag(m)
+    largest = max(map(abs, chain(chain.from_iterable(re), chain.from_iterable(im))))
+    for w in words:
+        largest *= sum(map(abs, w))
+    k = _packing_width(largest)
+    gathers = _column_moves(tuple(map(tuple, cols)), tuple(map(tuple, phases)))
+    packed = [_pack(c, k) for c in chain(zip(*re), zip(*im))]
+    zero = [0] * (2 * s)
+    for w in words:
+        signed = packed + list(map(neg, packed))
+        packed = zero
+        for x, gather in zip(w, gathers):
+            if x:
+                packed = list(map(add, packed, map(x.__mul__, gather(signed))))
+    out = _unpack(packed, k, m.nrows)
+    return _stored(tuple(zip(*out[:s])), tuple(zip(*out[s:])), m._den * den)
+
+
+def reflections(letters: Sequence[Tuple[Sequence[int], int]], n: int) -> Matrix:
+    """The product of the reflections 2 v v^T - I over the letters v = p / e,
+    in their order, for integer vectors p of length n and integers e > 0
+    with sum p_a^2 = e^2.
+
+    The running product R is kept as integer numerators over one
+    denominator, one packed integer per column, a row to a signed k-bit
+    digit.  R (2 v v^T - I) is (2 (R p) p^T - e^2 R) / e^2, so a letter
+    forms R p = sum_a p_a R_a once and then sets each column
+    R_j <- 2 p_j (R p) - e^2 R_j: 3 n big-integer multiplications, and no
+    reflection matrix.  Each letter multiplies the largest numerator by at
+    most 2 ||p||_1^2 + e^2, starting from 1, and k is chosen above twice
+    the product of those factors, so one unpack reads the rows.
+    """
+    bound = 1
+    for p, e in letters:
+        if len(p) != n:
+            raise ValueError(f"letter of length {len(p)} != n = {n}")
+        bound *= 2 * sum(map(abs, p)) ** 2 + e * e
+    k = _packing_width(bound)
+    packed = [1 << (k * j) for j in range(n)]
+    den = 1
+    for p, e in letters:
+        e2 = e * e
+        moved = 2 * sum(map(mul, p, packed))
+        packed = list(map(sub, map(moved.__mul__, p), map(e2.__mul__, packed)))
+        den *= e2
+    return _stored(tuple(zip(*_unpack(packed, k, n))), None, den)
+
+
+def has_orthonormal_columns(m: Matrix) -> bool:
+    """Whether m is real with m^T m = I, from the column dot products of its
+    numerators: over the denominator e, each column's squared norm is e^2
+    and each pair of columns is orthogonal.  A complex matrix is refused.
+    O(c^2 r) integer operations for c columns of r rows, and no transpose,
+    product or identity is formed."""
+    if m._im is not None:
+        return False
+    e2 = m._den ** 2
+    cols = tuple(zip(*m._re))
+    for i, u in enumerate(cols):
+        if sum(map(mul, u, u)) != e2 or any(sum(map(mul, u, v)) for v in cols[i + 1:]):
+            return False
+    return True
 
 
 def row_map(m: Matrix, rows: Sequence[Sequence[Tuple[int, int]]]) -> Matrix:

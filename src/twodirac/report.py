@@ -298,6 +298,9 @@ def _check_embedding(n: int, samples: int, seed: int, mode: str) -> List[Failure
         emb_y = iota_embed(y, big)
         if iota_embed(x * y, big) != emb * emb_y:
             fails.append(_fail(f"pair {idx}", "iota homomorphism", "differs"))
+        # no single-point fault fails this record alone (the argument is at
+        # EMBEDDING_UNREACHED in tests/test_suite_faults.py); it stays as the
+        # direct check that iota is faithful on the sampled pairs
         if x != y and emb_y == emb:
             fails.append(_fail(f"pair {idx}", "iota injective", "collision"))
     kernel = (SpinCElement(CIRCLE_ONE, one), SpinCElement(CIRCLE_MINUS_ONE, one))

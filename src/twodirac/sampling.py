@@ -3,9 +3,9 @@
 Everything here is driven by ``random.Random`` instances, so a fixed seed
 reproduces the same rational data bit for bit.  Unit vectors come from the
 rational parametrization of the sphere (inverse stereographic projection),
-rotations from products of Givens rotations at rational circle points; both
-tricks keep all invariants exact without any normalization step that could
-fail.
+drawn straight as ``UnitVector`` numerators, and rotations from products of
+Givens rotations at rational circle points; both tricks keep all invariants
+exact without any normalization step that could fail.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from random import Random
 from typing import List, Tuple
 
 from .linalg import Matrix, identity, vdot
-from .scalars import CirclePoint
+from .scalars import CirclePoint, UnitVector
 
 INT_LO, INT_HI = -9, 9
 
@@ -37,28 +37,28 @@ def rational_fraction(rng: Random) -> Fraction:
     return Fraction(*_ratio(rng))
 
 
-def unit_vector(rng: Random, n: int) -> tuple:
+def unit_vector(rng: Random, n: int) -> UnitVector:
     """Exact rational unit vector in R^n via stereographic projection.
 
     The point z in R^(n-1) maps to (2z, |z|^2 - 1) / (|z|^2 + 1); with
     z = a / b over one denominator b that is the integer form
     (2ab, |a|^2 - b^2) / (|a|^2 + b^2), whose unit norm is an integer
-    identity.
+    identity that ``UnitVector.over`` certifies.  The numerators are then
+    shuffled and each negated at one ``rng.random()`` draw, so no
+    ``Fraction`` is formed.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
-        return (rng.choice((-1, 1)),)
+        return UnitVector.over((rng.choice((-1, 1)),), 1)
     z = [(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n - 1)]
     b = lcm(*(d for _, d in z))
     a = [x * (b // d) for x, d in z]
     na = sum(x * x for x in a)
-    den = na + b * b
     v = [2 * x * b for x in a] + [na - b * b]
-    assert sum(x * x for x in v) == den * den
     # random signed permutation for coordinate coverage
     rng.shuffle(v)
-    return tuple(Fraction(x if rng.random() < 0.5 else -x, den) for x in v)
+    return UnitVector.over([x if rng.random() < 0.5 else -x for x in v], na + b * b)
 
 
 def circle_point(rng: Random) -> CirclePoint:

@@ -1,17 +1,22 @@
-"""Exact scalars: Gaussian rationals and rational points on the unit circle.
+"""Exact scalars: Gaussian rationals, rational points on the unit circle and
+rational unit vectors.
 
 All linear algebra in this package runs over these types, so every equality
 test downstream is decidable and free of rounding.  ``GaussianRational``
 components are plain ints while they are integral (cheap arithmetic) and
 ``fractions.Fraction`` only when division makes them genuinely fractional.
 A ``CirclePoint`` is integer numerators over one denominator: its arithmetic
-is integer arithmetic, certified point by point by c**2 + d**2 = e**2.
+is integer arithmetic, certified point by point by c**2 + d**2 = e**2.  A
+``UnitVector``, the letter of a spin word, is stored the same way, integer
+numerators w over e certified by sum w_a**2 = e**2, and the spin kernels
+read its numerators directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Union
 
 Rational = Union[int, Fraction]
@@ -214,6 +219,63 @@ class CirclePoint:
 
     def is_real(self) -> bool:
         return not self.numerators[1]
+
+
+class UnitVector:
+    """An exact rational unit vector w / e, ``sum w_a**2 = e**2``.
+
+    Stored as integer numerators ``w`` (a tuple) over one denominator e > 0
+    in lowest terms, so ``==`` compares the storage.  Every construction goes
+    through ``over``, which certifies the norm on integers; rational
+    components pass the exact int/``Fraction`` type test ``CirclePoint``
+    makes first.  The components read back by value, an int when integral
+    and else a ``Fraction``, through ``len``, indexing and iteration.
+    """
+
+    __slots__ = ("w", "e")
+
+    def __new__(cls, components):
+        v = tuple(components)
+        # an exact type test: a float, bool or GaussianRational is refused
+        if any(type(x) not in (int, Fraction) for x in v):
+            raise ValueError(f"unit vector components must be int or Fraction, got {v!r}")
+        e = lcm(*(x.denominator for x in v))
+        return cls.over(tuple(x.numerator * (e // x.denominator) for x in v), e)
+
+    @classmethod
+    def over(cls, w, e: int) -> "UnitVector":
+        """The vector w / e for integers w and e > 0."""
+        if e <= 0:
+            raise ValueError(f"unit vector denominator {e} is not positive")
+        norm = sum(map(mul, w, w))
+        if norm != e * e:
+            values = tuple(_normalize(Fraction(x, e)) for x in w)
+            raise ValueError(f"vector {values} has squared norm "
+                             f"{_normalize(Fraction(norm, e * e))} != 1")
+        g = gcd(e, *w)
+        v = object.__new__(cls)
+        v.w, v.e = tuple(x // g for x in w), e // g
+        return v
+
+    def __len__(self) -> int:
+        return len(self.w)
+
+    def __getitem__(self, a: int) -> Rational:
+        return _normalize(Fraction(self.w[a], self.e))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.w)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UnitVector):
+            return NotImplemented
+        return self.w == other.w and self.e == other.e
+
+    def __hash__(self):
+        return hash((self.w, self.e))
+
+    def __repr__(self) -> str:
+        return f"UnitVector({tuple(self)!r})"
 
 
 CIRCLE_ONE = CirclePoint(1, 0)

@@ -1,21 +1,26 @@
 """Spin(n), Spin^c(n), their projections to rotations, and the stabilizer maps.
 
 Group elements are stored as exact spinor matrices together with the
-generating word of rational unit vectors; the constructor certifies the word
-(even length, unit norms), and the spinor matrix is always the product of
-the word's Clifford matrices, never taken from a caller.  The
-first letter's matrix is ``clifford.clifford_mat``, and each later letter v
-is applied as mat <- mat (sum_a v_a gamma_a) by ``clifford.times_clifford``;
-both are scatters over the gammas' signed permutations, so no product is
-formed.  The induced rotation R is composed from the word's line reflections
-on integer numerators, with no reflection matrix, and certified against the
-spinor matrix S with no matrix product either: S intertwines the generators
-with their images, S gamma_alpha = C_alpha S with C_alpha the Clifford action
-of column alpha of R (one ``linalg.intertwines`` call, which decides all n
-identities on S's moved numerators), and ||S||_F^2 = s; ``rho_n`` proves
-that the two give S gamma_alpha S^dagger = C_alpha.  Rotations are certified
-once, by ``RationalRotation``: R is real, R^T R = I and det R = 1.  A Spin^c
-class acts on spinors by its one matrix, ``gamma_c_mat``.
+generating word of rational unit vectors, each letter a ``UnitVector``
+(integer numerators over one denominator); the constructor certifies the
+word (even length, n components and unit norms), and the spinor matrix is
+always the product of the word's Clifford matrices, never taken from a
+caller.  The first letter's matrix is ``clifford.clifford_mat`` of its
+numerators, a scatter over the gammas' signed permutations, and all later
+letters are applied in one ``linalg.times_word`` call, which multiplies the
+matrix's packed columns by every letter in turn and divides by the product
+of the letters' denominators once; no product of matrices is formed.  The
+induced rotation R is the product of the word's line reflections, formed on
+packed integer columns by ``linalg.reflections`` with no reflection matrix,
+and certified against the spinor matrix S with no matrix product either: S
+intertwines the generators with their images, S gamma_alpha = C_alpha S
+with C_alpha the Clifford action of column alpha of R (one
+``linalg.intertwines`` call, which decides all n identities on S's moved
+numerators), and ||S||_F^2 = s; ``rho_n`` proves that the two give
+S gamma_alpha S^dagger = C_alpha.  Rotations are certified once, by
+``RationalRotation``: R is real, R^T R = I (one pass of column dot products)
+and det R = 1.  A Spin^c class acts on spinors by its one matrix,
+``gamma_c_mat``.
 The gammas are anti-hermitian (the gamma build certifies it), so the spinor
 matrix S of a word of unit vectors is unitary and its inverse is the adjoint
 S^dagger; no inverse is computed or stored.  With the package convention
@@ -29,15 +34,15 @@ the inverse stabilizer maps is carried as a witness on the point itself.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-from operator import mul
+from functools import lru_cache
+from math import prod
 from random import Random
 from typing import Sequence, Tuple
 
-from .clifford import GammaRep, clifford_mat, times_clifford
-from .linalg import Matrix, det, frobenius_sq, identity, intertwines, vdot
-from .scalars import CIRCLE_ONE, CirclePoint
+from .clifford import GammaRep, clifford_mat
+from .linalg import (Matrix, det, frobenius_sq, has_orthonormal_columns, identity,
+                     intertwines, reflections, times_word)
+from .scalars import CIRCLE_ONE, CirclePoint, UnitVector
 from .sampling import circle_point, circle_point_with_half, givens, unit_vector
 
 # random_spin draws words of at most this many pairs of unit vectors
@@ -45,7 +50,11 @@ MAX_PAIRS = 3
 
 
 class RationalRotation:
-    """Exact special orthogonal matrix: real, R^T R = I and det R = 1."""
+    """Exact special orthogonal matrix: real, R^T R = I and det R = 1.
+
+    Orthogonality is read off the column dot products of R's numerators
+    (``linalg.has_orthonormal_columns``), and det R by the Bareiss
+    elimination."""
 
     __slots__ = ("mat",)
 
@@ -61,7 +70,7 @@ class RationalRotation:
             raise ValueError("rotation matrix must be square")
         if not m.is_real():
             raise ValueError("rotation matrix is not real")
-        if m.transpose() @ m != identity(m.nrows):
+        if not has_orthonormal_columns(m):
             raise ValueError("matrix is not orthogonal")
         if det(m) != 1:
             raise ValueError("matrix has determinant != 1")
@@ -72,24 +81,22 @@ class SpinElement:
 
     The constructor certifies the word (even length, n components and unit
     norm, on integer numerators) and forms its spinor matrix; ``_derived``
-    is the one other route, for products and negation."""
+    is the one other route, for products and negation.  A letter that is
+    not a ``UnitVector`` is converted once, and a float, bool or
+    non-real component is refused as ``UnitVector`` refuses it."""
 
     __slots__ = ("rep", "spinor_mat", "word")
 
     def __init__(self, rep: GammaRep, word: Sequence[Sequence]):
-        word = tuple(tuple(v) for v in word)
+        word = tuple(word)
         if len(word) % 2:
             raise ValueError(f"word length {len(word)} is odd")
-        for v in word:
-            if len(v) != rep.n:
-                raise ValueError(f"vector length {len(v)} != n = {rep.n}")
-            # |v|^2 = 1 as an integer identity: with v = w / e, sum w_k^2 = e^2
-            e = lcm(*(x.denominator for x in v))
-            if sum((x.numerator * (e // x.denominator)) ** 2 for x in v) != e * e:
-                raise ValueError(f"vector {v} has squared norm {vdot(v, v)} != 1")
-        mat = clifford_mat(rep, word[0]) if word else identity(rep.s)
-        for v in word[1:]:
-            mat = times_clifford(mat, rep, v)
+        word = tuple(_letter(v, rep.n) for v in word)
+        if word:
+            mat = times_word(clifford_mat(rep, word[0].w), rep.cols, rep.phases,
+                             [v.w for v in word[1:]], prod(v.e for v in word))
+        else:
+            mat = identity(rep.s)
         self.rep, self.word, self.spinor_mat = rep, word, mat
 
     @classmethod
@@ -107,7 +114,7 @@ class SpinElement:
 
     @classmethod
     def minus_one(cls, rep: GammaRep) -> "SpinElement":
-        e1 = (1,) + (0,) * (rep.n - 1)
+        e1 = _axis(rep.n)
         return cls(rep, (e1, e1))
 
     def __mul__(self, other: "SpinElement") -> "SpinElement":
@@ -119,7 +126,7 @@ class SpinElement:
     def __neg__(self) -> "SpinElement":
         """self * minus_one: the word gains (e1, e1), whose matrix is
         gamma_1 gamma_1 = -I (certified by ``build_gamma_rep``)."""
-        e1 = (1,) + (0,) * (self.rep.n - 1)
+        e1 = _axis(self.rep.n)
         return SpinElement._derived(self.rep, self.word + (e1, e1), -self.spinor_mat)
 
     def is_central(self) -> bool:
@@ -137,13 +144,31 @@ class SpinElement:
         return f"SpinElement(n={self.rep.n}, word_len={len(self.word)})"
 
 
+def _letter(v, n: int) -> UnitVector:
+    """The letter v as a ``UnitVector`` of n components: a no-op for one."""
+    if type(v) is not UnitVector:
+        v = tuple(v)
+        if len(v) != n:
+            raise ValueError(f"vector length {len(v)} != n = {n}")
+        return UnitVector(v)
+    if len(v.w) != n:
+        raise ValueError(f"vector length {len(v.w)} != n = {n}")
+    return v
+
+
+@lru_cache(maxsize=None)
+def _axis(n: int) -> UnitVector:
+    """The first coordinate vector e1 of R^n (a UnitVector is immutable)."""
+    return UnitVector.over((1,) + (0,) * (n - 1), 1)
+
+
 def rho_n(a: SpinElement) -> RationalRotation:
     """The rotation induced by conjugation on vectors (the 2:1 covering).
 
     Conjugation by a unit vector v is w -> 2<v, w> v - w, so the rotation R
     of the word v1..vk is the product of the reflections 2 v v^T - I in word
-    order, composed on integer numerators by ``_reflections``.  It is
-    certified against the spinor matrix S by two identities, neither of
+    order, composed on packed integer columns by ``linalg.reflections``.  It
+    is certified against the spinor matrix S by two identities, neither of
     which forms a matrix product:
 
     * intertwining, S gamma_alpha = C_alpha S for every alpha, where
@@ -171,35 +196,12 @@ def rho_n(a: SpinElement) -> RationalRotation:
     products with S^dagger cost O(n s^3).
     """
     rep = a.rep
-    mat = _reflections(a.word, rep.n)
+    mat = reflections([(v.w, v.e) for v in a.word], rep.n)
     s_mat = a.spinor_mat
     if frobenius_sq(s_mat) != rep.s or not intertwines(s_mat, rep.cols, rep.phases, mat):
         raise ValueError("spinor matrix does not conjugate the gammas by "
                          "the rotation of its word")
     return RationalRotation(mat)
-
-
-def _reflections(word: Sequence[tuple], n: int) -> Matrix:
-    """The product of the reflections 2 v v^T - I over the word, in word order.
-
-    The running product is kept as integer numerators R over one
-    denominator.  For v = p / e with p integral, R (2 v v^T - I) is
-    (2 (R p) p^T - e^2 R) / e^2, so each letter costs O(n^2) integer
-    operations and no reflection matrix is formed.
-    """
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    den = 1
-    for v in word:
-        e = lcm(*(x.denominator for x in v))
-        p = [x.numerator * (e // x.denominator) for x in v]
-        e2 = e * e
-        new = []
-        for r in rows:
-            k = 2 * sum(map(mul, r, p))
-            new.append([k * y - e2 * x for x, y in zip(r, p)])
-        rows = new
-        den *= e2
-    return Matrix(rows).scaled(Fraction(1, den))
 
 
 def spin_rotation_generator(rep: GammaRep, p: CirclePoint) -> SpinElement:
@@ -211,9 +213,9 @@ def spin_rotation_generator(rep: GammaRep, p: CirclePoint) -> SpinElement:
     """
     if rep.n < 2:
         raise ValueError("need n >= 2")
-    w = (p.c, p.d) + (0,) * (rep.n - 2)
-    e1 = (1,) + (0,) * (rep.n - 1)
-    return SpinElement(rep, (w, e1))
+    c, d, e = p.numerators
+    w = UnitVector.over((c, d) + (0,) * (rep.n - 2), e)
+    return SpinElement(rep, (w, _axis(rep.n)))
 
 
 def so2_block(p: CirclePoint, n_rest: int) -> Matrix:
@@ -286,11 +288,10 @@ def iota_embed(x: SpinCElement, big_rep: GammaRep) -> SpinElement:
     n = x.spin.rep.n
     if big_rep.n != n + 2:
         raise ValueError(f"big rep has dimension {big_rep.n}, expected {n + 2}")
-    e1 = (1,) + (0,) * (n + 1)
-    partner = (-x.phase.c, x.phase.d) + (0,) * n
-    word = [e1, partner]
+    c, d, e = x.phase.numerators
+    word = [_axis(n + 2), UnitVector.over((-c, d) + (0,) * n, e)]
     for v in x.spin.word:
-        word.append((0, 0) + tuple(v))
+        word.append(UnitVector.over((0, 0) + v.w, v.e))
     return SpinElement(big_rep, word)
 
 

@@ -32,7 +32,8 @@ from fractions import Fraction
 from random import Random
 from typing import Tuple
 
-from .linalg import Matrix, identity, is_unit_two_vector, submatrix, vstack
+from .linalg import (Matrix, has_orthonormal_columns, identity, is_unit_two_vector,
+                     submatrix, vstack)
 from .sampling import rational_fraction, rotation
 from .scalars import CirclePoint
 from .spin import RationalRotation
@@ -42,14 +43,15 @@ J = Matrix([[0, 1], [-1, 0]])
 
 
 class Frame2:
-    """Exact orthonormal 2-frame in R^{n+2}: the real k x 2 matrix (v1 | v2)."""
+    """Exact orthonormal 2-frame in R^{n+2}: the real k x 2 matrix (v1 | v2),
+    certified by the column dot products of its numerators."""
 
     __slots__ = ("mat",)
 
     def __init__(self, mat: Matrix):
         if not mat.is_real():
             raise ValueError("frame is not real")
-        if mat.transpose() @ mat != identity(2):  # also fixes two columns
+        if mat.ncols != 2 or not has_orthonormal_columns(mat):
             raise ValueError("frame columns are not an orthonormal pair")
         self.mat = mat
 

@@ -8,14 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twodirac.linalg import (_I, _P, Matrix, _bareiss, _rank_mod_p, block, cleared, det,
-                             frobenius_sq, hstack, identity, inverse, masked, mirrored,
-                             rank, rank_bareiss, row_map, scalar_of, submatrix,
-                             support, vstack, zeros)
+                             frobenius_sq, has_orthonormal_columns, hstack, identity,
+                             inverse, masked, mirrored, rank, rank_bareiss, row_map,
+                             scalar_of, submatrix, support, vstack, zeros)
+from twodirac.sampling import rotation, unit_vector
 from twodirac.scalars import GaussianRational, gr
 
 import reference_elimination as field
 import reference_matmul
-from strategies import gaussians, matrices, ratios
+from strategies import gaussians, matrices, ratios, seeds
 
 
 def test_matrix_basics():
@@ -388,3 +389,37 @@ def test_nonzeros_and_cleared_read_the_entries(ab):
         den = lcm(*(_denominator(e) for e in entries.values()))
         assert cleared(m) == m.scaled(den)
         assert all(_denominator(e) == 1 for row in cleared(m).rows for e in row)
+
+
+@st.composite
+def gram_operands(draw) -> Matrix:
+    """k x c matrices, c = 2, c = k or any c: the first c columns of an
+    exact rotation, c unit columns that are seldom orthogonal, small
+    rational entries, or one of these with a column turned by i."""
+    k = draw(st.integers(1, 6))
+    c = draw(st.sampled_from((min(2, k), k, draw(st.integers(1, k)))))
+    rng = Random(draw(seeds))
+    kind = draw(st.sampled_from(("rotation", "unit columns", "entries")))
+    if kind == "rotation":
+        m = submatrix(rotation(rng, k), 0, k, 0, c)
+    elif kind == "unit columns":
+        m = Matrix(zip(*(tuple(unit_vector(rng, k)) for _ in range(c))))
+    else:
+        m = draw(matrices(st.one_of(st.integers(-2, 2), ratios(3, 3)), k, c))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, c - 1))
+        m = Matrix(tuple(gr(0, x) if col == j else x for col, x in enumerate(row))
+                   for row in m.rows)
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(gram_operands())
+@example(Matrix([[1, 1], [0, 0]]))
+@example(Matrix([[Fraction(5, 3), gr(0, Fraction(4, 3))],
+                 [gr(0, Fraction(-4, 3)), Fraction(5, 3)]]))
+def test_gram_pass_agrees_with_the_transpose_product(m):
+    """The column dot products of the numerators decide m^T m = I for a real
+    m, and a complex m is refused even where m^T m = I holds over C."""
+    want = m.is_real() and m.transpose() @ m == identity(m.ncols)
+    assert has_orthonormal_columns(m) is want

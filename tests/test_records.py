@@ -10,8 +10,8 @@ import pytest
 from twodirac.clifford import GammaRep, build_gamma_rep
 from twodirac.graded import GradedElement
 from twodirac.linalg import Matrix, identity, submatrix, zeros
-from twodirac.scalars import CirclePoint, gr
-from twodirac.spin import RationalRotation
+from twodirac.scalars import CirclePoint, UnitVector, gr
+from twodirac.spin import RationalRotation, SpinElement
 from twodirac.stiefel import Frame2, OrientedPlane, StiefelTangent
 from twodirac.symbols import (Covector, ExactnessReport, ScanFailure, ScanReport,
                               SymbolTriple, symbol_matrices, weight_table)
@@ -35,6 +35,14 @@ def test_reprs_match_the_dataclass_reprs():
     assert repr(ScanReport(3, 10, 7, "float", checked=12, passed=True)) == (
         "ScanReport(n=3, samples=10, seed=7, mode='float', checked=12, passed=True, "
         "failures=())")
+
+
+def test_unit_vector_reads_its_components_by_value():
+    v = UnitVector((Fraction(6, 10), 0, Fraction(-8, 10)))
+    assert (v.w, v.e) == ((3, 0, -4), 5) and len(v) == 3
+    assert tuple(v) == (Fraction(3, 5), 0, Fraction(-4, 5)) and type(v[1]) is int
+    assert v == UnitVector.over((6, 0, -8), 10) and v != UnitVector((0, 0, 1))
+    assert repr(v) == "UnitVector((Fraction(3, 5), 0, Fraction(-4, 5)))"
 
 
 def test_circle_point_half_is_provenance_only():
@@ -66,12 +74,13 @@ def _rebuilt_gamma_rep(n):
     lambda: Covector((1, -2, 0), (0, 3, 1)),
     lambda: Covector((Fraction(1, 2), 0, 0), (0, Fraction(-3, 4), 1)),
     lambda: CirclePoint(Fraction(3, 5), Fraction(-4, 5)),
+    lambda: UnitVector((Fraction(3, 5), 0, Fraction(-4, 5))),
     lambda: _rebuilt_gamma_rep(3),
     lambda: ExactnessReport(2, 2, 2, 2),
     lambda: ScanFailure(Covector((1,), (0,)), None, "s2 @ s1 != 0"),
     lambda: ScanReport(3, 10, 7, "exact", checked=12, passed=True),
     lambda: weight_table(3)],
-    ids=["Covector", "Covector-fractions", "CirclePoint", "GammaRep",
+    ids=["Covector", "Covector-fractions", "CirclePoint", "UnitVector", "GammaRep",
          "ExactnessReport", "ScanFailure", "ScanReport", "WeightTable"])
 def test_hashable_values_hash_by_value(make):
     a, b = make(), make()
@@ -91,6 +100,14 @@ def _triple_with(i, m):
     (lambda: Covector((1, 0, 0), (0, 0.5, 0)), ValueError, "int or Fraction"),
     (lambda: Covector((True, 0, 0), (0, 1, 0)), ValueError, "int or Fraction"),
     (lambda: CirclePoint(Fraction(1, 2), Fraction(1, 2)), ValueError, "unit circle"),
+    (lambda: UnitVector((Fraction(1, 2), 0)), ValueError, "squared norm 1/4 != 1"),
+    (lambda: UnitVector.over((3, 4), -5), ValueError, "not positive"),
+    (lambda: SpinElement(build_gamma_rep(3), [(0.6, 0.8, 0), (1, 0, 0)]), ValueError,
+     "int or Fraction"),
+    (lambda: SpinElement(build_gamma_rep(3), [(True, 0, 0), (1, 0, 0)]), ValueError,
+     "int or Fraction"),
+    (lambda: SpinElement(build_gamma_rep(3), [(gr(0, 1), 0, 0), (1, 0, 0)]), ValueError,
+     "int or Fraction"),
     (lambda: GradedElement(2, zeros(6, 6)), ValueError, "need n >= 3"),
     (lambda: GradedElement(4, identity(7)), ValueError, "shape"),
     (lambda: GradedElement(4, identity(8)), ValueError, "orthogonal algebra"),
@@ -102,6 +119,8 @@ def _triple_with(i, m):
     (lambda: RationalRotation(Matrix([[1, 1], [0, 1]])), ValueError, "not orthogonal"),
     (lambda: RationalRotation(Matrix([[0, 1], [1, 0]])), ValueError, "determinant"),
     (lambda: Frame2(Matrix([[1, 1]] + [[0, 0]] * 4)), ValueError, "orthonormal"),
+    # three orthonormal columns: the Gram pass alone would accept them
+    (lambda: Frame2(submatrix(identity(5), 0, 5, 0, 3)), ValueError, "orthonormal"),
     # F^T F = I holds for these complex columns
     (lambda: Frame2(Matrix([[Fraction(5, 3), 0], [gr(0, Fraction(4, 3)), 0], [0, 1]])),
      ValueError, "not real"),
@@ -117,9 +136,12 @@ def _triple_with(i, m):
     (lambda: SymbolTriple(*_triple_with(2, lambda m: -m)), AssertionError,
      "s1\\^dagger K"),
 ], ids=["Covector", "Covector-gaussian", "Covector-float", "Covector-bool",
-        "CirclePoint", "GradedElement-n", "GradedElement-shape", "GradedElement-mirror",
+        "CirclePoint", "UnitVector", "UnitVector-denominator", "SpinElement-float",
+        "SpinElement-bool", "SpinElement-gaussian", "GradedElement-n",
+        "GradedElement-shape", "GradedElement-mirror",
         "RationalRotation-square", "RationalRotation-complex",
-        "RationalRotation-orthogonal", "RationalRotation-det", "Frame2", "Frame2-complex",
+        "RationalRotation-orthogonal", "RationalRotation-det", "Frame2", "Frame2-columns",
+        "Frame2-complex",
         "StiefelTangent-shape", "StiefelTangent-linear", "StiefelTangent-complex",
         "OrientedPlane", "SymbolTriple-product", "SymbolTriple-adjoint"])
 def test_validating_constructors_refuse_bad_input(build, error, match):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from twodirac.linalg import det, identity
 from twodirac.sampling import (circle_point, deterministic_circle_points, givens, rotation,
                                unit_vector)
-from twodirac.scalars import CirclePoint
+from twodirac.scalars import CirclePoint, UnitVector
 
 from strategies import seeds
 
@@ -63,7 +64,8 @@ def test_circle_point_matches_the_fraction_formula():
 
 def fraction_unit_vector(rng: Random, n: int) -> tuple:
     """The inverse stereographic projection (2z, |z|^2 - 1) / (|z|^2 + 1) by
-    Fraction arithmetic on z, drawing exactly what ``unit_vector`` draws."""
+    Fraction arithmetic on z, drawing exactly what ``unit_vector`` draws,
+    each component read as an int when integral."""
     if n == 1:
         return (rng.choice((-1, 1)),)
     z = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n - 1)]
@@ -71,17 +73,21 @@ def fraction_unit_vector(rng: Random, n: int) -> tuple:
     den = nz + 1
     v = [2 * x / den for x in z] + [(nz - 1) / den]
     rng.shuffle(v)
-    return tuple(x if rng.random() < 0.5 else -x for x in v)
+    return tuple(x.numerator if x.denominator == 1 else x
+                 for x in (x if rng.random() < 0.5 else -x for x in v))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 8), seeds)
 def test_unit_vector_matches_the_fraction_formula(n, seed):
-    """The integer form gives the Fraction formula's values in its types,
-    drawn from two copies of one seeded generator that end in the same state."""
+    """The integer form gives the Fraction formula's values, read back by
+    value in its types, as a UnitVector in lowest terms, drawn from two
+    copies of one seeded generator that end in the same state."""
     rng, ref_rng = Random(seed), Random(seed)
     for _ in range(3):
         v, want = unit_vector(rng, n), fraction_unit_vector(ref_rng, n)
-        assert v == want and list(map(type, v)) == list(map(type, want))
-        assert sum(x * x for x in v) == 1
+        assert type(v) is UnitVector and v == UnitVector(want)
+        assert tuple(v) == want and list(map(type, v)) == list(map(type, want))
+        assert v.e == lcm(*(Fraction(x).denominator for x in want))
+        assert sum(x * x for x in v.w) == v.e ** 2
     assert rng.random() == ref_rng.random()

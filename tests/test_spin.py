@@ -2,17 +2,17 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twodirac.clifford import build_gamma_rep
-from twodirac.linalg import (Matrix, frobenius_sq, identity, intertwines, submatrix,
-                             zeros)
+from twodirac.linalg import (Matrix, frobenius_sq, identity, intertwines, reflections,
+                             submatrix, times_signed_perms, times_word, zeros)
 from twodirac.sampling import circle_point, deterministic_circle_points, unit_vector
 from twodirac.scalars import (CIRCLE_MINUS_ONE, CIRCLE_ONE, CirclePoint, GaussianRational,
-                              gr)
+                              UnitVector, gr)
 from twodirac.spin import (PhaseTriple, RationalRotation, SpinCElement,
-                           SpinElement, _reflections, gamma_c_mat, hc_forward,
+                           SpinElement, gamma_c_mat, hc_forward,
                            hc_inverse, hsharp_forward, hsharp_inverse, iota_embed,
                            is_in_spin_subgroup, is_in_u1_subgroup,
                            random_phase_triple, random_spin, random_spinc,
@@ -22,7 +22,7 @@ from twodirac.spin import (PhaseTriple, RationalRotation, SpinCElement,
 import reference_gammas
 import reference_rho as ref
 import reference_words as words
-from strategies import seeds
+from strategies import gaussians, matrices, rationals, seeds, vectors
 
 REP3 = build_gamma_rep(3)
 SPINC_ONE = SpinCElement(CIRCLE_ONE, SpinElement.identity(REP3))
@@ -36,10 +36,12 @@ def _inverse(a: SpinElement) -> SpinElement:
 def test_word_validation():
     with pytest.raises(ValueError, match="is odd"):
         SpinElement(REP3, [(1, 0, 0)])
-    with pytest.raises(ValueError, match="squared norm 2 != 1"):
+    with pytest.raises(ValueError, match=r"vector \(1, 1, 0\) has squared norm 2 != 1"):
         SpinElement(REP3, [(1, 1, 0), (1, 0, 0)])
     with pytest.raises(ValueError, match="vector length 2 != n = 3"):
         SpinElement(REP3, [(1, 0), (1, 0)])
+    with pytest.raises(ValueError, match="vector length 2 != n = 3"):
+        SpinElement(REP3, [UnitVector((1, 0)), (1, 0, 0)])
 
 
 def test_identity_and_center():
@@ -88,6 +90,74 @@ def test_spinor_matrix_matches_dense_word_product(n, pairs, seed):
     word = [unit_vector(rng, n) for _ in range(2 * pairs)]
     elt = SpinElement(build_gamma_rep(n), word)
     assert elt.spinor_mat == words.spinor_mat(n, word)
+
+
+@st.composite
+def integer_letters(draw, n: int) -> tuple:
+    """An integer vector of n components: a multiple c e_a of an axis, whose
+    products reach the word kernel's digit bound exactly, or any vector with
+    zero components among its entries."""
+    if draw(st.booleans()):
+        a, c = draw(st.integers(0, n - 1)), draw(st.integers(-40, 40).filter(bool))
+        return tuple(c if i == a else 0 for i in range(n))
+    return draw(vectors(st.one_of(st.just(0), st.integers(-40, 40)), n))
+
+
+word_entries = st.one_of(st.just(0), st.integers(-9, 9), gaussians(rationals(4, 5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_word_kernel_matches_one_scatter_per_letter(data):
+    """``times_word`` against one ``times_signed_perms`` call per letter, for
+    real and complex m with s columns, integer letters with zero components
+    and words of up to 14 letters, the length ``iota_embed(x * y)`` gives a
+    product of two three-pair words."""
+    n = data.draw(st.integers(3, 8), label="n")
+    rep = build_gamma_rep(n)
+    rows = data.draw(st.integers(1, 3), label="rows")
+    m = data.draw(st.one_of(st.just(identity(rep.s)),
+                            matrices(st.integers(-9, 9), rows, rep.s),
+                            matrices(word_entries, rows, rep.s)), label="m")
+    word = data.draw(st.lists(integer_letters(n), max_size=14), label="word")
+    den = data.draw(st.integers(1, 10 ** 6), label="den")
+    want = m
+    for w in word:
+        want = times_signed_perms(want, zip(w, rep.cols, rep.phases))
+    assert times_word(m, rep.cols, rep.phases, word, den) == want.scaled(Fraction(1, den))
+
+
+def test_packed_kernels_refuse_mismatched_shapes():
+    rep = build_gamma_rep(4)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        times_word(identity(2), rep.cols, rep.phases, [(1, 0, 0, 0)], 1)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        times_word(identity(4), rep.cols, rep.phases, [(1, 0, 0)], 1)
+    with pytest.raises(ValueError, match="letter of length 3 != n = 4"):
+        reflections([((1, 0, 0), 1)], 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 14), seeds)
+@example(4, 6, 0)
+def test_packed_rotation_matches_the_fraction_reflections(n, length, seed):
+    """``reflections`` against the oracle's rotation, composed in Fraction
+    arithmetic one reflection at a time, on words of up to 14 letters."""
+    rng = Random(seed)
+    word = [unit_vector(rng, n) for _ in range(length)]
+    rot = reflections([(v.w, v.e) for v in word], n)
+    assert rot == ref.word_rotation(word, n)
+
+
+def test_letters_are_unit_vectors_converted_once():
+    """A letter is stored as a UnitVector: converted from rational
+    components, kept as it is when it already is one, and read back by
+    value."""
+    v = unit_vector(Random(3), 3)
+    a = SpinElement(REP3, [v, (Fraction(3, 5), 0, Fraction(-4, 5))])
+    assert a.word[0] is v and a.word[1] == UnitVector.over((3, 0, -4), 5)
+    assert tuple(a.word[1]) == (Fraction(3, 5), 0, Fraction(-4, 5))
+    assert SpinElement(REP3, [tuple(v), tuple(v)]).word == (v, v)
 
 
 def test_spin_word_forms_no_dense_product(monkeypatch):
@@ -215,7 +285,7 @@ def test_intertwining_kernel_matches_dense_products(data):
     rep = build_gamma_rep(n)
     gens = reference_gammas.gammas(n)
     a = random_spin(rep, Random(data.draw(seeds, label="seed")))
-    s_mat, rot = a.spinor_mat, _reflections(a.word, n)
+    s_mat, rot = a.spinor_mat, ref.word_rotation(a.word, n)
 
     def verdict(s_mat, rot, phases=rep.phases, gens=gens):
         got = intertwines(s_mat, rep.cols, phases, rot)
@@ -255,7 +325,9 @@ def test_intertwining_kernel_refuses_mismatched_shapes():
 
 def test_rho_forms_no_spinor_sized_product(monkeypatch):
     # at n = 6 the spinor dimension s = 8 differs from n, so an s x s operand
-    # can only come from a product on the spinor side
+    # could only come from a product on the spinor side; the rotation is
+    # composed on packed columns and certified by column dot products, so no
+    # product of any size is formed
     rep = build_gamma_rep(6)
     a = random_spin(rep, Random(18))
     shapes = []
@@ -269,7 +341,7 @@ def test_rho_forms_no_spinor_sized_product(monkeypatch):
         patch.setattr(Matrix, "__matmul__", record)
         rot = rho_n(a)
     assert rot.mat == ref.word_rotation(a.word, 6)
-    assert shapes and (8, 8) not in {shape for pair in shapes for shape in pair}
+    assert shapes == []
 
 
 def test_spin_element_refuses_a_passed_spinor_matrix():

@@ -10,13 +10,16 @@ The failure records each fault produces are pinned by digest, so a change
 in how entries render shows as a changed report, not as a silent one.
 The spin suite also has one fault per record (``SPIN_RECORD_FAULTS``), each
 failing that record alone, and so do the spinc suite's two gamma^c records
-(``SPINC_RECORD_FAULTS``).
+(``SPINC_RECORD_FAULTS``) and eight of the embedding suite's nine records
+(``EMBEDDING_RECORD_FAULTS``; the ninth is argued unreachable alone in
+``EMBEDDING_UNREACHED``).
 """
 
 import ast
 import hashlib
 import inspect
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -24,8 +27,8 @@ from twodirac import clifford, flat, graded, report, spin, symbols
 from twodirac.clifford import build_gamma_rep
 from twodirac.linalg import Matrix, block, identity, submatrix, zeros
 from twodirac.report import SUITE_ORDER, run_check
-from twodirac.scalars import CIRCLE_ONE
-from twodirac.spin import SpinCElement, SpinElement
+from twodirac.scalars import CIRCLE_ONE, CirclePoint, UnitVector
+from twodirac.spin import RationalRotation, SpinCElement, SpinElement
 
 import reference_graded as layout
 
@@ -161,6 +164,81 @@ def test_each_gamma_c_record_fails_alone_under_its_fault(record, n, monkeypatch)
     monkeypatch.setattr(report, "gamma_c_mat",
                         SPINC_RECORD_FAULTS[record](report.gamma_c_mat))
     failures = run_check("spinc", n, 2, 0, "exact").failures
+    assert failures and {f["expected"] for f in failures} == {record}
+
+
+def _coordinates_rolled(orig):
+    """iota_embed with every letter's last coordinate moved to the front: a
+    Spin(n+2) element again, whose rotation is the true one conjugated by
+    that cyclic permutation, so its blocks no longer split as 2 + n."""
+    def rolled(x, big):
+        word = orig(x, big).word
+        return SpinElement(big, [UnitVector.over(v.w[-1:] + v.w[:-1], v.e) for v in word])
+    return rolled
+
+
+def _phase_conjugated(orig):
+    """iota_embed of <conj(p), a>: a well-defined injective homomorphism
+    whose upper block is the doubled angle of conj(p)."""
+    return lambda x, big: orig(SpinCElement(x.phase.conj(), x.spin), big)
+
+
+def _plus_one_only(a: SpinElement) -> bool:
+    """is_central that forgets the central element -1."""
+    return a.spinor_mat == identity(a.rep.s)
+
+
+# embedding record -> (owner, name, fault built from the original); each
+# fault leaves the other eight records passing at n = 3 and 4, samples 4
+# (at n = 4 the first two sampled phases are +-1, which the conjugation
+# keeps)
+EMBEDDING_RECORD_FAULTS = {
+    "block diagonal rotation": (report, "iota_embed", _coordinates_rolled),
+    "upper block = doubled phase": (report, "iota_embed", _phase_conjugated),
+    "lower block = rho^c": (report, "rho_n_c", lambda orig: lambda x:
+                            RationalRotation(orig(x).mat.transpose())),
+    "iota well defined": (SpinCElement, "negated_representative",
+                          lambda orig: lambda x: SpinCElement(-x.phase, x.spin)),
+    "iota homomorphism": (SpinCElement, "__mul__", lambda orig: lambda x, y: orig(y, x)),
+    # the kernel list names <(3 + 4i)/5, 1>, which is not in the kernel
+    "identity rotation": (report, "CIRCLE_ONE",
+                          lambda orig: CirclePoint(Fraction(3, 5), Fraction(4, 5))),
+    # classes compared by their spin parts up to sign alone
+    "two distinct classes": (SpinCElement, "__eq__", lambda orig: lambda x, y:
+                             x.spin == y.spin or x.spin == -y.spin),
+    "central in the big group": (SpinElement, "is_central", lambda orig: _plus_one_only),
+}
+
+# The injectivity record fires when two sampled classes x != y embed to one
+# spinor matrix.  The true iota is injective, so a fault of the sampler or of
+# the class comparison alone cannot fire it: with iota unchanged, equal
+# embeddings mean equal classes.  A fault of the embedding alone must merge a
+# pair drawn alike, and on every sampled x the records before it compare
+# first that the rotation of iota(x) is diag(doubled phase, rho^c(x)), which
+# fixes iota(x) up to a sign, and that iota respects products and the other
+# representative.  With those, iota(x) = iota(y) leaves y = x or
+# y = x <1, -1>, and two independent draws are neither, so a merge needs a
+# fault that fails one of those records too.  No single-point fault reaches
+# this record alone; it stays as the direct check that iota is faithful on
+# the sampled pairs.
+EMBEDDING_UNREACHED = {"iota injective"}
+
+
+def test_every_embedding_record_has_a_fault_or_an_argument():
+    body = ast.parse(inspect.getsource(report._check_embedding))
+    records = {node.args[1].value for node in ast.walk(body)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_fail"}
+    assert records == {*EMBEDDING_RECORD_FAULTS, *EMBEDDING_UNREACHED}
+    assert not EMBEDDING_UNREACHED & set(EMBEDDING_RECORD_FAULTS)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("record", EMBEDDING_RECORD_FAULTS)
+def test_each_embedding_record_fails_alone_under_its_fault(record, n, monkeypatch):
+    assert run_check("embedding", n, 4, 0, "exact").passed
+    owner, name, fault = EMBEDDING_RECORD_FAULTS[record]
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    failures = run_check("embedding", n, 4, 0, "exact").failures
     assert failures and {f["expected"] for f in failures} == {record}
 
 
